@@ -4,10 +4,9 @@ seeded Monte Carlo evaluation harness."""
 
 from .formulation import (VariableMap, build_deterministic, build_proposed,
                           extract_plan, plan_violations)
-from .lp import LpProblem, LpSolution, oracle_solve, solve
+from .lp import LpProblem, LpSolution, solve
 from .model import (DiscreteDistribution, LinkSpec, Plan, ReservoirSpec,
-                    Scenario, ValidationReport, distribution_bounds,
-                    distribution_mean, validate_scenario)
+                    Scenario, ValidationReport, validate_scenario)
 from .pwl import PwlFunction, capped_linear, hinge, linear
 from .scenarios import (SweepConfig, builtin_angpuang, builtin_simple,
                         expand_sweep, load_scenario, resolve_scenario,
@@ -18,9 +17,8 @@ from .simulation import (RealizedTrajectory, SimulationReport, realize,
 __all__ = [
     "PwlFunction", "capped_linear", "hinge", "linear",
     "DiscreteDistribution", "LinkSpec", "Plan", "ReservoirSpec", "Scenario",
-    "ValidationReport", "distribution_bounds", "distribution_mean",
-    "validate_scenario",
-    "LpProblem", "LpSolution", "oracle_solve", "solve",
+    "ValidationReport", "validate_scenario",
+    "LpProblem", "LpSolution", "solve",
     "VariableMap", "build_deterministic", "build_proposed", "extract_plan",
     "plan_violations",
     "RealizedTrajectory", "SimulationReport", "realize", "run_monte_carlo",

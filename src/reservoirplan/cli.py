@@ -292,14 +292,14 @@ def compare_methods(scenario: Scenario, reps: int, seed: int):
     """Plan both methods and evaluate them on the same sampled inflows.
 
     Returns (proposed_report, deterministic_report, plans) or raises
-    RuntimeError carrying the failing solver status.
+    _SolveFailure carrying the failing solver status.
     """
     reports = {}
     plans = {}
     for method in ("proposed", "deterministic"):
         _, vm, solution = _solve_method(scenario, method)
         if not solution.is_optimal:
-            raise _SolveFailure(method, solution.status, solution.iterations)
+            raise _SolveFailure(method, solution.status)
         plan = formulation.extract_plan(solution, vm, scenario)
         plans[method] = plan
         reports[method] = simulation.run_monte_carlo(plan, scenario, reps=reps,
@@ -308,7 +308,7 @@ def compare_methods(scenario: Scenario, reps: int, seed: int):
 
 
 class _SolveFailure(Exception):
-    def __init__(self, method: str, status: str, iterations: int):
+    def __init__(self, method: str, status: str):
         super().__init__(f"{method} solve returned {status}")
         self.status = status
 
@@ -421,26 +421,25 @@ def build_parser() -> argparse.ArgumentParser:
         description="Risk-aware demand-supply planning for reservoir networks")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p, method=False, reps=True):
+    def add_common(p, simulate=True):
         p.add_argument("--scenario", required=True,
                        help="scenario file path or builtin:<name>")
-        if method:
-            p.add_argument("--method", choices=("proposed", "deterministic"),
-                           default="proposed")
-        if reps:
+        if simulate:
             p.add_argument("--reps", type=int, default=100,
                            help="Monte Carlo replications (default 100)")
             p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--physical-sim", action="store_true",
+                           dest="physical_sim",
+                           help="cap realized volumes at capacity and floor "
+                                "realized releases at zero")
         p.add_argument("--big-f", type=float, default=None, dest="big_f",
                        help="override every overflow penalty constant")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--physical-sim", action="store_true", dest="physical_sim",
-                       help="cap realized volumes at capacity and floor "
-                            "realized releases at zero")
 
     p_plan = sub.add_parser("plan", help="compute a demand-supply plan")
-    add_common(p_plan, method=True, reps=False)
+    add_common(p_plan, simulate=False)
+    p_plan.add_argument("--method", choices=("proposed", "deterministic"),
+                        default="proposed")
     p_plan.add_argument("--dump-lp", default=None,
                         help="also dump the compiled LP in interchange text form")
     p_plan.set_defaults(func=cmd_plan)
@@ -448,6 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("evaluate", help="Monte Carlo evaluation of a plan")
     add_common(p_eval)
     p_eval.add_argument("--plan", required=True, help="plan JSON file")
+    p_eval.add_argument("--format", choices=("csv", "json"), default="csv")
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_cmp = sub.add_parser("compare",

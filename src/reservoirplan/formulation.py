@@ -3,9 +3,11 @@
 Two builds share one core: the stochastic program treats per-period inflows as
 bounded decision variables and charges the expected shortfall risk over the
 discretized inflow distribution; the deterministic baseline pins each inflow
-to its distribution mean and drops the risk term. Concave profit terms enter
-through hypograph cuts, convex cost/risk terms through epigraph cuts, and the
-capacity cap is a penalized overflow slack.
+to its distribution mean and drops the risk term. Every piecewise-linear term
+gets one variable: a hypograph for concave profit, an epigraph for convex
+transfer cost and for expected risk, which is one convex function of the
+inflow prediction over its support. The capacity cap is a penalized overflow
+slack.
 """
 from __future__ import annotations
 
@@ -21,8 +23,8 @@ EXTRACT_TOL = 1e-6
 
 @dataclasses.dataclass
 class VariableMap:
-    """Bijection between semantic (period, reservoir[, target/support]) indices
-    and LP variable positions. Periods and reservoir ids are 1-based."""
+    """Bijection between semantic (period, reservoir[, target]) indices and LP
+    variable positions. Periods and reservoir ids are 1-based."""
 
     transfer: dict[tuple[int, int, int], int] = dataclasses.field(default_factory=dict)
     release: dict[tuple[int, int], int] = dataclasses.field(default_factory=dict)
@@ -31,7 +33,7 @@ class VariableMap:
     overflow: dict[tuple[int, int], int] = dataclasses.field(default_factory=dict)
     profit_hypo: dict[tuple[int, int], int] = dataclasses.field(default_factory=dict)
     cost_epi: dict[tuple[int, int, int], int] = dataclasses.field(default_factory=dict)
-    risk_epi: dict[tuple[int, int, int], int] = dataclasses.field(default_factory=dict)
+    risk_epi: dict[tuple[int, int], int] = dataclasses.field(default_factory=dict)
 
     def groups(self):
         return (self.transfer, self.release, self.inflow, self.volume,
@@ -45,20 +47,33 @@ class VariableMap:
             raise AssertionError("variable map is not a bijection onto the LP")
 
 
-def _require_valid(scenario: Scenario) -> None:
-    report = validate_scenario(scenario)
-    if not report.ok:
-        raise ScenarioValidationError(report)
+def _add_pwl_term(problem: lp.LpProblem, name: str, arg: int,
+                  cuts, concave: bool) -> int:
+    """Add f(arg) to the objective through one variable z: z <= every cut of a
+    concave f (hypograph, +z) or z >= every cut of a convex f (epigraph, -z).
+    Returns the index of z."""
+    z = problem.add_variable(name, -np.inf, np.inf)
+    problem.set_objective_coefficient(z, 1.0 if concave else -1.0)
+    relation = lp.LESS_EQUAL if concave else lp.GREATER_EQUAL
+    for slope, intercept in cuts:
+        problem.add_constraint([(z, 1.0), (arg, -slope)], relation, intercept)
+    return z
 
 
 def _build(scenario: Scenario, stochastic: bool) -> tuple[lp.LpProblem, VariableMap]:
-    _require_valid(scenario)
+    report = validate_scenario(scenario)
+    if not report.ok:
+        raise ScenarioValidationError(report)
     problem = lp.LpProblem(name=f"{scenario.name}:{'proposed' if stochastic else 'deterministic'}")
     vm = VariableMap()
     links = scenario.sorted_links()
-    t_range = scenario.periods()
+    incoming: dict[int, list] = {n: [] for n in scenario.ids()}
+    outgoing: dict[int, list] = {n: [] for n in scenario.ids()}
+    for link in links:
+        outgoing[link.source].append(link)
+        incoming[link.target].append(link)
 
-    for t in t_range:
+    for t in scenario.periods():
         for link in links:
             idx = problem.add_variable(
                 f"q[{t},{link.source}->{link.target}]", 0.0, link.capacity)
@@ -66,104 +81,59 @@ def _build(scenario: Scenario, stochastic: bool) -> tuple[lp.LpProblem, Variable
         for n in scenario.ids():
             vm.release[(t, n)] = problem.add_variable(f"g[{t},{n}]", 0.0)
         for n in scenario.ids():
-            lo, hi = scenario.inflow[(n, t)].bounds()
-            if not stochastic:
-                mean = scenario.inflow[(n, t)].mean()
-                lo = hi = mean
+            inflow = scenario.inflow[(n, t)]
+            lo, hi = inflow.bounds() if stochastic else (inflow.mean(),) * 2
             vm.inflow[(t, n)] = problem.add_variable(f"x[{t},{n}]", lo, hi)
         for n in scenario.ids():
             vm.volume[(t, n)] = problem.add_variable(f"v[{t},{n}]", 0.0)
         for n in scenario.ids():
             vm.overflow[(t, n)] = problem.add_variable(f"w[{t},{n}]", 0.0)
-        for n in scenario.ids():
-            vm.profit_hypo[(t, n)] = problem.add_variable(
-                f"u[{t},{n}]", -np.inf, np.inf)
-        for link in links:
-            vm.cost_epi[(t, link.source, link.target)] = problem.add_variable(
-                f"y[{t},{link.source}->{link.target}]", -np.inf, np.inf)
-        if stochastic:
-            for n in scenario.ids():
-                support = scenario.inflow[(n, t)].support
-                for k in range(len(support)):
-                    vm.risk_epi[(t, n, k)] = problem.add_variable(
-                        f"rho[{t},{n},{k}]", -np.inf, np.inf)
+            problem.set_objective_coefficient(
+                vm.overflow[(t, n)], -float(scenario.overflow_penalty[(n, t)]))
 
-    # Objective: profit hypographs minus cost epigraphs, overflow penalties and
-    # probability-weighted risk epigraphs.
-    for (t, n), idx in vm.profit_hypo.items():
-        problem.set_objective_coefficient(idx, 1.0)
-    for key, idx in vm.cost_epi.items():
-        problem.set_objective_coefficient(idx, -1.0)
-    for (t, n), idx in vm.overflow.items():
-        problem.set_objective_coefficient(idx, -float(scenario.overflow_penalty[(n, t)]))
-    if stochastic:
-        for (t, n, k), idx in vm.risk_epi.items():
-            prob = scenario.inflow[(n, t)].support[k][1]
-            problem.set_objective_coefficient(idx, -float(prob))
-
-    incoming: dict[int, list] = {n: [] for n in scenario.ids()}
-    outgoing: dict[int, list] = {n: [] for n in scenario.ids()}
-    for link in links:
-        outgoing[link.source].append(link)
-        incoming[link.target].append(link)
-
-    for t in t_range:
         for n in scenario.ids():
             spec = scenario.reservoir(n)
+            # The previous volume is a variable, or a constant at t = 1.
+            if t == 1:
+                prev, rhs = [], spec.initial_volume
+            else:
+                prev, rhs = [(vm.volume[(t - 1, n)], -1.0)], 0.0
+            outflows = [(vm.transfer[(t, n, link.target)], 1.0)
+                        for link in outgoing[n]]
             # Volume recursion: v[t] = v[t-1] - g + x + inflows_from_links - outflows.
             coefs = [(vm.volume[(t, n)], 1.0), (vm.release[(t, n)], 1.0),
                      (vm.inflow[(t, n)], -1.0)]
-            for link in incoming[n]:
-                coefs.append((vm.transfer[(t, link.source, n)], -1.0))
-            for link in outgoing[n]:
-                coefs.append((vm.transfer[(t, n, link.target)], 1.0))
-            rhs = 0.0
-            if t == 1:
-                rhs = spec.initial_volume
-            else:
-                coefs.append((vm.volume[(t - 1, n)], -1.0))
-            problem.add_constraint(coefs, lp.EQUAL, rhs)
+            coefs += [(vm.transfer[(t, link.source, n)], -1.0)
+                      for link in incoming[n]]
+            problem.add_constraint(coefs + outflows + prev, lp.EQUAL, rhs)
 
             # Releases and transfers are drawn from the previous volume only
             # (conservative: period-t inflow is not available within period t).
-            coefs = [(vm.release[(t, n)], 1.0)]
-            for link in outgoing[n]:
-                coefs.append((vm.transfer[(t, n, link.target)], 1.0))
-            if t == 1:
-                problem.add_constraint(coefs, lp.LESS_EQUAL, spec.initial_volume)
-            else:
-                coefs.append((vm.volume[(t - 1, n)], -1.0))
-                problem.add_constraint(coefs, lp.LESS_EQUAL, 0.0)
-
-            # Profit hypograph: u <= cut(g) for every concave cut.
-            for slope, intercept in scenario.release_profit[(n, t)].cuts():
-                problem.add_constraint(
-                    [(vm.profit_hypo[(t, n)], 1.0), (vm.release[(t, n)], -slope)],
-                    lp.LESS_EQUAL, intercept)
+            problem.add_constraint([(vm.release[(t, n)], 1.0)] + outflows + prev,
+                                   lp.LESS_EQUAL, rhs)
 
             # Overflow slack: w >= v - max_volume.
             problem.add_constraint(
                 [(vm.overflow[(t, n)], 1.0), (vm.volume[(t, n)], -1.0)],
                 lp.GREATER_EQUAL, -spec.max_volume)
 
+            vm.profit_hypo[(t, n)] = _add_pwl_term(
+                problem, f"u[{t},{n}]", vm.release[(t, n)],
+                scenario.release_profit[(n, t)].cuts(), concave=True)
             if stochastic:
-                # Risk epigraph per support point: rho_k >= cut(x - support_k).
-                cuts = scenario.shortfall_risk[(n, t)].cuts()
-                for k, (value, _) in enumerate(scenario.inflow[(n, t)].support):
-                    for slope, intercept in cuts:
-                        problem.add_constraint(
-                            [(vm.risk_epi[(t, n, k)], 1.0),
-                             (vm.inflow[(t, n)], -slope)],
-                            lp.GREATER_EQUAL, intercept - slope * value)
+                # Expected shortfall risk sum_k p_k * r(x - support_k).
+                vm.risk_epi[(t, n)] = _add_pwl_term(
+                    problem, f"rho[{t},{n}]", vm.inflow[(t, n)],
+                    scenario.shortfall_risk[(n, t)].expected_cuts(
+                        scenario.inflow[(n, t)].support), concave=False)
 
         for link in links:
-            # Transfer cost epigraph: y >= cut(q) for every convex cut.
-            cost = scenario.transfer_cost[(link.source, link.target, t)]
-            for slope, intercept in cost.cuts():
-                problem.add_constraint(
-                    [(vm.cost_epi[(t, link.source, link.target)], 1.0),
-                     (vm.transfer[(t, link.source, link.target)], -slope)],
-                    lp.GREATER_EQUAL, intercept)
+            key = (t, link.source, link.target)
+            vm.cost_epi[key] = _add_pwl_term(
+                problem, f"y[{t},{link.source}->{link.target}]",
+                vm.transfer[key],
+                scenario.transfer_cost[(link.source, link.target, t)].cuts(),
+                concave=False)
 
     for n in scenario.ids():
         problem.add_constraint(
@@ -176,7 +146,7 @@ def _build(scenario: Scenario, stochastic: bool) -> tuple[lp.LpProblem, Variable
 
 def build_proposed(scenario: Scenario) -> tuple[lp.LpProblem, VariableMap]:
     """Stochastic program: inflow predictions are optimized within the support
-    range and expected shortfall risk is charged per support point."""
+    range and charged the expected shortfall risk over the support."""
     return _build(scenario, stochastic=True)
 
 

@@ -1,18 +1,14 @@
-"""Bounded-variable linear programs: representation, embedded simplex, test oracle.
+"""Bounded-variable linear programs: representation, embedded simplex, MPS I/O.
 
 The solver is a two-phase primal simplex on the bounded-variable standard form
 with a dense tableau. Inequalities get a slack variable; rows whose slack
 cannot absorb the initial residual get a phase-1 artificial. Nonbasic
 variables rest at a finite bound (free ones at zero) and may flip bounds
 without a basis change. Desk-scale instances stay comfortably dense.
-
-`oracle_solve` is an exact reference for small problems: it enumerates every
-basic point from constraint/bound subsets and keeps the best feasible one.
 """
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 
 import numpy as np
@@ -416,160 +412,6 @@ def _drive_out_artificials(state: _Tableau) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Vertex-enumeration oracle
-# ---------------------------------------------------------------------------
-
-_ORACLE_MAX_VARIABLES = 12
-_ORACLE_MAX_SYSTEMS = 2_000_000
-_ORACLE_BOX = 1e7
-
-
-def _enumerate_candidates(normals: np.ndarray, offsets: np.ndarray,
-                          parallel_groups: list[tuple[int, int]],
-                          dim: int) -> np.ndarray:
-    """All intersection points of dim-subsets of hyperplanes (skipping subsets
-    with two parallel planes of the same variable)."""
-    count = normals.shape[0]
-    excluded = set(parallel_groups)
-    combos = []
-    for subset in itertools.combinations(range(count), dim):
-        chosen = set(subset)
-        if any(a in chosen and b in chosen for a, b in excluded):
-            continue
-        combos.append(subset)
-    if not combos:
-        return np.empty((0, dim))
-    idx = np.array(combos)
-    mats = normals[idx]                      # (k, dim, dim)
-    rhs = offsets[idx]                       # (k, dim)
-    dets = np.linalg.det(mats)
-    scale = np.prod(np.linalg.norm(mats, axis=2) + 1e-30, axis=1)
-    solvable = np.abs(dets) > 1e-10 * scale
-    if not np.any(solvable):
-        return np.empty((0, dim))
-    points = np.linalg.solve(mats[solvable], rhs[solvable][..., None])[..., 0]
-    return points
-
-
-def _feasible_mask(points: np.ndarray, a_rows: np.ndarray, relations: list[str],
-                   rhs: np.ndarray, lower: np.ndarray, upper: np.ndarray,
-                   tol: float) -> np.ndarray:
-    ok = np.ones(points.shape[0], dtype=bool)
-    if a_rows.size:
-        lhs = points @ a_rows.T
-        for i, rel in enumerate(relations):
-            if rel == LESS_EQUAL:
-                ok &= lhs[:, i] <= rhs[i] + tol
-            elif rel == GREATER_EQUAL:
-                ok &= lhs[:, i] >= rhs[i] - tol
-            else:
-                ok &= np.abs(lhs[:, i] - rhs[i]) <= tol
-    ok &= np.all(points >= lower - tol, axis=1)
-    ok &= np.all(points <= upper + tol, axis=1)
-    return ok
-
-
-def _vertex_enumerate(a_rows: np.ndarray, relations: list[str], rhs: np.ndarray,
-                      lower: np.ndarray, upper: np.ndarray,
-                      tol: float = 1e-7) -> np.ndarray:
-    """Feasible basic points of {x : Ax rel b, lower <= x <= upper} (finite box)."""
-    dim = lower.size
-    normals = []
-    offsets = []
-    for i in range(a_rows.shape[0]):
-        normals.append(a_rows[i])
-        offsets.append(rhs[i])
-    parallel = []
-    for j in range(dim):
-        e = np.zeros(dim)
-        e[j] = 1.0
-        lo_idx = len(normals)
-        normals.append(e)
-        offsets.append(lower[j])
-        if upper[j] > lower[j]:
-            normals.append(e)
-            offsets.append(upper[j])
-            parallel.append((lo_idx, lo_idx + 1))
-    normals = np.array(normals)
-    offsets = np.array(offsets)
-
-    n_planes = normals.shape[0]
-    n_systems = math.comb(n_planes, dim)
-    if n_systems > _ORACLE_MAX_SYSTEMS:
-        raise ValueError(
-            f"problem too large for the enumeration oracle ({n_systems} systems)")
-
-    points = _enumerate_candidates(normals, offsets, parallel, dim)
-    if points.size == 0:
-        return points
-    mask = _feasible_mask(points, a_rows, relations, rhs, lower, upper, tol)
-    return points[mask]
-
-
-def oracle_solve(problem: LpProblem) -> LpSolution:
-    """Exact reference optimum by basic-point enumeration (test oracle only).
-
-    Accepts at most 12 variables. Variables without finite bounds are boxed at
-    +/-1e7 for enumeration; an explicit recession-direction search then decides
-    unboundedness, so the listed trivial unbounded cases are still certified.
-    """
-    n = problem.num_variables
-    if n > _ORACLE_MAX_VARIABLES:
-        raise ValueError(
-            f"oracle_solve accepts at most {_ORACLE_MAX_VARIABLES} variables")
-    lower = np.array(problem.lower)
-    upper = np.array(problem.upper)
-    if np.any(lower > upper + FEAS_TOL):
-        return LpSolution(status=INFEASIBLE)
-
-    a_rows = np.zeros((problem.num_constraints, n))
-    rhs = np.zeros(problem.num_constraints)
-    relations = []
-    for i, con in enumerate(problem.constraints):
-        for idx, coef in con.coefficients:
-            a_rows[i, idx] += coef
-        rhs[i] = con.rhs
-        relations.append(con.relation)
-
-    boxed_lower = np.where(np.isfinite(lower), lower, -_ORACLE_BOX)
-    boxed_upper = np.where(np.isfinite(upper), upper, _ORACLE_BOX)
-    vertices = _vertex_enumerate(a_rows, relations, rhs, boxed_lower, boxed_upper)
-    if vertices.shape[0] == 0:
-        return LpSolution(status=INFEASIBLE)
-
-    c = problem.objective_vector()
-    objectives = vertices @ c
-    best = int(np.argmax(objectives))
-
-    if not np.all(np.isfinite(lower) & np.isfinite(upper)):
-        ray = _improving_recession_direction(a_rows, relations, lower, upper, c)
-        if ray is not None:
-            return LpSolution(status=UNBOUNDED, ray=ray)
-
-    values = vertices[best]
-    return LpSolution(status=OPTIMAL, values=values,
-                      objective=float(objectives[best]))
-
-
-def _improving_recession_direction(a_rows, relations, lower, upper,
-                                   c) -> np.ndarray | None:
-    """Search the (normalized) recession cone for a direction with c'd > 0."""
-    n = lower.size
-    d_lower = np.where(np.isfinite(lower), 0.0, -1.0)
-    d_upper = np.where(np.isfinite(upper), 0.0, 1.0)
-    cone_rhs = np.zeros(len(relations))
-    dirs = _vertex_enumerate(a_rows, relations, cone_rhs, d_lower, d_upper,
-                             tol=1e-9)
-    if dirs.shape[0] == 0:
-        return None
-    gains = dirs @ c
-    best = int(np.argmax(gains))
-    if gains[best] > 1e-9:
-        return dirs[best]
-    return None
-
-
-# ---------------------------------------------------------------------------
 # Fixed-column interchange text format (MPS subset)
 # ---------------------------------------------------------------------------
 
@@ -631,14 +473,14 @@ def to_mps(problem: LpProblem) -> str:
 
 def from_mps(text: str) -> LpProblem:
     """Parse the MPS subset emitted by `to_mps` (sections NAME, OBJSENSE, ROWS,
-    COLUMNS, RHS, BOUNDS, ENDATA)."""
+    COLUMNS, RHS, BOUNDS, ENDATA). RANGES is rejected, not ignored."""
     problem = LpProblem()
     section = None
     row_relation: dict[str, str] = {}
-    row_order: list[str] = []
     objective_row = None
     columns: dict[str, int] = {}
-    col_entries: dict[str, dict[str, float]] = {}
+    # Coefficients by row name, then by column index; the objective row too.
+    row_coefs: dict[str, dict[int, float]] = {}
     rhs_values: dict[str, float] = {}
     bounds: dict[str, dict[str, float | None]] = {}
     maximize = False
@@ -658,8 +500,9 @@ def from_mps(text: str) -> LpProblem:
                 problem.name = tokens[1] if len(tokens) > 1 else "LP"
             elif section == "ENDATA":
                 break
-            elif section not in ("OBJSENSE", "ROWS", "COLUMNS", "RHS",
-                                 "BOUNDS", "RANGES"):
+            elif section == "RANGES":
+                fail(line_no, "RANGES section is not supported")
+            elif section not in ("OBJSENSE", "ROWS", "COLUMNS", "RHS", "BOUNDS"):
                 fail(line_no, f"unknown section {section!r}")
             continue
         if section == "OBJSENSE":
@@ -671,19 +514,21 @@ def from_mps(text: str) -> LpProblem:
             elif kind in ("L", "G", "E"):
                 row_relation[name] = {"L": LESS_EQUAL, "G": GREATER_EQUAL,
                                       "E": EQUAL}[kind]
-                row_order.append(name)
             else:
                 fail(line_no, f"unknown row kind {kind!r}")
+            row_coefs[name] = {}
         elif section == "COLUMNS":
             col = tokens[0]
             if col not in columns:
                 columns[col] = problem.add_variable(col, 0.0, math.inf)
-                col_entries[col] = {}
+            j = columns[col]
             pairs = tokens[1:]
             if len(pairs) % 2:
                 fail(line_no, "COLUMNS entries must be row/value pairs")
             for row, value in zip(pairs[::2], pairs[1::2]):
-                col_entries[col][row] = col_entries[col].get(row, 0.0) + float(value)
+                if row not in row_coefs:
+                    fail(line_no, f"entry for unknown row {row!r}")
+                row_coefs[row][j] = row_coefs[row].get(j, 0.0) + float(value)
         elif section == "RHS":
             pairs = tokens[1:]
             if len(pairs) % 2:
@@ -713,26 +558,14 @@ def from_mps(text: str) -> LpProblem:
         elif section is None:
             fail(line_no, "data before any section header")
 
-    if not maximize:
-        # The embedded representation always maximizes; flip a MIN objective.
-        sign = -1.0
-    else:
-        sign = 1.0
-
-    for col, j in columns.items():
-        record = bounds.get(col)
-        if record is not None:
-            problem.lower[j] = record["lower"]
-            problem.upper[j] = record["upper"]
-        for row, value in col_entries[col].items():
-            if row == objective_row:
-                problem.add_objective_coefficient(j, sign * value)
-
-    for row in row_order:
-        coefs = []
-        for col, j in columns.items():
-            value = col_entries[col].get(row)
-            if value:
-                coefs.append((j, value))
-        problem.add_constraint(coefs, row_relation[row], rhs_values.get(row, 0.0))
+    for col, record in bounds.items():
+        problem.lower[columns[col]] = record["lower"]
+        problem.upper[columns[col]] = record["upper"]
+    # The embedded representation always maximizes; flip a MIN objective.
+    sign = 1.0 if maximize else -1.0
+    for j, value in row_coefs.get(objective_row, {}).items():
+        problem.add_objective_coefficient(j, sign * value)
+    for row, relation in row_relation.items():
+        problem.add_constraint(row_coefs[row].items(), relation,
+                               rhs_values.get(row, 0.0))
     return problem

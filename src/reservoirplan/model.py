@@ -77,14 +77,6 @@ class DiscreteDistribution:
         return problems
 
 
-def distribution_mean(d: DiscreteDistribution) -> float:
-    return d.mean()
-
-
-def distribution_bounds(d: DiscreteDistribution) -> tuple[float, float]:
-    return d.bounds()
-
-
 @dataclasses.dataclass
 class Scenario:
     """Complete planning problem: topology, horizon, functions, inflows, penalties.

@@ -8,6 +8,7 @@ min) of their supporting lines ("cuts"), which is what the LP compiler needs.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -122,25 +123,51 @@ class PwlFunction:
         """Accept iff the slope sequence satisfies every required flag."""
         return _check_slopes(self.slopes(), required)
 
+    def _pieces(self) -> list[tuple[float, float, float]]:
+        """(start, slope, intercept) per distinct slope, left to right."""
+        convex = self.verify_shape([CONVEX]).ok
+        concave = self.verify_shape([CONCAVE]).ok
+        if not (convex or concave):
+            raise ValueError("cuts require a convex or concave function")
+        # Anchor point for each piece: the breakpoint where the piece starts
+        # (extensions anchor at the first/last breakpoint).
+        anchors = [self.breakpoints[0]] + list(self.breakpoints)
+        result: list[tuple[float, float, float]] = []
+        for slope, (ax, ay) in zip(self.slopes(), anchors):
+            if result and abs(slope - result[-1][1]) <= SLOPE_TOL:
+                continue
+            result.append((ax, float(slope), float(ay - slope * ax)))
+        return result
+
     def cuts(self) -> tuple[tuple[float, float], ...]:
         """Supporting lines as (slope, intercept) pairs, one per distinct slope.
 
         For convex f, f(x) = max over cuts of slope*x + intercept; for concave
         f the max becomes a min. Rejects functions that are neither.
         """
-        convex = self.verify_shape([CONVEX]).ok
-        concave = self.verify_shape([CONCAVE]).ok
-        if not (convex or concave):
-            raise ValueError("cuts require a convex or concave function")
-        slopes = self.slopes()
-        # Anchor point for each piece: the breakpoint where the piece starts
-        # (extensions anchor at the first/last breakpoint).
-        anchors = [self.breakpoints[0]] + list(self.breakpoints)
+        return tuple((slope, intercept) for _, slope, intercept in self._pieces())
+
+    def expected_cuts(self, support) -> tuple[tuple[float, float], ...]:
+        """Cuts of x -> sum_k p_k * f(x - xi_k) over (xi_k, p_k) in `support`.
+
+        On each interval between consecutive shifted kinks the cut is the
+        probability-weighted sum of the cuts of f active there. Every such sum
+        bounds the expectation, so nearly coincident kinks cannot spoil it.
+        """
+        pieces = self._pieces()
+        kinks = sorted((start + xi, k) for k, (xi, _) in enumerate(support)
+                       for start, _, _ in pieces[1:])
+        active = [0] * len(support)
         result: list[tuple[float, float]] = []
-        for slope, (ax, ay) in zip(slopes, anchors):
-            if result and abs(slope - result[-1][0]) <= SLOPE_TOL:
-                continue
-            result.append((float(slope), float(ay - slope * ax)))
+        for group in [()] + [list(g) for _, g in
+                             itertools.groupby(kinks, key=lambda e: e[0])]:
+            for _, k in group:
+                active[k] += 1
+            slope = sum(p * pieces[j][1] for j, (_, p) in zip(active, support))
+            intercept = sum(p * (pieces[j][2] - pieces[j][1] * xi)
+                            for j, (xi, p) in zip(active, support))
+            if not result or abs(slope - result[-1][0]) > SLOPE_TOL:
+                result.append((float(slope), float(intercept)))
         return tuple(result)
 
     def max_cut_slope(self) -> float:

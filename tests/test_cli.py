@@ -75,6 +75,14 @@ def test_usage_error_exit_code(tmp_path):
     assert run_cli("plan") == 1  # missing required --scenario
 
 
+def test_plan_rejects_simulation_only_flags(tmp_path):
+    # plan never writes an evaluation or simulates, so these flags are unknown.
+    for flag in (["--format", "json"], ["--physical-sim"]):
+        assert run_cli("plan", "--scenario", "builtin:simple1", *flag,
+                       "--out", str(tmp_path)) == 1
+    assert not (tmp_path / "plan.json").exists()
+
+
 def test_evaluate_deterministic_outputs(tmp_path):
     assert run_cli("plan", "--scenario", "builtin:simple1",
                    "--out", str(tmp_path)) == 0

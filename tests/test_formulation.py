@@ -227,6 +227,45 @@ def test_transfer_shutoff_when_cost_exceeds_profit():
     assert checked >= 6
 
 
+def _objective_from_plan(plan, scenario):
+    """Proposed objective recomputed from the plan's arrays alone."""
+    total = 0.0
+    for t in scenario.periods():
+        for n in scenario.ids():
+            total += scenario.release_profit[(n, t)].evaluate(
+                plan.releases[t - 1, n - 1])
+            x = plan.predicted_inflows[t - 1, n - 1]
+            total -= sum(prob * scenario.shortfall_risk[(n, t)].evaluate(x - value)
+                         for value, prob in scenario.inflow[(n, t)].support)
+            excess = plan.volumes[t - 1, n - 1] - scenario.reservoir(n).max_volume
+            total -= scenario.overflow_penalty[(n, t)] * max(excess, 0.0)
+        for link in scenario.links:
+            total -= scenario.transfer_cost[(link.source, link.target, t)].evaluate(
+                plan.transfers[t - 1, link.source - 1, link.target - 1])
+    return total
+
+
+def test_proposed_objective_equals_plan_recomputation():
+    # One epigraph per expected risk term is tight at the optimum.
+    rng = np.random.default_rng(31337)
+    for _ in range(12):
+        scenario = random_scenario(rng)
+        problem, vm = build_proposed(scenario)
+        plan = extract_plan(lp.solve(problem), vm, scenario)
+        assert _objective_from_plan(plan, scenario) == pytest.approx(
+            plan.objective, rel=1e-7, abs=1e-7)
+
+
+def test_angpuang_lp_sizes():
+    scenario = builtin_angpuang()
+    proposed, vm = build_proposed(scenario)
+    assert (proposed.num_constraints, proposed.num_variables) == (498, 456)
+    assert len(vm.risk_epi) == scenario.horizon * scenario.num_reservoirs
+    deterministic, _ = build_deterministic(scenario)
+    assert (deterministic.num_constraints,
+            deterministic.num_variables) == (332, 408)
+
+
 def test_variable_map_is_bijective():
     scenario = builtin_simple(1)
     for builder in (build_proposed, build_deterministic):

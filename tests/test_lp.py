@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_lp
+from oracle import oracle_solve
 from reservoirplan import lp
 
 
@@ -46,7 +47,7 @@ def test_oracle_matches_listed_cases():
     p = lp.LpProblem()
     x = p.add_variable("x", 0.0, 5.0)
     p.set_objective_coefficient(x, 1.0)
-    assert lp.oracle_solve(p).objective == pytest.approx(5.0)
+    assert oracle_solve(p).objective == pytest.approx(5.0)
 
     p = lp.LpProblem()
     x = p.add_variable("x")
@@ -54,13 +55,13 @@ def test_oracle_matches_listed_cases():
     p.set_objective_coefficient(x, 1.0)
     p.set_objective_coefficient(y, 1.0)
     p.add_constraint([(x, 1.0), (y, 1.0)], lp.LESS_EQUAL, 1.0)
-    assert lp.oracle_solve(p).objective == pytest.approx(1.0)
+    assert oracle_solve(p).objective == pytest.approx(1.0)
 
 
 def test_infeasible_box():
     p = lp.LpProblem()
     p.add_variable("x", 2.0, 1.0)
-    assert lp.oracle_solve(p).status == lp.INFEASIBLE
+    assert oracle_solve(p).status == lp.INFEASIBLE
     assert lp.solve(p).status == lp.INFEASIBLE
 
 
@@ -68,7 +69,7 @@ def test_unbounded_above():
     p = lp.LpProblem()
     x = p.add_variable("x", 0.0, math.inf)
     p.set_objective_coefficient(x, 1.0)
-    assert lp.oracle_solve(p).status == lp.UNBOUNDED
+    assert oracle_solve(p).status == lp.UNBOUNDED
     s = lp.solve(p)
     assert s.status == lp.UNBOUNDED
     assert s.ray is not None and s.ray[x] > 0
@@ -80,7 +81,7 @@ def test_infeasible_constraints():
     p.add_constraint([(x, 1.0)], lp.GREATER_EQUAL, 5.0)
     p.add_constraint([(x, 1.0)], lp.LESS_EQUAL, 2.0)
     assert lp.solve(p).status == lp.INFEASIBLE
-    assert lp.oracle_solve(p).status == lp.INFEASIBLE
+    assert oracle_solve(p).status == lp.INFEASIBLE
 
 
 def test_unbounded_ray_improves_objective():
@@ -101,7 +102,7 @@ def test_oracle_rejects_oversized_problems():
     for j in range(13):
         p.add_variable(f"x{j}", 0.0, 1.0)
     with pytest.raises(ValueError, match="at most 12"):
-        lp.oracle_solve(p)
+        oracle_solve(p)
 
 
 def test_solver_matches_oracle_on_50_random_boxed_instances():
@@ -110,7 +111,7 @@ def test_solver_matches_oracle_on_50_random_boxed_instances():
     for _ in range(50):
         p = random_lp(rng, anchored=True)
         s = lp.solve(p)
-        o = lp.oracle_solve(p)
+        o = oracle_solve(p)
         assert s.status == o.status
         if s.status == lp.OPTIMAL:
             optimal_seen += 1
@@ -125,7 +126,7 @@ def test_solver_matches_oracle_including_infeasible_instances():
     for _ in range(60):
         p = random_lp(rng, anchored=False)
         s = lp.solve(p)
-        o = lp.oracle_solve(p)
+        o = oracle_solve(p)
         assert s.status == o.status
         statuses.add(s.status)
         if s.status == lp.OPTIMAL:
@@ -193,3 +194,32 @@ def test_mps_round_trip_free_and_fixed_bounds():
 def test_mps_parse_error_context():
     with pytest.raises(ValueError, match="line"):
         lp.from_mps("NAME x\nROWS\n Z  BAD\nENDATA\n")
+
+
+_RANGED_MPS = """NAME          ranged
+OBJSENSE
+    MAX
+ROWS
+ N  OBJ
+ E  R1
+COLUMNS
+    X1        OBJ       1.0
+    X1        R1        1.0
+RHS
+    RHS       R1        10.0
+RANGES
+    RNG       R1        4.0
+ENDATA
+"""
+
+
+def test_mps_ranges_section_rejected_with_line_number():
+    # Dropping the range would solve max x s.t. x = 10, not 10 <= x <= 14.
+    with pytest.raises(ValueError, match="line 12: RANGES"):
+        lp.from_mps(_RANGED_MPS)
+
+
+def test_mps_entry_for_undeclared_row_rejected():
+    text = _RANGED_MPS.replace("X1        R1", "X1        R2")
+    with pytest.raises(ValueError, match="line 9: entry for unknown row 'R2'"):
+        lp.from_mps(text)

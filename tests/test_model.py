@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_scenario
-from reservoirplan.model import (DiscreteDistribution, distribution_bounds,
-                                 distribution_mean, validate_scenario)
+from reservoirplan.model import DiscreteDistribution, validate_scenario
 from reservoirplan.scenarios import builtin_angpuang, builtin_simple
 
 
@@ -63,24 +62,24 @@ def test_missing_function_reported_with_location():
 
 
 def test_distribution_mean_symmetric_two_point():
-    assert distribution_mean(DiscreteDistribution(((0.0, 0.5), (4.0, 0.5)))) == 2.0
+    assert DiscreteDistribution(((0.0, 0.5), (4.0, 0.5))).mean() == 2.0
 
 
 def test_distribution_mean_point_mass():
-    assert distribution_mean(DiscreteDistribution(((3.0, 1.0),))) == 3.0
+    assert DiscreteDistribution(((3.0, 1.0),)).mean() == 3.0
 
 
 def test_distribution_mean_weighted_sum():
     d = DiscreteDistribution(((0.0, 0.2), (1.0, 0.3), (5.0, 0.5)))
-    assert distribution_mean(d) == pytest.approx(2.8, abs=1e-12)
+    assert d.mean() == pytest.approx(2.8, abs=1e-12)
 
 
 def test_distribution_bounds():
-    assert distribution_bounds(
-        DiscreteDistribution(((0.0, 0.5), (4.0, 0.5)))) == (0.0, 4.0)
-    assert distribution_bounds(DiscreteDistribution(((3.0, 1.0),))) == (3.0, 3.0)
-    assert distribution_bounds(
-        DiscreteDistribution(((1.0, 0.1), (2.0, 0.8), (9.0, 0.1)))) == (1.0, 9.0)
+    assert DiscreteDistribution(
+        ((0.0, 0.5), (4.0, 0.5))).bounds() == (0.0, 4.0)
+    assert DiscreteDistribution(((3.0, 1.0),)).bounds() == (3.0, 3.0)
+    assert DiscreteDistribution(
+        ((1.0, 0.1), (2.0, 0.8), (9.0, 0.1))).bounds() == (1.0, 9.0)
 
 
 def test_mean_always_within_bounds():
@@ -93,8 +92,8 @@ def test_mean_always_within_bounds():
         probs = rng.uniform(0.05, 1, size=k)
         probs /= probs.sum()
         d = DiscreteDistribution(tuple(zip(values.tolist(), probs.tolist())))
-        lo, hi = distribution_bounds(d)
-        assert lo <= distribution_mean(d) <= hi
+        lo, hi = d.bounds()
+        assert lo <= d.mean() <= hi
 
 
 def test_builtin_generators_validate():

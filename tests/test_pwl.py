@@ -88,11 +88,11 @@ def test_cuts_reject_non_convex_non_concave():
         wiggle.cuts()
 
 
-def _random_convex(rng, segments=4):
+def _random_convex(rng, segments=4, min_slope=-4.0):
     xs = np.sort(rng.uniform(-5, 5, size=segments))
     while np.any(np.diff(xs) < 1e-3):
         xs = np.sort(rng.uniform(-5, 5, size=segments))
-    slopes = np.sort(rng.uniform(-4, 4, size=segments + 1))
+    slopes = np.sort(rng.uniform(min_slope, 4, size=segments + 1))
     ys = [0.0]
     for i in range(1, len(xs)):
         ys.append(ys[-1] + slopes[i] * (xs[i] - xs[i - 1]))
@@ -124,6 +124,51 @@ def test_min_of_cuts_equals_evaluate_for_random_concave():
         via_cuts = np.min(
             np.array([[s * x + b for x in xs] for s, b in cuts]), axis=0)
         np.testing.assert_allclose(via_cuts, expected, rtol=1e-12, atol=1e-12)
+
+
+def _expectation(f, support, xs):
+    return sum(prob * f.evaluate(xs - value) for value, prob in support)
+
+
+def _max_of_cuts(cuts, xs):
+    return np.max([slope * xs + intercept for slope, intercept in cuts], axis=0)
+
+
+def test_expected_cuts_match_expectation_for_random_convex():
+    rng = np.random.default_rng(2024)
+    for _ in range(50):
+        f = _random_convex(rng, segments=int(rng.integers(1, 5)), min_slope=0.0)
+        k = int(rng.integers(1, 6))
+        values = np.sort(rng.uniform(0, 10, size=k))
+        probs = rng.uniform(0.05, 1.0, size=k)
+        support = tuple(zip(values.tolist(), (probs / probs.sum()).tolist()))
+        shifted = [x + value for x, _ in f.breakpoints for value, _ in support]
+        xs = np.concatenate([shifted, rng.uniform(-30, 30, size=200)])
+        np.testing.assert_allclose(_max_of_cuts(f.expected_cuts(support), xs),
+                                   _expectation(f, support, xs),
+                                   rtol=1e-12, atol=1e-11)
+
+
+def test_expected_cuts_survive_nearly_coincident_kinks():
+    # Kinks at 0 and 0.1 + 0.2 shift onto 0.3 and 0.30000000000000004.
+    f = PwlFunction(((0.0, 0.0), (0.1 + 0.2, 0.3)), 0.0, 3.0,
+                    (CONVEX, NONDECREASING))
+    support = ((0.0, 0.2), (0.3, 0.5), (0.6, 0.3))
+    cuts = f.expected_cuts(support)
+    slopes = [slope for slope, _ in cuts]
+    assert slopes == sorted(slopes)
+    assert 0.0 <= min(slopes) and max(slopes) <= 3.0
+    xs = np.array([x + value for x, _ in f.breakpoints for value, _ in support]
+                  + list(np.linspace(-2.0, 3.0, 501)))
+    np.testing.assert_allclose(_max_of_cuts(cuts, xs),
+                               _expectation(f, support, xs),
+                               rtol=1e-12, atol=1e-14)
+
+
+def test_expected_cuts_of_point_mass_shift_the_cuts():
+    f = PwlFunction(((0.0, 0.0), (1.5, 3.0)), 0.0, 4.0, (CONVEX, NONDECREASING))
+    assert f.expected_cuts(((2.5, 1.0),)) == tuple(
+        (slope, intercept - slope * 2.5) for slope, intercept in f.cuts())
 
 
 def test_verified_convexity_implies_midpoint_inequality():
