@@ -415,6 +415,16 @@ def cmd_solve_lp(args) -> int:
     return _STATUS_EXIT[solution.status]
 
 
+def _replications(text: str) -> int:
+    try:
+        reps = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if reps < 1:
+        raise argparse.ArgumentTypeError(f"reps must be >= 1, got {reps}")
+    return reps
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="reservoirplan",
@@ -425,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", required=True,
                        help="scenario file path or builtin:<name>")
         if simulate:
-            p.add_argument("--reps", type=int, default=100,
+            p.add_argument("--reps", type=_replications, default=100,
                            help="Monte Carlo replications (default 100)")
             p.add_argument("--seed", type=int, default=0)
             p.add_argument("--physical-sim", action="store_true",

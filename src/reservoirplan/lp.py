@@ -4,7 +4,11 @@ The solver is a two-phase primal simplex on the bounded-variable standard form
 with a dense tableau. Inequalities get a slack variable; rows whose slack
 cannot absorb the initial residual get a phase-1 artificial. Nonbasic
 variables rest at a finite bound (free ones at zero) and may flip bounds
-without a basis change. Desk-scale instances stay comfortably dense.
+without a basis change. The tableau is stored dense, but the planning LPs are
+only a few percent nonzero, so each iteration touches only nonzeros: the pivot
+updates the rows where the entering column is nonzero and the columns where
+the pivot row is nonzero, basic values use only the nonbasic columns away from
+zero, and duals use only the basic rows with nonzero cost.
 """
 from __future__ import annotations
 
@@ -218,19 +222,21 @@ class _Tableau:
         self.refresh_basic_values()
 
     def refresh_basic_values(self) -> None:
-        if self.m == 0:
-            return
-        nonbasic_values = np.where(self.is_basic, 0.0, self.x)
-        self.x[self.basis] = self.tab_b - self.tab @ nonbasic_values
+        active = np.flatnonzero(~self.is_basic & (self.x != 0.0))
+        self.x[self.basis] = self.tab_b - self.tab[:, active] @ self.x[active]
 
     def pivot(self, row: int, col: int) -> None:
         pivot = self.tab[row, col]
         self.tab[row] /= pivot
         self.tab_b[row] /= pivot
-        factors = self.tab[:, col].copy()
-        factors[row] = 0.0
-        self.tab -= np.outer(factors, self.tab[row])
-        self.tab_b -= factors * self.tab_b[row]
+        # Rank-1 update restricted to the nonzeros of the pivot column and
+        # row; every skipped entry would subtract an exact zero.
+        rows = np.flatnonzero(self.tab[:, col])
+        rows = rows[rows != row]
+        cols = np.flatnonzero(self.tab[row])
+        factors = self.tab[rows, col]
+        self.tab[np.ix_(rows, cols)] -= np.outer(factors, self.tab[row, cols])
+        self.tab_b[rows] -= factors * self.tab_b[row]
         # Snap the entering column to a unit vector to avoid residue buildup.
         self.tab[:, col] = 0.0
         self.tab[row, col] = 1.0
@@ -250,11 +256,8 @@ def _run_simplex(state: _Tableau, c: np.ndarray, allow_enter: np.ndarray,
 
     while True:
         state.refresh_basic_values()
-        if state.m:
-            duals = c[state.basis] @ state.tab
-            reduced = c - duals
-        else:
-            reduced = c.copy()
+        costed = np.flatnonzero(c[state.basis])
+        reduced = c - c[state.basis[costed]] @ state.tab[costed]
 
         x = state.x
         nonbasic = ~state.is_basic & allow_enter
@@ -293,7 +296,7 @@ def _run_simplex(state: _Tableau, c: np.ndarray, allow_enter: np.ndarray,
             neg = w < -PIVOT_TOL
             ratios[pos] = np.maximum(basic_x[pos] - basic_lower[pos], 0.0) / w[pos]
             ratios[neg] = np.maximum(basic_upper[neg] - basic_x[neg], 0.0) / (-w[neg])
-            step_basic = float(ratios.min()) if state.m else math.inf
+            step_basic = float(ratios.min())
         else:
             ratios = np.empty(0)
             step_basic = math.inf
@@ -339,7 +342,8 @@ def _run_simplex(state: _Tableau, c: np.ndarray, allow_enter: np.ndarray,
 
 def solve(problem: LpProblem, max_iterations: int | None = None) -> LpSolution:
     """Solve a bounded-variable LP; statuses: optimal / infeasible / unbounded /
-    iteration_limit. Optimal points are feasible within 1e-7 per constraint."""
+    iteration_limit. An optimal point is checked to be feasible within FEAS_TOL
+    (1e-7) per bound and constraint; if it is not, ArithmeticError is raised."""
     lower = np.array(problem.lower)
     upper = np.array(problem.upper)
     if np.any(lower > upper + FEAS_TOL):
@@ -388,6 +392,10 @@ def solve(problem: LpProblem, max_iterations: int | None = None) -> LpSolution:
 
     state.refresh_basic_values()
     values = state.x[:state.n_structural].copy()
+    violation = constraint_violation(problem, values)
+    if violation > FEAS_TOL:
+        raise ArithmeticError(
+            f"simplex optimum violates a bound or constraint by {violation:.3g}")
     return LpSolution(status=OPTIMAL, values=values,
                       objective=problem.objective_value(values),
                       iterations=total_iterations)

@@ -83,6 +83,18 @@ def test_plan_rejects_simulation_only_flags(tmp_path):
     assert not (tmp_path / "plan.json").exists()
 
 
+def test_nonpositive_reps_is_usage_error(tmp_path, capsys):
+    assert run_cli("plan", "--scenario", "builtin:simple1",
+                   "--out", str(tmp_path)) == 0
+    plan = ["--plan", str(tmp_path / "plan.json")]
+    for command, extra in (("evaluate", plan), ("compare", [])):
+        for reps in ("0", "-3"):
+            assert run_cli(command, "--scenario", "builtin:simple1", *extra,
+                           "--reps", reps, "--out", str(tmp_path / "out")) == 1
+            assert "reps must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_evaluate_deterministic_outputs(tmp_path):
     assert run_cli("plan", "--scenario", "builtin:simple1",
                    "--out", str(tmp_path)) == 0

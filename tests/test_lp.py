@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_lp
-from oracle import oracle_solve
+from conftest import random_lp, random_scenario
+from oracle import highs_objective, oracle_solve
 from reservoirplan import lp
+from reservoirplan.formulation import build_deterministic, build_proposed
 
 
 def test_bound_only_problem():
@@ -151,6 +152,75 @@ def test_objective_scaling_invariance():
         assert s2.status == lp.OPTIMAL
         assert s2.objective == pytest.approx(
             lam * s1.objective, rel=1e-6, abs=1e-9)
+
+
+def _dense_pivot(tab, tab_b, row, col):
+    """Reference pivot: the rank-1 update applied to the whole tableau."""
+    tab, tab_b = tab.copy(), tab_b.copy()
+    pivot = tab[row, col]
+    tab[row] /= pivot
+    tab_b[row] /= pivot
+    factors = tab[:, col].copy()
+    factors[row] = 0.0
+    tab -= np.outer(factors, tab[row])
+    tab_b -= factors * tab_b[row]
+    tab[:, col] = 0.0
+    tab[row, col] = 1.0
+    return tab, tab_b
+
+
+def test_pivot_equals_dense_rank1_update_on_sparse_tableaux():
+    rng = np.random.default_rng(2718)
+    zero_in_row = zero_in_col = False
+    for _ in range(12):
+        n = int(rng.integers(3, 15))
+        p = lp.LpProblem()
+        for j in range(n):
+            p.add_variable(f"x{j}", 0.0, 10.0)
+        for _ in range(int(rng.integers(3, 12))):
+            idx = rng.choice(n, size=int(rng.integers(1, 4)), replace=False)
+            p.add_constraint([(int(j), float(rng.uniform(-3, 3))) for j in idx],
+                             lp.LESS_EQUAL, float(rng.uniform(0, 5)))
+        state = lp._Tableau(p)  # all-slack basis: the tableau is [A | I]
+        for _ in range(6):
+            row, col = rng.choice(
+                np.argwhere((np.abs(state.tab) > 0.1) & ~state.is_basic))
+            zero_in_row |= bool(np.any(state.tab[row] == 0.0))
+            zero_in_col |= bool(np.any(state.tab[:, col] == 0.0))
+            expected_tab, expected_b = _dense_pivot(
+                state.tab, state.tab_b, row, col)
+            leaving = state.basis[row]
+            state.pivot(row, col)
+            assert np.array_equal(state.tab, expected_tab)
+            assert np.array_equal(state.tab_b, expected_b)
+            assert state.basis[row] == col
+            assert state.is_basic[col] and not state.is_basic[leaving]
+    assert zero_in_row and zero_in_col
+
+
+def test_optimal_status_requires_a_feasible_point(monkeypatch):
+    p = lp.LpProblem()
+    x = p.add_variable("x", 0.0, 5.0)
+    p.set_objective_coefficient(x, 1.0)
+    monkeypatch.setattr(lp, "constraint_violation", lambda problem, x: 1e-3)
+    with pytest.raises(ArithmeticError, match="violates"):
+        lp.solve(p)
+
+
+def test_solver_matches_highs_on_random_networks():
+    pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(5150)
+    largest = 0
+    for _ in range(8):
+        scenario = random_scenario(rng, max_reservoirs=8, max_horizon=8)
+        largest = max(largest, len(scenario.reservoirs) * scenario.horizon)
+        for build in (build_proposed, build_deterministic):
+            problem, _ = build(scenario)
+            solution = lp.solve(problem)
+            reference = highs_objective(problem)
+            assert solution.status == lp.OPTIMAL and reference is not None
+            assert solution.objective == pytest.approx(reference, rel=1e-9)
+    assert largest >= 36
 
 
 def test_iteration_limit_is_distinguishable():
