@@ -4,7 +4,8 @@ Every output file embeds the run manifest (the inputs that determine the run),
 so identical manifests yield bitwise-identical files; wall-clock duration is
 recorded only in the separate manifest.json, keeping the data files
 reproducible. Exit codes: 0 optimal, 1 usage/IO error, 2 infeasible,
-3 unbounded, 4 iteration limit.
+3 unbounded, 4 iteration limit, 5 numerical failure (the solver broke down or
+its optimum failed the feasibility check).
 """
 from __future__ import annotations
 
@@ -27,6 +28,11 @@ EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_UNBOUNDED = 3
 EXIT_ITERATION_LIMIT = 4
+EXIT_NUMERICAL = 5
+
+RELEASE_HEADER = ["t", "n", "g", "x", "v"]
+TRANSFER_HEADER = ["t", "from", "to", "q"]
+REPORT_HEADER = ["rep", "release", "transfer", "risk", "total"]
 
 _STATUS_EXIT = {
     lp.OPTIMAL: EXIT_OK,
@@ -84,6 +90,11 @@ def _write_csv(path: Path, manifest: RunManifest, header: list[str],
     path.write_text("\n".join(lines) + "\n")
 
 
+def _records(header: list[str], rows: list[list]) -> list[dict]:
+    """JSON records of a CSV table: one object per row, keyed by the header."""
+    return [dict(zip(header, row)) for row in rows]
+
+
 def _write_json(path: Path, manifest: RunManifest, payload: dict) -> None:
     document = {"manifest": manifest.embedded(), **payload}
     path.write_text(json.dumps(document, indent=2) + "\n")
@@ -118,33 +129,6 @@ def _solve_method(scenario: Scenario, method: str):
     problem, vm = builder(scenario)
     solution = lp.solve(problem)
     return problem, vm, solution
-
-
-def _plan_payload(plan: Plan, scenario: Scenario) -> dict:
-    transfers = []
-    for t in scenario.periods():
-        for link in scenario.sorted_links():
-            transfers.append({
-                "t": t, "from": link.source, "to": link.target,
-                "q": float(plan.transfers[t - 1, link.source - 1,
-                                          link.target - 1]),
-            })
-    releases = []
-    for t in scenario.periods():
-        for n in scenario.ids():
-            releases.append({
-                "t": t, "n": n,
-                "g": float(plan.releases[t - 1, n - 1]),
-                "x": float(plan.predicted_inflows[t - 1, n - 1]),
-                "v": float(plan.volumes[t - 1, n - 1]),
-            })
-    return {
-        "objective": plan.objective,
-        "horizon": scenario.horizon,
-        "reservoirs": scenario.num_reservoirs,
-        "transfers": transfers,
-        "releases": releases,
-    }
 
 
 def load_plan_json(path: str | Path) -> Plan:
@@ -184,9 +168,15 @@ def _write_plan_files(plan: Plan, scenario: Scenario, manifest: RunManifest,
                                            link.target - 1])]
                      for t in scenario.periods()
                      for link in scenario.sorted_links()]
-    _write_csv(releases_path, manifest, ["t", "n", "g", "x", "v"], release_rows)
-    _write_csv(transfers_path, manifest, ["t", "from", "to", "q"], transfer_rows)
-    _write_json(json_path, manifest, _plan_payload(plan, scenario))
+    _write_csv(releases_path, manifest, RELEASE_HEADER, release_rows)
+    _write_csv(transfers_path, manifest, TRANSFER_HEADER, transfer_rows)
+    _write_json(json_path, manifest, {
+        "objective": plan.objective,
+        "horizon": scenario.horizon,
+        "reservoirs": scenario.num_reservoirs,
+        "transfers": _records(TRANSFER_HEADER, transfer_rows),
+        "releases": _records(RELEASE_HEADER, release_rows),
+    })
 
 
 def cmd_plan(args) -> int:
@@ -236,26 +226,6 @@ def _report_rows(report: simulation.SimulationReport) -> list[list]:
     return rows
 
 
-def _report_payload(report: simulation.SimulationReport) -> dict:
-    return {
-        "replications": report.replications,
-        "per_replication": [
-            {"rep": rep,
-             "release": float(report.release_profit[rep]),
-             "transfer": float(report.transfer_cost[rep]),
-             "risk": float(report.risk_cost[rep]),
-             "total": float(report.total_profit[rep])}
-            for rep in range(report.replications)
-        ],
-        "aggregates": {
-            "mean_total": report.mean_total,
-            "std_total": report.std_total,
-            "mean_risk": report.mean_risk,
-            "std_risk": report.std_risk,
-        },
-    }
-
-
 def cmd_evaluate(args) -> int:
     started = time.perf_counter()
     manifest = RunManifest(command="evaluate", scenario=args.scenario,
@@ -275,12 +245,21 @@ def cmd_evaluate(args) -> int:
     if args.format == "json":
         path = out_dir / "evaluation.json"
         manifest.outputs = [str(path)]
-        _write_json(path, manifest, _report_payload(report))
+        rows = _report_rows(report)[:report.replications]
+        _write_json(path, manifest, {
+            "replications": report.replications,
+            "per_replication": _records(REPORT_HEADER, rows),
+            "aggregates": {
+                "mean_total": report.mean_total,
+                "std_total": report.std_total,
+                "mean_risk": report.mean_risk,
+                "std_risk": report.std_risk,
+            },
+        })
     else:
         path = out_dir / "evaluation.csv"
         manifest.outputs = [str(path)]
-        _write_csv(path, manifest, ["rep", "release", "transfer", "risk", "total"],
-                   _report_rows(report))
+        _write_csv(path, manifest, REPORT_HEADER, _report_rows(report))
     manifest.duration_s = time.perf_counter() - started
     manifest.write(out_dir)
     print(f"mean_total={report.mean_total!r} std_total={report.std_total!r} "
@@ -486,6 +465,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ScenarioParseError, ScenarioValidationError) as exc:
         return _fail(str(exc))
+    except ArithmeticError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

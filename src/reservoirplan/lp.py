@@ -1,8 +1,11 @@
 """Bounded-variable linear programs: representation, embedded simplex, MPS I/O.
 
 The solver is a two-phase primal simplex on the bounded-variable standard form
-with a dense tableau. Inequalities get a slack variable; rows whose slack
-cannot absorb the initial residual get a phase-1 artificial. Nonbasic
+with a dense tableau [A | I]: every row gets a slack whose bounds carry the
+relation, and the all-slack basis starts the search. Phase 1 minimizes the
+total bound violation of that basis (a basic slack may start outside its
+bounds); phase 2 maximizes the objective from the feasible basis it leaves.
+Both phases run the same loop; there are no artificial variables. Nonbasic
 variables rest at a finite bound (free ones at zero) and may flip bounds
 without a basis change. The tableau is stored dense, but the planning LPs are
 only a few percent nonzero, so each iteration touches only nonzeros: the pivot
@@ -150,80 +153,51 @@ class _Tableau:
         m = problem.num_constraints
         self.n_structural = n
         self.m = m
+        self.total = n + m
 
-        lower = np.array(problem.lower, dtype=float)
-        upper = np.array(problem.upper, dtype=float)
-        a = np.zeros((m, n + m))
-        b = np.zeros(m)
+        # Row i reads A_i x + s_i = b_i; the bounds of slack s_i carry the
+        # relation. The all-slack basis is the identity, so tab = [A | I].
+        self.tab = np.zeros((m, n + m))
+        self.tab_b = np.zeros(m)
         slack_lower = np.zeros(m)
         slack_upper = np.zeros(m)
         for i, con in enumerate(problem.constraints):
             for idx, coef in con.coefficients:
-                a[i, idx] += coef
-            a[i, n + i] = 1.0
-            b[i] = con.rhs
+                self.tab[i, idx] += coef
+            self.tab[i, n + i] = 1.0
+            self.tab_b[i] = con.rhs
             if con.relation == LESS_EQUAL:
-                slack_lower[i], slack_upper[i] = 0.0, math.inf
+                slack_upper[i] = math.inf
             elif con.relation == GREATER_EQUAL:
-                slack_lower[i], slack_upper[i] = -math.inf, 0.0
-            else:
-                slack_lower[i], slack_upper[i] = 0.0, 0.0
+                slack_lower[i] = -math.inf
 
-        self.lower = np.concatenate([lower, slack_lower])
-        self.upper = np.concatenate([upper, slack_upper])
+        self.lower = np.concatenate([np.array(problem.lower, dtype=float), slack_lower])
+        self.upper = np.concatenate([np.array(problem.upper, dtype=float), slack_upper])
 
         # Nonbasic starting values: finite lower bound if any, else finite
-        # upper bound, else 0 for free variables.
-        start = np.where(np.isfinite(self.lower), self.lower,
-                         np.where(np.isfinite(self.upper), self.upper, 0.0))
-        residual = b - a @ start
-
-        self.basis = np.empty(m, dtype=int)
-        art_cols = []
-        art_signs = []
-        art_rows = []
-        for i in range(m):
-            slack = n + i
-            if self.lower[slack] - FEAS_TOL <= residual[i] <= self.upper[slack] + FEAS_TOL:
-                self.basis[i] = slack
-            else:
-                sign = 1.0 if residual[i] >= 0 else -1.0
-                col = np.zeros(m)
-                col[i] = sign
-                art_cols.append(col)
-                art_signs.append(sign)
-                art_rows.append(i)
-                self.basis[i] = n + m + len(art_cols) - 1
-
-        self.n_artificial = len(art_cols)
-        if art_cols:
-            a = np.hstack([a, np.column_stack(art_cols)])
-            self.lower = np.concatenate([self.lower, np.zeros(self.n_artificial)])
-            self.upper = np.concatenate(
-                [self.upper, np.full(self.n_artificial, math.inf)])
-            start = np.concatenate([start, np.zeros(self.n_artificial)])
-
-        self.total = a.shape[1]
-        self.artificial_mask = np.zeros(self.total, dtype=bool)
-        self.artificial_mask[n + m:] = True
-
-        # Initial basis matrix is identity up to the +/-1 signs of artificial
-        # columns, so B^-1 A is just a row rescale.
-        self.tab = a
-        self.tab_b = b.copy()
-        for row, sign in zip(art_rows, art_signs):
-            if sign < 0:
-                self.tab[row] *= -1.0
-                self.tab_b[row] *= -1.0
-
-        self.x = start
-        self.is_basic = np.zeros(self.total, dtype=bool)
+        # upper bound, else 0 for free variables. A basic slack may start
+        # outside its bounds; phase 1 repairs that.
+        self.x = np.where(np.isfinite(self.lower), self.lower,
+                          np.where(np.isfinite(self.upper), self.upper, 0.0))
+        self.basis = np.arange(n, n + m)
+        self.is_basic = np.zeros(n + m, dtype=bool)
         self.is_basic[self.basis] = True
         self.refresh_basic_values()
 
     def refresh_basic_values(self) -> None:
         active = np.flatnonzero(~self.is_basic & (self.x != 0.0))
         self.x[self.basis] = self.tab_b - self.tab[:, active] @ self.x[active]
+
+    def infeasibility_cost(self) -> np.ndarray:
+        """Phase-1 cost: +1 on a basic variable below its lower bound and -1 on
+        one above its upper bound (each by more than FEAS_TOL), 0 elsewhere.
+        Maximizing it reduces the total bound violation."""
+        basic_x = self.x[self.basis]
+        below = basic_x < self.lower[self.basis] - FEAS_TOL
+        above = basic_x > self.upper[self.basis] + FEAS_TOL
+        c = np.zeros(self.total)
+        c[self.basis] = below.astype(float) - above
+        return c
 
     def pivot(self, row: int, col: int) -> None:
         pivot = self.tab[row, col]
@@ -246,9 +220,12 @@ class _Tableau:
         self.basis[row] = col
 
 
-def _run_simplex(state: _Tableau, c: np.ndarray, allow_enter: np.ndarray,
+def _run_simplex(state: _Tableau, objective: np.ndarray | None,
                  iterations_left: int) -> tuple[str, int, np.ndarray | None]:
-    """Iterate to optimality of max c'x. Returns (status, iterations, ray)."""
+    """Iterate to optimality of max c'x. Phase 1 passes objective=None: c is
+    then the infeasibility cost, rebuilt every iteration, and a violated basic
+    variable blocks only on reaching the bound it violates. Returns (status,
+    iterations, ray)."""
     iterations = 0
     degenerate_streak = 0
     bland = False
@@ -256,11 +233,12 @@ def _run_simplex(state: _Tableau, c: np.ndarray, allow_enter: np.ndarray,
 
     while True:
         state.refresh_basic_values()
+        c = state.infeasibility_cost() if objective is None else objective
         costed = np.flatnonzero(c[state.basis])
         reduced = c - c[state.basis[costed]] @ state.tab[costed]
 
         x = state.x
-        nonbasic = ~state.is_basic & allow_enter
+        nonbasic = ~state.is_basic
         not_fixed = upper - lower > PIVOT_TOL
         at_lower = nonbasic & np.isfinite(lower) & (x <= lower + FEAS_TOL)
         at_upper = nonbasic & np.isfinite(upper) & (x >= upper - FEAS_TOL) & ~at_lower
@@ -286,20 +264,27 @@ def _run_simplex(state: _Tableau, c: np.ndarray, allow_enter: np.ndarray,
 
         iterations += 1
 
-        if state.m:
-            w = direction * state.tab[:, col]
-            basic_lower = lower[state.basis]
-            basic_upper = upper[state.basis]
-            basic_x = x[state.basis]
-            ratios = np.full(state.m, math.inf)
-            pos = w > PIVOT_TOL
-            neg = w < -PIVOT_TOL
-            ratios[pos] = np.maximum(basic_x[pos] - basic_lower[pos], 0.0) / w[pos]
-            ratios[neg] = np.maximum(basic_upper[neg] - basic_x[neg], 0.0) / (-w[neg])
-            step_basic = float(ratios.min())
-        else:
-            ratios = np.empty(0)
-            step_basic = math.inf
+        # Basic values move by -step * w as the entering variable moves by step.
+        w = direction * state.tab[:, col]
+        basic_lower = lower[state.basis]
+        basic_upper = upper[state.basis]
+        basic_x = x[state.basis]
+        ratios = np.full(state.m, math.inf)
+        pos = w > PIVOT_TOL
+        neg = w < -PIVOT_TOL
+        ratios[pos] = np.maximum(basic_x[pos] - basic_lower[pos], 0.0) / w[pos]
+        ratios[neg] = np.maximum(basic_upper[neg] - basic_x[neg], 0.0) / (-w[neg])
+        if objective is None:
+            # The violated rows are the costed ones; sign is +1 below the
+            # lower bound and -1 above the upper bound.
+            sign = c[state.basis[costed]]
+            approach = -sign * w[costed]
+            gap = np.where(sign > 0, basic_lower[costed] - basic_x[costed],
+                           basic_x[costed] - basic_upper[costed])
+            blocks = approach > PIVOT_TOL
+            ratios[costed] = math.inf
+            ratios[costed[blocks]] = gap[blocks] / approach[blocks]
+        step_basic = float(np.min(ratios, initial=math.inf))
 
         span = upper[col] - lower[col]
         step_own = span if np.isfinite(span) else math.inf
@@ -308,8 +293,7 @@ def _run_simplex(state: _Tableau, c: np.ndarray, allow_enter: np.ndarray,
         if math.isinf(step):
             ray = np.zeros(state.total)
             ray[col] = direction
-            if state.m:
-                ray[state.basis] = -direction * state.tab[:, col]
+            ray[state.basis] = -w
             return UNBOUNDED, iterations, ray
 
         if step_own <= step_basic:
@@ -326,7 +310,11 @@ def _run_simplex(state: _Tableau, c: np.ndarray, allow_enter: np.ndarray,
             row = int(tied[np.argmax(np.abs(state.tab[tied, col]))])
 
         leaving = state.basis[row]
-        leaving_to_upper = direction * state.tab[row, col] < 0
+        if objective is None and c[leaving]:
+            # A violated variable leaves at the bound it violated.
+            leaving_to_upper = c[leaving] < 0
+        else:
+            leaving_to_upper = w[row] < 0
         state.x[col] = x[col] + direction * step
         state.x[leaving] = upper[leaving] if leaving_to_upper else lower[leaving]
         state.pivot(row, col)
@@ -353,41 +341,24 @@ def solve(problem: LpProblem, max_iterations: int | None = None) -> LpSolution:
         max_iterations = 50 * (problem.num_variables + problem.num_constraints)
 
     state = _Tableau(problem)
-    total_iterations = 0
+    status, used, _ = _run_simplex(state, None, max_iterations)
+    if status == ITERATION_LIMIT:
+        return LpSolution(status=ITERATION_LIMIT, iterations=used)
+    if status == UNBOUNDED:
+        # The phase-1 objective is bounded above by zero; this can only be
+        # numerical breakdown.
+        raise ArithmeticError("phase-1 simplex reported unbounded")
+    if np.any(state.infeasibility_cost()):
+        return LpSolution(status=INFEASIBLE, iterations=used)
 
-    if state.n_artificial:
-        c1 = np.zeros(state.total)
-        c1[state.artificial_mask] = -1.0
-        allow = np.ones(state.total, dtype=bool)
-        status, used, _ = _run_simplex(state, c1, allow, max_iterations)
-        total_iterations += used
-        if status == ITERATION_LIMIT:
-            return LpSolution(status=ITERATION_LIMIT, iterations=total_iterations)
-        if status == UNBOUNDED:
-            # The phase-1 objective is bounded above by zero; this can only be
-            # numerical breakdown.
-            raise ArithmeticError("phase-1 simplex reported unbounded")
-        state.refresh_basic_values()
-        infeasibility = float(np.sum(state.x[state.artificial_mask]))
-        if infeasibility > FEAS_TOL:
-            return LpSolution(status=INFEASIBLE, iterations=total_iterations)
-        _drive_out_artificials(state)
-        # Pin artificials at zero so phase 2 can never revive them.
-        state.upper[state.artificial_mask] = 0.0
-        state.lower[state.artificial_mask] = 0.0
-        state.x[state.artificial_mask & ~state.is_basic] = 0.0
-
-    c2 = np.zeros(state.total)
-    c2[:state.n_structural] = problem.objective_vector()
-    allow = ~state.artificial_mask
-    status, used, ray = _run_simplex(
-        state, c2, allow, max_iterations - total_iterations)
-    total_iterations += used
+    c = np.concatenate([problem.objective_vector(), np.zeros(state.m)])
+    status, more, ray = _run_simplex(state, c, max_iterations - used)
+    used += more
 
     if status == ITERATION_LIMIT:
-        return LpSolution(status=ITERATION_LIMIT, iterations=total_iterations)
+        return LpSolution(status=ITERATION_LIMIT, iterations=used)
     if status == UNBOUNDED:
-        return LpSolution(status=UNBOUNDED, iterations=total_iterations,
+        return LpSolution(status=UNBOUNDED, iterations=used,
                           ray=ray[:state.n_structural])
 
     state.refresh_basic_values()
@@ -398,25 +369,7 @@ def solve(problem: LpProblem, max_iterations: int | None = None) -> LpSolution:
             f"simplex optimum violates a bound or constraint by {violation:.3g}")
     return LpSolution(status=OPTIMAL, values=values,
                       objective=problem.objective_value(values),
-                      iterations=total_iterations)
-
-
-def _drive_out_artificials(state: _Tableau) -> None:
-    """Swap basic artificials (at value 0) for real columns; redundant rows keep
-    their artificial pinned at zero."""
-    for row in range(state.m):
-        var = state.basis[row]
-        if not state.artificial_mask[var]:
-            continue
-        row_coefs = np.abs(state.tab[row])
-        row_coefs[state.artificial_mask] = 0.0
-        row_coefs[state.is_basic] = 0.0
-        col = int(np.argmax(row_coefs))
-        if row_coefs[col] > PIVOT_TOL:
-            entering_value = state.x[col]
-            state.pivot(row, col)
-            state.x[var] = 0.0
-            state.x[col] = entering_value
+                      iterations=used)
 
 
 # ---------------------------------------------------------------------------

@@ -116,9 +116,6 @@ class Scenario:
     def initial_volumes(self) -> np.ndarray:
         return np.array([self.reservoir(n).initial_volume for n in self.ids()])
 
-    def final_min_volumes(self) -> np.ndarray:
-        return np.array([self.reservoir(n).final_min_volume for n in self.ids()])
-
     def ids(self) -> range:
         return range(1, self.num_reservoirs + 1)
 

@@ -241,7 +241,11 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioParseError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from exc
-    scenario = scenario_from_dict(doc)
+    try:
+        scenario = scenario_from_dict(doc)
+    except (TypeError, ValueError, AttributeError) as exc:
+        # ScenarioParseError is a ValueError too; rewrapping names the file.
+        raise ScenarioParseError(f"{path}: {exc}") from exc
     report = validate_scenario(scenario)
     if not report.ok:
         raise ScenarioValidationError(report)
@@ -448,13 +452,16 @@ def load_sweep_config(path: str | Path) -> SweepConfig:
         doc = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ScenarioParseError(f"{path}: {exc}") from exc
-    config = SweepConfig(
-        scenario=str(_need(doc, "scenario", "sweep config")),
-        parameter=str(_need(doc, "parameter", "sweep config")),
-        grid=tuple(float(v) for v in _need(doc, "grid", "sweep config")),
-        reps=int(doc.get("reps", 100)),
-        seed=int(doc.get("seed", 0)),
-    )
+    try:
+        config = SweepConfig(
+            scenario=str(_need(doc, "scenario", "sweep config")),
+            parameter=str(_need(doc, "parameter", "sweep config")),
+            grid=tuple(float(v) for v in _need(doc, "grid", "sweep config")),
+            reps=int(doc.get("reps", 100)),
+            seed=int(doc.get("seed", 0)),
+        )
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ScenarioParseError(f"{path}: {exc}") from exc
     problems = config.violations()
     if problems:
         raise ScenarioParseError("sweep config: " + "; ".join(problems))
@@ -470,24 +477,20 @@ def _with_slope(func: PwlFunction, slope: float) -> PwlFunction:
     return func.scale(slope / current)
 
 
+# The slope parameters and the scenario field whose functions they rescale.
+_SLOPE_FIELDS = {"transfer-cost-slope": "transfer_cost",
+                 "risk-slope": "shortfall_risk",
+                 "profit-slope": "release_profit"}
+
+
 def sweep_scenario(base: Scenario, parameter: str, value: float) -> Scenario:
     """One grid point: only the swept parameter changes."""
     name = f"{base.name}[{parameter}={value:g}]"
-    if parameter == "transfer-cost-slope":
-        return dataclasses.replace(
-            base, name=name,
-            transfer_cost={k: _with_slope(f, value)
-                           for k, f in base.transfer_cost.items()})
-    if parameter == "risk-slope":
-        return dataclasses.replace(
-            base, name=name,
-            shortfall_risk={k: _with_slope(f, value)
-                            for k, f in base.shortfall_risk.items()})
-    if parameter == "profit-slope":
-        return dataclasses.replace(
-            base, name=name,
-            release_profit={k: _with_slope(f, value)
-                            for k, f in base.release_profit.items()})
+    if parameter in _SLOPE_FIELDS:
+        field = _SLOPE_FIELDS[parameter]
+        return dataclasses.replace(base, name=name, **{
+            field: {k: _with_slope(f, value)
+                    for k, f in getattr(base, field).items()}})
     if parameter == "initial-volume-fraction":
         return dataclasses.replace(
             base, name=name,

@@ -214,6 +214,41 @@ def test_compare_reproducible_bitwise(tmp_path):
     assert strip(out_a / "compare.csv") == strip(out_b / "compare.csv")
 
 
+@pytest.mark.parametrize("command", ["plan", "compare"])
+def test_solver_breakdown_is_numerical_failure(command, tmp_path, capsys,
+                                               monkeypatch):
+    monkeypatch.setattr(lp, "constraint_violation", lambda problem, x: 1.0)
+    code = run_cli(command, "--scenario", "builtin:simple1",
+                   "--out", str(tmp_path))
+    assert code == cli.EXIT_NUMERICAL == 5
+    err = capsys.readouterr().err
+    assert "error: simplex optimum violates" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,name,edit", [
+    ("plan", "id_not_integer", lambda doc: doc["reservoirs"][0].update(id="a")),
+    ("plan", "reservoirs_not_a_list", lambda doc: doc.update(reservoirs=7)),
+    ("sweep", "reps_null", lambda doc: doc.update(reps=None)),
+    ("sweep", "grid_not_a_list", lambda doc: doc.update(grid=1.0)),
+])
+def test_malformed_input_file_is_usage_error(command, name, edit, tmp_path,
+                                             capsys):
+    if command == "plan":
+        doc = scenario_to_dict(builtin_simple(1))
+    else:
+        doc = {"scenario": "builtin:simple1", "parameter": "risk-slope",
+               "grid": [1.0], "reps": 10, "seed": 0}
+    edit(doc)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    flag = "--scenario" if command == "plan" else "--config"
+    code = run_cli(command, flag, str(path), "--out", str(tmp_path / "out"))
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"error: {path}:" in err
+
+
 def test_sweep_single_point_grid(tmp_path):
     config = tmp_path / "sweep.json"
     config.write_text(json.dumps({

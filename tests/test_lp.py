@@ -135,6 +135,115 @@ def test_solver_matches_oracle_including_infeasible_instances():
     assert lp.INFEASIBLE in statuses and lp.OPTIMAL in statuses
 
 
+def _dependent_rows_problem(rhs: float) -> lp.LpProblem:
+    """x + y = 3 and 2x + 2y = rhs, plus a free z with z <= 1 + x."""
+    p = lp.LpProblem()
+    x = p.add_variable("x", 0.0, 10.0)
+    y = p.add_variable("y", 0.0, 10.0)
+    z = p.add_variable("z", -math.inf, math.inf)
+    p.set_objective_coefficient(z, 1.0)
+    p.set_objective_coefficient(y, 1.0)
+    p.add_constraint([(x, 1.0), (y, 1.0)], lp.EQUAL, 3.0)
+    p.add_constraint([(x, 2.0), (y, 2.0)], lp.EQUAL, rhs)
+    p.add_constraint([(z, 1.0), (x, -1.0)], lp.LESS_EQUAL, 1.0)
+    return p
+
+
+def test_linearly_dependent_equality_rows():
+    feasible = _dependent_rows_problem(6.0)
+    s = lp.solve(feasible)
+    o = oracle_solve(feasible)
+    assert s.status == o.status == lp.OPTIMAL
+    assert s.objective == pytest.approx(o.objective, abs=1e-9)
+    assert s.objective == pytest.approx(4.0, abs=1e-9)
+    assert lp.constraint_violation(feasible, s.values) <= lp.FEAS_TOL
+
+    infeasible = _dependent_rows_problem(7.0)
+    assert oracle_solve(infeasible).status == lp.INFEASIBLE
+    assert lp.solve(infeasible).status == lp.INFEASIBLE
+
+
+def test_solver_matches_oracle_with_dependent_equality_pairs():
+    rng = np.random.default_rng(6061)
+    statuses = []
+    for _ in range(40):
+        p = random_lp(rng, anchored=True)
+        if not p.constraints:
+            continue
+        # Turn a random row into an equality and add a scaled copy of it,
+        # so two equality rows are linearly dependent.
+        con = p.constraints[int(rng.integers(p.num_constraints))]
+        for scale in (1.0, -2.5):
+            p.add_constraint([(j, scale * c) for j, c in con.coefficients],
+                             lp.EQUAL, scale * con.rhs)
+        s = lp.solve(p)
+        o = oracle_solve(p)
+        assert s.status == o.status
+        statuses.append(s.status)
+        if s.status == lp.OPTIMAL:
+            assert s.objective == pytest.approx(o.objective, abs=1e-7)
+            assert lp.constraint_violation(p, s.values) <= lp.FEAS_TOL
+    assert statuses.count(lp.OPTIMAL) >= 20
+
+
+def test_violated_slack_basis_in_every_direction():
+    p = lp.LpProblem()
+    x = p.add_variable("x", 0.0, 10.0)
+    y = p.add_variable("y", 0.0, 10.0)
+    w = p.add_variable("w", 0.0, 5.0)
+    p.set_objective_coefficient(w, -1.0)
+    p.add_constraint([(x, 1.0), (y, 1.0), (w, 1.0)], lp.GREATER_EQUAL, 5.0)
+    p.add_constraint([(x, 1.0), (y, -1.0), (w, -1.0)], lp.LESS_EQUAL, -2.0)
+    p.add_constraint([(x, 1.0), (y, 2.0)], lp.EQUAL, 6.0)
+    p.add_constraint([(x, 1.0), (y, -1.0)], lp.EQUAL, -1.0)
+    # At x = y = w = 0 each slack starts outside its bounds: above for the
+    # >= row and the first equality, below for the <= row and the second.
+    state = lp._Tableau(p)
+    assert state.infeasibility_cost()[state.basis].tolist() == [-1, 1, -1, 1]
+    s = lp.solve(p)
+    o = oracle_solve(p)
+    assert s.status == o.status == lp.OPTIMAL
+    assert s.objective == pytest.approx(o.objective, abs=1e-9)
+    assert s.objective == pytest.approx(-4.0 / 3.0, abs=1e-9)
+    assert s.values.tolist() == pytest.approx([4 / 3, 7 / 3, 4 / 3], abs=1e-9)
+
+
+def test_total_bound_violation_never_increases(monkeypatch):
+    # Phase 1 lets a violated basic variable block only on reaching the bound
+    # it violates, so no step can add violation anywhere; phase 2 keeps it 0.
+    history = []
+    refresh = lp._Tableau.refresh_basic_values
+
+    def recording_refresh(state):
+        refresh(state)
+        history.append(float(np.sum(np.maximum(state.lower - state.x, 0.0)
+                                    + np.maximum(state.x - state.upper, 0.0))))
+
+    monkeypatch.setattr(lp._Tableau, "refresh_basic_values", recording_refresh)
+    rng = np.random.default_rng(1)
+    problems = [random_lp(rng, anchored=bool(i % 2)) for i in range(60)]
+    problems += [build_proposed(random_scenario(rng))[0] for _ in range(10)]
+    repaired = 0
+    for p in problems:
+        history.clear()
+        lp.solve(p)
+        assert all(b <= a + 1e-9 for a, b in zip(history, history[1:]))
+        repaired += history[0] > lp.FEAS_TOL and history[-1] <= lp.FEAS_TOL
+    assert repaired >= 30
+
+
+def test_tableau_is_constraints_by_structural_plus_slack_columns():
+    rng = np.random.default_rng(77)
+    for anchored in (True, False):
+        for _ in range(10):
+            p = random_lp(rng, anchored=anchored)
+            m, n = p.num_constraints, p.num_variables
+            state = lp._Tableau(p)
+            assert state.tab.shape == (m, n + m)
+            assert np.array_equal(state.tab[:, n:], np.eye(m))
+            assert state.basis.tolist() == list(range(n, n + m))
+
+
 def test_objective_scaling_invariance():
     rng = np.random.default_rng(4242)
     for _ in range(20):
