@@ -12,8 +12,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -76,21 +78,16 @@ class RunManifest:
         path.write_text(json.dumps(record, indent=2) + "\n")
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
 def _write_csv(path: Path, manifest: RunManifest, header: list[str],
-               rows: list[list]) -> None:
+               rows: Sequence[Sequence]) -> None:
     lines = [f"# {key}={value}" for key, value in manifest.embedded().items()]
     lines.append(",".join(header))
-    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
+    # str of a float (Python or numpy float64) is its shortest round-trip repr.
+    lines.extend(",".join(map(str, row)) for row in rows)
     path.write_text("\n".join(lines) + "\n")
 
 
-def _records(header: list[str], rows: list[list]) -> list[dict]:
+def _records(header: list[str], rows: Sequence[Sequence]) -> list[dict]:
     """JSON records of a CSV table: one object per row, keyed by the header."""
     return [dict(zip(header, row)) for row in rows]
 
@@ -131,21 +128,62 @@ def _solve_method(scenario: Scenario, method: str):
     return problem, vm, solution
 
 
+def _is_index(value, size) -> bool:
+    """Whether a JSON value is an integer in 1..size."""
+    return isinstance(value, int) and not isinstance(value, bool) and \
+        1 <= value <= size
+
+
+def _plan_entries(path, kind: str, entries: list, fields: tuple[str, ...],
+                  sizes: tuple[int, ...]) -> dict[tuple[int, ...], dict]:
+    """Plan entries keyed by their zero-based `fields` indices.
+
+    Rejects an index that is not an integer in 1..size and a repeated key.
+    """
+    keyed = {}
+    for entry in entries:
+        for field, size in zip(fields, sizes):
+            if not _is_index(entry[field], size):
+                raise ValueError(f"{path}: {kind} entry {entry}: {field!r} "
+                                 f"must be an integer in 1..{size}")
+        key = tuple(entry[field] - 1 for field in fields)
+        if key in keyed:
+            raise ValueError(f"{path}: duplicate {kind} entry {entry}")
+        keyed[key] = entry
+    return keyed
+
+
 def load_plan_json(path: str | Path) -> Plan:
-    """Read a plan written by `plan`/`compare` back into arrays."""
+    """Read a plan written by `plan`/`compare` back into arrays.
+
+    Raises ValueError, naming the entry, for a horizon or reservoir count that
+    is not a positive integer, an out-of-range or non-integer index, a
+    repeated (t, n) or (t, from, to) entry and a missing (t, n) release entry.
+    """
     doc = json.loads(Path(path).read_text())
-    t_count = int(doc["horizon"])
-    n_count = int(doc["reservoirs"])
+    for field in ("horizon", "reservoirs"):
+        if not _is_index(doc[field], math.inf):
+            raise ValueError(f"{path}: {field!r} must be a positive integer, "
+                             f"got {doc[field]!r}")
+    t_count, n_count = doc["horizon"], doc["reservoirs"]
     transfers = np.zeros((t_count, n_count, n_count))
-    for entry in doc["transfers"]:
-        transfers[entry["t"] - 1, entry["from"] - 1, entry["to"] - 1] = entry["q"]
+    for key, entry in _plan_entries(path, "transfer", doc["transfers"],
+                                    ("t", "from", "to"),
+                                    (t_count, n_count, n_count)).items():
+        transfers[key] = entry["q"]
     releases = np.zeros((t_count, n_count))
     predicted = np.zeros((t_count, n_count))
     volumes = np.zeros((t_count, n_count))
-    for entry in doc["releases"]:
-        releases[entry["t"] - 1, entry["n"] - 1] = entry["g"]
-        predicted[entry["t"] - 1, entry["n"] - 1] = entry["x"]
-        volumes[entry["t"] - 1, entry["n"] - 1] = entry["v"]
+    release_entries = _plan_entries(path, "release", doc["releases"],
+                                    ("t", "n"), (t_count, n_count))
+    for key, entry in release_entries.items():
+        releases[key] = entry["g"]
+        predicted[key] = entry["x"]
+        volumes[key] = entry["v"]
+    missing = set(np.ndindex(t_count, n_count)) - release_entries.keys()
+    if missing:
+        t, n = min(missing)
+        raise ValueError(f"{path}: no release entry for t={t + 1}, n={n + 1}")
     return Plan(transfers=transfers, releases=releases,
                 predicted_inflows=predicted, volumes=volumes,
                 objective=float(doc["objective"]))
@@ -208,21 +246,19 @@ def cmd_plan(args) -> int:
     return EXIT_OK
 
 
-def _report_rows(report: simulation.SimulationReport) -> list[list]:
-    rows = [[rep,
-             float(report.release_profit[rep]),
-             float(report.transfer_cost[rep]),
-             float(report.risk_cost[rep]),
-             float(report.total_profit[rep])]
-            for rep in range(report.replications)]
-    rows.append(["mean",
+def _report_rows(report: simulation.SimulationReport) -> list[tuple]:
+    columns = (report.release_profit, report.transfer_cost, report.risk_cost,
+               report.total_profit)
+    rows = list(zip(range(report.replications),
+                    *(column.tolist() for column in columns)))
+    rows.append(("mean",
                  float(report.release_profit.mean()),
                  float(report.transfer_cost.mean()),
-                 report.mean_risk, report.mean_total])
-    rows.append(["std",
+                 report.mean_risk, report.mean_total))
+    rows.append(("std",
                  simulation._sample_std(report.release_profit),
                  simulation._sample_std(report.transfer_cost),
-                 report.std_risk, report.std_total])
+                 report.std_risk, report.std_total))
     return rows
 
 
@@ -237,7 +273,7 @@ def cmd_evaluate(args) -> int:
         plan = load_plan_json(args.plan)
         plan.check_dimensions(scenario)
     except (ScenarioParseError, ScenarioValidationError, ValueError,
-            OSError, KeyError) as exc:
+            TypeError, OSError, KeyError) as exc:
         return _fail(f"{exc}", manifest)
 
     report = simulation.run_monte_carlo(plan, scenario, reps=args.reps,

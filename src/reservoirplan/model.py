@@ -286,3 +286,15 @@ class Plan:
                 raise ValueError(f"plan.{field} contains non-finite entries")
         if np.any(self.transfers < 0) or np.any(self.releases < 0):
             raise ValueError("plan transfers and releases must be nonnegative")
+        # Water moved on a pair without a link would be simulated but never
+        # costed.
+        unlinked = np.ones((n, n), dtype=bool)
+        for link in scenario.links:
+            unlinked[link.source - 1, link.target - 1] = False
+        stray = np.argwhere((self.transfers != 0) & unlinked)
+        if stray.size:
+            period, source, target = stray[0]
+            raise ValueError(
+                f"plan.transfers moves {self.transfers[tuple(stray[0])]!r} "
+                f"from {source + 1} to {target + 1} in period {period + 1}, "
+                f"but {source + 1}->{target + 1} is not a scenario link")

@@ -4,8 +4,11 @@ Replications are scored against the plan's declared targets: release profit is
 earned on the target release, transfer cost on the planned transfers, and a
 shortfall risk is charged whenever the realizable release falls below target.
 Each (seed, replication, reservoir, period) draw comes from its own
-counter-based stream, so results are bitwise reproducible regardless of
-replication order or batching.
+counter-based stream: the SplitMix64 chain seed -> rep -> reservoir -> period,
+each prefix hashed once per batch. `run_monte_carlo` samples, realizes and
+scores replications in blocks of `_BLOCK_REPS` so its working set stays
+cache-sized; every per-replication quantity is elementwise in the replication,
+so results are bitwise identical whatever the block size, order or batching.
 """
 from __future__ import annotations
 
@@ -24,6 +27,9 @@ _SHIFT_31 = np.uint64(31)
 _SHIFT_11 = np.uint64(11)
 _INV_2_53 = float(2.0 ** -53)
 
+# Replications sampled, realized and scored together by run_monte_carlo.
+_BLOCK_REPS = 8192
+
 
 def _splitmix(z: np.ndarray) -> np.ndarray:
     """SplitMix64 finalizer; input/output uint64 arrays."""
@@ -33,31 +39,27 @@ def _splitmix(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> _SHIFT_31)
 
 
-def _uniforms(seed: int, reps: np.ndarray, periods: np.ndarray,
-              reservoirs: np.ndarray) -> np.ndarray:
-    """Uniform [0,1) draws keyed by (seed, rep, reservoir, period), vectorized."""
-    with np.errstate(over="ignore"):
-        h = _splitmix(np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
-        h = _splitmix(h ^ reps.astype(np.uint64))
-        h = _splitmix(h ^ reservoirs.astype(np.uint64))
-        h = _splitmix(h ^ periods.astype(np.uint64))
-    return (h >> _SHIFT_11).astype(np.float64) * _INV_2_53
-
-
 def _sample_batch(scenario: Scenario, seed: int, reps: np.ndarray) -> np.ndarray:
-    """Inflow matrices for the given replication indices: (len(reps), T, N)."""
-    t_count, n_count = scenario.horizon, scenario.num_reservoirs
-    out = np.empty((reps.size, t_count, n_count))
-    for n in scenario.ids():
-        for t in scenario.periods():
-            dist = scenario.inflow[(n, t)]
-            u = _uniforms(seed, reps,
-                          np.full(reps.size, t, dtype=np.uint64),
-                          np.full(reps.size, n, dtype=np.uint64))
-            cdf = np.cumsum(dist.probabilities())
-            cdf[-1] = 1.0
-            picks = np.searchsorted(cdf, u, side="right")
-            out[:, t - 1, n - 1] = dist.values()[picks]
+    """Inflow matrices for the given uint64 replication ids: (len(reps), T, N).
+
+    The uniform draw at (rep, n, t) is the top 53 bits of
+    splitmix(splitmix(splitmix(splitmix(seed) ^ rep) ^ n) ^ t); it is inverted
+    through the (n, t) inflow CDF.
+    """
+    out = np.empty((reps.size, scenario.horizon, scenario.num_reservoirs))
+    with np.errstate(over="ignore"):
+        seed_key = _splitmix(np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
+        rep_keys = _splitmix(seed_key ^ reps)
+        for n in scenario.ids():
+            reservoir_keys = _splitmix(rep_keys ^ np.uint64(n))
+            for t in scenario.periods():
+                h = _splitmix(reservoir_keys ^ np.uint64(t))
+                u = (h >> _SHIFT_11).astype(np.float64) * _INV_2_53
+                dist = scenario.inflow[(n, t)]
+                cdf = np.cumsum(dist.probabilities())
+                cdf[-1] = 1.0
+                picks = np.searchsorted(cdf, u, side="right")
+                out[:, t - 1, n - 1] = dist.values()[picks]
     return out
 
 
@@ -215,10 +217,14 @@ def run_monte_carlo(plan: Plan, scenario: Scenario, reps: int = 100,
     if physical is None:
         physical = scenario.physical_sim
 
-    rep_ids = np.arange(reps, dtype=np.uint64)
-    inflows = _sample_batch(scenario, seed, rep_ids)
-    realized_releases, _ = _realize_batch(plan, inflows, scenario, physical)
-    risk = _risk_batch(plan, realized_releases, scenario)
+    risk = np.empty(reps)
+    for start in range(0, reps, _BLOCK_REPS):
+        rep_ids = np.arange(start, min(start + _BLOCK_REPS, reps),
+                            dtype=np.uint64)
+        inflows = _sample_batch(scenario, seed, rep_ids)
+        realized_releases, _ = _realize_batch(plan, inflows, scenario, physical)
+        risk[start:start + rep_ids.size] = _risk_batch(plan, realized_releases,
+                                                       scenario)
 
     release = np.full(reps, _plan_release_profit(plan, scenario))
     transfer = np.full(reps, _plan_transfer_cost(plan, scenario))

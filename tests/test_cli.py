@@ -1,9 +1,12 @@
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from reservoirplan import cli, lp
-from reservoirplan.scenarios import builtin_simple, scenario_to_dict
+from reservoirplan import cli, lp, simulation
+from reservoirplan.scenarios import (builtin_simple, resolve_scenario,
+                                    scenario_to_dict)
 
 
 def run_cli(*args):
@@ -169,6 +172,50 @@ def test_evaluate_json_format(tmp_path):
             row["release"] - row["transfer"] - row["risk"], abs=1e-9)
 
 
+def test_evaluation_files_round_trip_every_number(tmp_path):
+    run_cli("plan", "--scenario", "builtin:angpuang", "--out", str(tmp_path))
+    plan_path = tmp_path / "plan.json"
+    for fmt in ("csv", "json"):
+        assert run_cli("evaluate", "--scenario", "builtin:angpuang",
+                       "--plan", str(plan_path), "--reps", "300",
+                       "--seed", "6", "--format", fmt,
+                       "--out", str(tmp_path / fmt)) == 0
+    report = simulation.run_monte_carlo(
+        cli.load_plan_json(plan_path), resolve_scenario("builtin:angpuang"),
+        reps=300, seed=6)
+    expected = np.column_stack([report.release_profit, report.transfer_cost,
+                                report.risk_cost, report.total_profit])
+
+    lines = [line for line in
+             (tmp_path / "csv" / "evaluation.csv").read_text().splitlines()
+             if not line.startswith("#")]
+    rows = [line.split(",") for line in lines[1:301]]
+    assert [row[0] for row in rows] == [str(rep) for rep in range(300)]
+    from_csv = np.array([[float(v) for v in row[1:]] for row in rows])
+    assert np.array_equal(from_csv, expected)
+
+    doc = json.loads((tmp_path / "json" / "evaluation.json").read_text())
+    assert [r["rep"] for r in doc["per_replication"]] == list(range(300))
+    from_json = np.array([[r[key] for key in cli.REPORT_HEADER[1:]]
+                          for r in doc["per_replication"]])
+    assert np.array_equal(from_json, expected)
+
+
+def test_csv_writes_floats_as_their_repr(tmp_path):
+    floats = [0.1 + 0.2, 1e16, 1e-05, -0.0, np.float64(0.1 + 0.2),
+              np.float64(1e16), np.float64(1e-05), np.float64(-0.0),
+              np.float64(38.92499999999999)]
+    path = tmp_path / "table.csv"
+    cli._write_csv(path, cli.RunManifest(command="test", scenario="s"),
+                   ["a", "b"], [[7, "label", *floats], ("mean", "")])
+    lines = path.read_text().splitlines()
+    assert lines[-2] == ",".join(["7", "label",
+                                  *(repr(float(x)) for x in floats)])
+    assert lines[-2].endswith("0.30000000000000004,1e+16,1e-05,-0.0,"
+                              "38.92499999999999")
+    assert lines[-1] == "mean,"
+
+
 def test_compare_direction_on_builtin_simple(tmp_path, capsys):
     for name in ("simple1", "simple2"):
         out = tmp_path / name
@@ -247,6 +294,54 @@ def test_malformed_input_file_is_usage_error(command, name, edit, tmp_path,
     assert code == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert f"error: {path}:" in err
+
+
+COMMITTED_PLAN = (Path(__file__).resolve().parents[1] / "perfbench" / "data"
+                  / "angpuang_proposed_plan.json")
+
+
+def _release(doc, t, n):
+    return next(e for e in doc["releases"] if e["t"] == t and e["n"] == n)
+
+
+@pytest.mark.parametrize("edit,message", [
+    pytest.param(lambda doc: _release(doc, 1, 1).update(t=0),
+                 "'t' must be an integer in 1..6", id="period_zero"),
+    pytest.param(lambda doc: _release(doc, 1, 1).update(t=99),
+                 "'t' must be an integer in 1..6", id="period_out_of_range"),
+    pytest.param(lambda doc: _release(doc, 1, 1).update(t=1.7),
+                 "'t' must be an integer in 1..6", id="period_not_integer"),
+    pytest.param(lambda doc: doc.update(horizon=6.5),
+                 "'horizon' must be a positive integer, got 6.5",
+                 id="horizon_not_integer"),
+    pytest.param(lambda doc: doc["releases"].remove(_release(doc, 3, 5)),
+                 "no release entry for t=3, n=5", id="missing_release"),
+    pytest.param(lambda doc: doc["releases"].append(dict(_release(doc, 2, 1),
+                                                         g=9.0)),
+                 "duplicate release entry", id="duplicate_release"),
+    pytest.param(lambda doc: doc["transfers"].append(
+                     {"t": 1, "from": 1, "to": 4, "q": 1.0}),
+                 "1->4 is not a scenario link", id="unlinked_transfer"),
+])
+def test_evaluate_rejects_malformed_plan(edit, message, tmp_path, capsys):
+    doc = json.loads(COMMITTED_PLAN.read_text())
+    edit(doc)
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(doc))
+    code = run_cli("evaluate", "--scenario", "builtin:angpuang",
+                   "--plan", str(path), "--reps", "10", "--out",
+                   str(tmp_path / "out"))
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "error: " in err and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "evaluation.csv").exists()
+
+
+def test_committed_benchmark_plan_loads():
+    plan = cli.load_plan_json(COMMITTED_PLAN)
+    plan.check_dimensions(resolve_scenario("builtin:angpuang"))
+    assert plan.objective == 38.25
 
 
 def test_sweep_single_point_grid(tmp_path):

@@ -1,13 +1,16 @@
+import bisect
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
 from conftest import expected_realized_risk, random_scenario
-from reservoirplan import lp
+from reservoirplan import lp, simulation
 from reservoirplan.formulation import build_proposed, extract_plan
 from reservoirplan.model import DiscreteDistribution
-from reservoirplan.scenarios import builtin_simple
+from reservoirplan.scenarios import (builtin_angpuang, builtin_simple,
+                                    resolve_scenario)
 from reservoirplan.simulation import (realize, run_monte_carlo, sample_inflows,
                                       score)
 
@@ -215,3 +218,91 @@ def test_deterministic_plan_realized_total_equals_objective_on_point_mass():
     assert report.std_total == 0.0
     assert report.mean_total == pytest.approx(plan.objective,
                                               abs=1e-6 * (1 + abs(plan.objective)))
+
+
+_MASK_64 = (1 << 64) - 1
+
+
+def _splitmix_int(z):
+    z = (z + 0x9E3779B97F4A7C15) & _MASK_64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK_64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK_64
+    return z ^ (z >> 31)
+
+
+def test_draws_follow_the_seed_rep_reservoir_period_chain():
+    # Reference: all four SplitMix64 passes per draw in Python integers, then
+    # inverse-CDF lookup.
+    scenario = builtin_angpuang()
+    for seed in (0, 77, -3, _MASK_64):
+        for rep in (0, 1, 8191, 8192, 123457):
+            inflows = sample_inflows(scenario, seed=seed, rep=rep)
+            for n in scenario.ids():
+                for t in scenario.periods():
+                    h = _splitmix_int(seed & _MASK_64)
+                    for key in (rep, n, t):
+                        h = _splitmix_int(h ^ key)
+                    u = (h >> 11) * 2.0 ** -53
+                    support = scenario.inflow[(n, t)].support
+                    cdf = list(itertools.accumulate(p for _, p in support))
+                    cdf[-1] = 1.0
+                    value = support[bisect.bisect_right(cdf, u)][0]
+                    assert inflows[t - 1, n - 1] == value
+
+
+PER_REPLICATION = ("release_profit", "transfer_cost", "risk_cost",
+                   "total_profit")
+
+
+@pytest.mark.parametrize("physical", [False, True])
+def test_blocks_cannot_change_a_replication(physical, monkeypatch):
+    scenario = builtin_angpuang()
+    plan = solve_plan(scenario)
+    block = simulation._BLOCK_REPS
+    reps = 2 * block + 5
+    report = run_monte_carlo(plan, scenario, reps=reps, seed=19,
+                             physical=physical)
+    longer = run_monte_carlo(plan, scenario, reps=3 * block - 7, seed=19,
+                             physical=physical)
+    monkeypatch.setattr(simulation, "_BLOCK_REPS", 777)
+    reblocked = run_monte_carlo(plan, scenario, reps=reps, seed=19,
+                                physical=physical)
+    for field in PER_REPLICATION:
+        values = getattr(report, field)
+        assert np.array_equal(values, getattr(longer, field)[:reps])
+        assert np.array_equal(values, getattr(reblocked, field))
+    for rep in (0, block - 1, block, reps - 1):
+        inflows = sample_inflows(scenario, seed=19, rep=rep)
+        breakdown = score(plan, realize(plan, inflows, scenario,
+                                        physical=physical), scenario)
+        assert report.release_profit[rep] == breakdown.release_profit
+        assert report.transfer_cost[rep] == breakdown.transfer_cost
+        assert report.risk_cost[rep] == breakdown.risk_cost
+        assert report.total_profit[rep] == breakdown.total
+
+
+def _terminal_expected_risk(plan, scenario):
+    """Expected shortfall risk of the last period's prediction, which the LP
+    charges and the simulation never does."""
+    t = scenario.horizon
+    return sum(prob * scenario.shortfall_risk[(n, t)].evaluate(
+                   plan.predicted_inflows[t - 1, n - 1] - value)
+               for n in scenario.ids()
+               for value, prob in scenario.inflow[(n, t)].support)
+
+
+@pytest.mark.parametrize("name", ["simple1", "simple2", "angpuang"])
+def test_exact_expected_total_is_lp_objective_plus_terminal_risk(name):
+    # Risk functions are time-invariant and overflow is zero at these optima,
+    # so the simulation charges period t's expected risk at t + 1 and only the
+    # terminal term separates its exact mean from the LP objective.
+    scenario = resolve_scenario(f"builtin:{name}")
+    plan = solve_plan(scenario)
+    exact = (simulation._plan_release_profit(plan, scenario)
+             - simulation._plan_transfer_cost(plan, scenario)
+             - expected_realized_risk(plan, scenario))
+    assert exact == pytest.approx(
+        plan.objective + _terminal_expected_risk(plan, scenario), rel=1e-12)
+    reps = 20_000
+    report = run_monte_carlo(plan, scenario, reps=reps, seed=2024)
+    assert abs(report.mean_total - exact) <= 4 * report.std_total / np.sqrt(reps)
