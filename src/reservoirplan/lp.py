@@ -10,8 +10,14 @@ variables rest at a finite bound (free ones at zero) and may flip bounds
 without a basis change. The tableau is stored dense, but the planning LPs are
 only a few percent nonzero, so each iteration touches only nonzeros: the pivot
 updates the rows where the entering column is nonzero and the columns where
-the pivot row is nonzero, basic values use only the nonbasic columns away from
-zero, and duals use only the basic rows with nonzero cost.
+the pivot row is nonzero, and the phase-2 reduced-cost row over the same
+columns; a move of the entering variable updates the basic values over the
+nonzeros of its column. Reduced costs and basic values are recomputed from
+scratch at the start of each phase, every REFRESH_EVERY iterations and before
+optimality is declared; phase 1 reprices every iteration, since its cost
+follows the set of violated rows. An optimal point must pass a primal check
+and a dual certificate taken from the original rows, or ArithmeticError is
+raised.
 """
 from __future__ import annotations
 
@@ -34,6 +40,9 @@ PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
 OPT_TOL = 1e-8
 BLAND_TRIGGER = 1000
+# Iterations between from-scratch recomputes of the reduced costs and basic
+# values; see CHANGES.md for how it was measured.
+REFRESH_EVERY = 50
 
 
 @dataclasses.dataclass(frozen=True)
@@ -183,10 +192,24 @@ class _Tableau:
         self.is_basic = np.zeros(n + m, dtype=bool)
         self.is_basic[self.basis] = True
         self.refresh_basic_values()
+        self.reduced = np.zeros(n + m)
 
     def refresh_basic_values(self) -> None:
         active = np.flatnonzero(~self.is_basic & (self.x != 0.0))
         self.x[self.basis] = self.tab_b - self.tab[:, active] @ self.x[active]
+
+    def price(self, c: np.ndarray) -> None:
+        """Reduced costs c - c_B tab from scratch, over the costed basic rows."""
+        costed = np.flatnonzero(c[self.basis])
+        self.reduced = c - c[self.basis[costed]] @ self.tab[costed]
+
+    def resting(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Masks of the nonbasic variables at their lower bound, at their
+        upper bound, and free ones resting at zero."""
+        nonbasic = ~self.is_basic
+        at_lower = nonbasic & (self.x <= self.lower + FEAS_TOL)
+        at_upper = nonbasic & (self.x >= self.upper - FEAS_TOL) & ~at_lower
+        return at_lower, at_upper, nonbasic & ~at_lower & ~at_upper
 
     def infeasibility_cost(self) -> np.ndarray:
         """Phase-1 cost: +1 on a basic variable below its lower bound and -1 on
@@ -200,6 +223,8 @@ class _Tableau:
         return c
 
     def pivot(self, row: int, col: int) -> None:
+        """Make `col` basic in `row`, updating the tableau and the reduced
+        costs over the nonzeros of the entering column and the pivot row."""
         pivot = self.tab[row, col]
         self.tab[row] /= pivot
         self.tab_b[row] /= pivot
@@ -211,6 +236,8 @@ class _Tableau:
         factors = self.tab[rows, col]
         self.tab[np.ix_(rows, cols)] -= np.outer(factors, self.tab[row, cols])
         self.tab_b[rows] -= factors * self.tab_b[row]
+        self.reduced[cols] -= self.reduced[col] * self.tab[row, cols]
+        self.reduced[col] = 0.0
         # Snap the entering column to a unit vector to avoid residue buildup.
         self.tab[:, col] = 0.0
         self.tab[row, col] = 1.0
@@ -223,26 +250,32 @@ class _Tableau:
 def _run_simplex(state: _Tableau, objective: np.ndarray | None,
                  iterations_left: int) -> tuple[str, int, np.ndarray | None]:
     """Iterate to optimality of max c'x. Phase 1 passes objective=None: c is
-    then the infeasibility cost, rebuilt every iteration, and a violated basic
-    variable blocks only on reaching the bound it violates. Returns (status,
-    iterations, ray)."""
+    then the infeasibility cost, repriced every iteration, and a violated basic
+    variable blocks only on reaching the bound it violates. Phase 2 keeps its
+    reduced costs up to date through the pivots, and both phases move the
+    basic values along the entering column. Reduced costs and basic values
+    are recomputed from scratch at the start, every REFRESH_EVERY iterations
+    and before optimality is declared. Returns (status, iterations, ray)."""
     iterations = 0
     degenerate_streak = 0
     bland = False
     lower, upper = state.lower, state.upper
+    not_fixed = upper - lower > PIVOT_TOL
+    stale = REFRESH_EVERY
 
     while True:
-        state.refresh_basic_values()
-        c = state.infeasibility_cost() if objective is None else objective
-        costed = np.flatnonzero(c[state.basis])
-        reduced = c - c[state.basis[costed]] @ state.tab[costed]
-
+        fresh = stale >= REFRESH_EVERY
+        if fresh:
+            state.refresh_basic_values()
+            if objective is not None:
+                state.price(objective)
+            stale = 0
+        if objective is None:
+            c = state.infeasibility_cost()
+            state.price(c)
+        reduced = state.reduced
         x = state.x
-        nonbasic = ~state.is_basic
-        not_fixed = upper - lower > PIVOT_TOL
-        at_lower = nonbasic & np.isfinite(lower) & (x <= lower + FEAS_TOL)
-        at_upper = nonbasic & np.isfinite(upper) & (x >= upper - FEAS_TOL) & ~at_lower
-        free = nonbasic & ~at_lower & ~at_upper
+        at_lower, at_upper, free = state.resting()
 
         score = np.full(state.total, -math.inf)
         up_ok = (at_lower | free) & not_fixed & (reduced > OPT_TOL)
@@ -251,7 +284,10 @@ def _run_simplex(state: _Tableau, objective: np.ndarray | None,
         score[down_ok] = np.maximum(score[down_ok], -reduced[down_ok])
         candidates = np.nonzero(score > 0)[0]
         if candidates.size == 0:
-            return OPTIMAL, iterations, None
+            if fresh:
+                return OPTIMAL, iterations, None
+            stale = REFRESH_EVERY   # confirm on recomputed values first
+            continue
         if iterations >= iterations_left:
             return ITERATION_LIMIT, iterations, None
 
@@ -263,6 +299,7 @@ def _run_simplex(state: _Tableau, objective: np.ndarray | None,
             else -1.0
 
         iterations += 1
+        stale += 1
 
         # Basic values move by -step * w as the entering variable moves by step.
         w = direction * state.tab[:, col]
@@ -277,6 +314,7 @@ def _run_simplex(state: _Tableau, objective: np.ndarray | None,
         if objective is None:
             # The violated rows are the costed ones; sign is +1 below the
             # lower bound and -1 above the upper bound.
+            costed = np.flatnonzero(c[state.basis])
             sign = c[state.basis[costed]]
             approach = -sign * w[costed]
             gap = np.where(sign > 0, basic_lower[costed] - basic_x[costed],
@@ -296,9 +334,11 @@ def _run_simplex(state: _Tableau, objective: np.ndarray | None,
             ray[state.basis] = -w
             return UNBOUNDED, iterations, ray
 
+        moved = np.flatnonzero(w)
+        x[state.basis[moved]] -= step * w[moved]
         if step_own <= step_basic:
             # Bound flip: nonbasic variable moves to its opposite bound.
-            state.x[col] = upper[col] if direction > 0 else lower[col]
+            x[col] = upper[col] if direction > 0 else lower[col]
             degenerate_streak = 0
             bland = False
             continue
@@ -315,8 +355,8 @@ def _run_simplex(state: _Tableau, objective: np.ndarray | None,
             leaving_to_upper = c[leaving] < 0
         else:
             leaving_to_upper = w[row] < 0
-        state.x[col] = x[col] + direction * step
-        state.x[leaving] = upper[leaving] if leaving_to_upper else lower[leaving]
+        x[col] += direction * step
+        x[leaving] = upper[leaving] if leaving_to_upper else lower[leaving]
         state.pivot(row, col)
 
         if step <= PIVOT_TOL:
@@ -331,7 +371,9 @@ def _run_simplex(state: _Tableau, objective: np.ndarray | None,
 def solve(problem: LpProblem, max_iterations: int | None = None) -> LpSolution:
     """Solve a bounded-variable LP; statuses: optimal / infeasible / unbounded /
     iteration_limit. An optimal point is checked to be feasible within FEAS_TOL
-    (1e-7) per bound and constraint; if it is not, ArithmeticError is raised."""
+    (1e-7) per bound and constraint, and its basis to be dual feasible within
+    OPT_TOL (1e-8) with a primal-dual gap within OPT_TOL relative to the
+    objective; if either check fails, ArithmeticError is raised."""
     lower = np.array(problem.lower)
     upper = np.array(problem.upper)
     if np.any(lower > upper + FEAS_TOL):
@@ -361,15 +403,53 @@ def solve(problem: LpProblem, max_iterations: int | None = None) -> LpSolution:
         return LpSolution(status=UNBOUNDED, iterations=used,
                           ray=ray[:state.n_structural])
 
-    state.refresh_basic_values()
     values = state.x[:state.n_structural].copy()
     violation = constraint_violation(problem, values)
     if violation > FEAS_TOL:
         raise ArithmeticError(
             f"simplex optimum violates a bound or constraint by {violation:.3g}")
-    return LpSolution(status=OPTIMAL, values=values,
-                      objective=problem.objective_value(values),
+    objective = problem.objective_value(values)
+    wrong_sign, gap = _dual_residuals(problem, state, c)
+    if wrong_sign > OPT_TOL:
+        raise ArithmeticError(
+            f"simplex optimum has a reduced cost of the wrong sign by "
+            f"{wrong_sign:.3g}")
+    if gap > OPT_TOL * max(1.0, abs(objective)):
+        raise ArithmeticError(
+            f"simplex optimum differs from its dual bound by {gap:.3g}")
+    return LpSolution(status=OPTIMAL, values=values, objective=objective,
                       iterations=used)
+
+
+def _dual_residuals(problem: LpProblem, state: _Tableau,
+                   c: np.ndarray) -> tuple[float, float]:
+    """Dual certificate of the final basis, independent of the reduced costs
+    the simplex kept. The slack columns of the tableau hold B^-1, so the duals
+    are y = c_B B^-1; the reduced costs d = c - y [A | I] are taken from the
+    original constraint rows. Returns the largest wrong-sign reduced cost
+    (a basic one away from 0, a nonbasic one that would improve the objective
+    by leaving its bound) and |c'x - (y'b + sum of d_j x_j over nonbasic j)|."""
+    n = state.n_structural
+    y = c[state.basis] @ state.tab[:, n:]
+    d = c.copy()
+    d[n:] -= y
+    dual_objective = 0.0
+    for y_i, con in zip(y.tolist(), problem.constraints):
+        if y_i:
+            dual_objective += y_i * con.rhs
+            for idx, coef in con.coefficients:
+                d[idx] -= y_i * coef
+    # Basic and free reduced costs must be 0; a fixed variable's may be any.
+    at_lower, at_upper, _ = state.resting()
+    movable = state.upper - state.lower > PIVOT_TOL
+    priced = np.where(movable | state.is_basic, d, 0.0)
+    wrong = np.abs(priced)
+    wrong[at_lower] = np.maximum(priced[at_lower], 0.0)
+    wrong[at_upper] = np.maximum(-priced[at_upper], 0.0)
+    x, nonbasic = state.x, ~state.is_basic
+    dual_objective += float(d[nonbasic] @ x[nonbasic])
+    gap = abs(float(c[:n] @ x[:n]) - dual_objective)
+    return float(wrong.max(initial=0.0)), gap
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +529,15 @@ def from_mps(text: str) -> LpProblem:
     def fail(line_no: int, message: str) -> None:
         raise ValueError(f"MPS parse error at line {line_no}: {message}")
 
+    def number(line_no: int, token: str) -> float:
+        try:
+            value = float(token)
+        except ValueError:
+            value = math.nan
+        if math.isnan(value):
+            fail(line_no, f"{token!r} is not a number")
+        return value
+
     lines = text.splitlines()
     for line_no, raw in enumerate(lines, start=1):
         if not raw.strip() or raw.lstrip().startswith("*"):
@@ -469,8 +558,14 @@ def from_mps(text: str) -> LpProblem:
         if section == "OBJSENSE":
             maximize = tokens[0].upper().startswith("MAX")
         elif section == "ROWS":
+            if len(tokens) != 2:
+                fail(line_no, "ROWS entries must be a row kind and a name")
             kind, name = tokens[0].upper(), tokens[1]
+            if name in row_coefs:
+                fail(line_no, f"row {name!r} declared twice")
             if kind == "N":
+                if objective_row is not None:
+                    fail(line_no, f"second objective row {name!r}")
                 objective_row = name
             elif kind in ("L", "G", "E"):
                 row_relation[name] = {"L": LESS_EQUAL, "G": GREATER_EQUAL,
@@ -489,33 +584,39 @@ def from_mps(text: str) -> LpProblem:
             for row, value in zip(pairs[::2], pairs[1::2]):
                 if row not in row_coefs:
                     fail(line_no, f"entry for unknown row {row!r}")
-                row_coefs[row][j] = row_coefs[row].get(j, 0.0) + float(value)
+                row_coefs[row][j] = (row_coefs[row].get(j, 0.0)
+                                     + number(line_no, value))
         elif section == "RHS":
             pairs = tokens[1:]
             if len(pairs) % 2:
                 fail(line_no, "RHS entries must be row/value pairs")
             for row, value in zip(pairs[::2], pairs[1::2]):
-                rhs_values[row] = float(value)
+                if row == objective_row:
+                    fail(line_no, "RHS on the objective row is not supported")
+                if row not in row_relation:
+                    fail(line_no, f"RHS for unknown row {row!r}")
+                rhs_values[row] = number(line_no, value)
         elif section == "BOUNDS":
             kind = tokens[0].upper()
+            if kind not in ("UP", "LO", "FX", "FR", "MI", "PL"):
+                fail(line_no, f"unknown bound kind {kind!r}")
+            valued = kind in ("UP", "LO", "FX")
+            if len(tokens) != (4 if valued else 3):
+                fail(line_no, f"{kind} bound must name a bound set and a column"
+                     + (" and give a value" if valued else ""))
             col = tokens[2]
             if col not in columns:
                 fail(line_no, f"bound for unknown column {col!r}")
             record = bounds.setdefault(col, {"lower": 0.0, "upper": math.inf})
-            if kind == "UP":
-                record["upper"] = float(tokens[3])
-            elif kind == "LO":
-                record["lower"] = float(tokens[3])
-            elif kind == "FX":
-                record["lower"] = record["upper"] = float(tokens[3])
-            elif kind == "FR":
-                record["lower"], record["upper"] = -math.inf, math.inf
-            elif kind == "MI":
+            value = number(line_no, tokens[3]) if valued else None
+            if kind in ("LO", "FX"):
+                record["lower"] = value
+            if kind in ("UP", "FX"):
+                record["upper"] = value
+            if kind in ("FR", "MI"):
                 record["lower"] = -math.inf
-            elif kind == "PL":
+            if kind in ("FR", "PL"):
                 record["upper"] = math.inf
-            else:
-                fail(line_no, f"unknown bound kind {kind!r}")
         elif section is None:
             fail(line_no, "data before any section header")
 

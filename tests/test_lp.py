@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 
 from conftest import random_lp, random_scenario
 from oracle import highs_objective, oracle_solve
-from reservoirplan import lp
+from reservoirplan import cli, lp
 from reservoirplan.formulation import build_deterministic, build_proposed
+from reservoirplan.scenarios import BUILTINS
 
 
 def test_bound_only_problem():
@@ -316,8 +318,14 @@ def test_optimal_status_requires_a_feasible_point(monkeypatch):
         lp.solve(p)
 
 
-def test_solver_matches_highs_on_random_networks():
+@pytest.mark.parametrize("refresh_every", [None, 1, 10**9],
+                         ids=["default", "every_iteration", "only_at_optimum"])
+def test_solver_matches_highs_on_random_networks(monkeypatch, refresh_every):
+    # 1 recomputes reduced costs and basic values every iteration; 10**9
+    # exceeds any pivot count, so only the recompute before `optimal` is left.
     pytest.importorskip("scipy.optimize")
+    if refresh_every is not None:
+        monkeypatch.setattr(lp, "REFRESH_EVERY", refresh_every)
     rng = np.random.default_rng(5150)
     largest = 0
     for _ in range(8):
@@ -330,6 +338,78 @@ def test_solver_matches_highs_on_random_networks():
             assert solution.status == lp.OPTIMAL and reference is not None
             assert solution.objective == pytest.approx(reference, rel=1e-9)
     assert largest >= 36
+
+
+def test_maintained_reduced_costs_and_basic_values_match_recompute(monkeypatch):
+    # After every pivot the phase-2 reduced costs kept by the pivot and the
+    # basic values moved along the entering column equal a from-scratch
+    # recompute; refreshes are switched off so the updates run unchecked.
+    monkeypatch.setattr(lp, "REFRESH_EVERY", 10**9)
+    phase = {}
+    run_simplex, pivot = lp._run_simplex, lp._Tableau.pivot
+
+    def recording_run(state, objective, iterations_left):
+        phase["objective"] = objective
+        return run_simplex(state, objective, iterations_left)
+
+    checked = []
+
+    def checked_pivot(state, row, col):
+        pivot(state, row, col)
+        nonbasic = ~state.is_basic
+        basic_values = state.tab_b - state.tab[:, nonbasic] @ state.x[nonbasic]
+        assert np.allclose(state.x[state.basis], basic_values, rtol=0, atol=1e-9)
+        c = phase["objective"]
+        if c is not None:
+            reduced = c - c[state.basis] @ state.tab
+            assert np.allclose(state.reduced, reduced, rtol=0, atol=1e-9)
+            checked.append(col)
+
+    monkeypatch.setattr(lp, "_run_simplex", recording_run)
+    monkeypatch.setattr(lp._Tableau, "pivot", checked_pivot)
+    rng = np.random.default_rng(6)
+    for _ in range(40):
+        lp.solve(random_lp(rng, max_vars=12, max_cons=12, anchored=True))
+    assert len(checked) >= 100
+
+
+def test_stale_reduced_costs_are_recomputed_before_optimal(monkeypatch):
+    # A maintained row that prices nothing must not end phase 2: it is
+    # recomputed before `optimal` is declared, and the search goes on.
+    pivot = lp._Tableau.pivot
+
+    def forgetful_pivot(state, row, col):
+        pivot(state, row, col)
+        state.reduced[:] = 0.0
+
+    monkeypatch.setattr(lp._Tableau, "pivot", forgetful_pivot)
+    problem, _ = build_proposed(BUILTINS["angpuang"]())
+    solution = lp.solve(problem)
+    assert solution.status == lp.OPTIMAL
+    assert solution.objective == pytest.approx(38.25, rel=1e-12)
+
+
+@pytest.mark.parametrize("scenario", ["simple1", "angpuang"])
+@pytest.mark.parametrize("build", [build_proposed, build_deterministic])
+def test_early_phase2_stop_fails_the_dual_certificate(monkeypatch, scenario,
+                                                      build):
+    # Stopping phase 2 one iteration before its end leaves a feasible point
+    # that passes the primal check, so only the dual certificate can refuse it.
+    problem, _ = build(BUILTINS[scenario]())
+    run_simplex = lp._run_simplex
+
+    def stop_early(state, objective, iterations_left):
+        if objective is None:
+            return run_simplex(state, objective, iterations_left)
+        _, needed, _ = run_simplex(copy.deepcopy(state), objective,
+                                   iterations_left)
+        status, used, _ = run_simplex(state, objective, needed - 1)
+        assert status == lp.ITERATION_LIMIT
+        return lp.OPTIMAL, used, None
+
+    monkeypatch.setattr(lp, "_run_simplex", stop_early)
+    with pytest.raises(ArithmeticError, match="reduced cost|dual bound"):
+        lp.solve(problem)
 
 
 def test_iteration_limit_is_distinguishable():
@@ -402,3 +482,49 @@ def test_mps_entry_for_undeclared_row_rejected():
     text = _RANGED_MPS.replace("X1        R1", "X1        R2")
     with pytest.raises(ValueError, match="line 9: entry for unknown row 'R2'"):
         lp.from_mps(text)
+
+
+_BOUNDED_MPS = """NAME          bounded
+OBJSENSE
+    MAX
+ROWS
+ N  OBJ
+ E  R1
+COLUMNS
+    X1        OBJ       1.0
+    X1        R1        1.0
+RHS
+    RHS       R1        10.0
+BOUNDS
+ UP BND       X1        20.0
+ENDATA
+"""
+
+
+@pytest.mark.parametrize("line, replacement, message", [
+    (" UP BND       X1        20.0", " UP BND       X1", "line 13: UP bound"),
+    (" UP BND       X1        20.0", " UP BND", "line 13: UP bound"),
+    (" UP BND       X1        20.0", " UP BND       X1        nan",
+     "line 13: 'nan' is not a number"),
+    (" UP BND       X1        20.0", " LO BND       X1        nan",
+     "line 13: 'nan' is not a number"),
+    (" E  R1", " N", "line 6: ROWS entries"),
+    ("    RHS       R1        10.0", "    RHS       C9        4",
+     "line 11: RHS for unknown row 'C9'"),
+    ("    RHS       R1        10.0", "    RHS       OBJ       4",
+     "line 11: RHS on the objective row"),
+    (" E  R1", " E  R1\n L  R1", "line 7: row 'R1' declared twice"),
+    (" N  OBJ", " N  OBJ\n N  COST", "line 6: second objective row 'COST'"),
+], ids=["bound_without_value", "bound_without_column", "nan_upper_bound",
+        "nan_lower_bound", "row_without_name", "rhs_for_undeclared_row",
+        "rhs_on_objective_row", "row_declared_twice", "second_objective_row"])
+def test_malformed_mps_rejected_with_line_number(tmp_path, capsys, line,
+                                                 replacement, message):
+    assert lp.solve(lp.from_mps(_BOUNDED_MPS)).objective == 10.0
+    text = _BOUNDED_MPS.replace(line, replacement)
+    with pytest.raises(ValueError, match=f"MPS parse error at {message}"):
+        lp.from_mps(text)
+    dump = tmp_path / "bad.mps"
+    dump.write_text(text)
+    assert cli.main(["solve-lp", str(dump)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: MPS parse error")
