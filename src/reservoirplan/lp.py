@@ -108,6 +108,20 @@ class LpProblem:
         self.constraints.append(Constraint(tuple(pairs), relation, float(rhs)))
         return len(self.constraints) - 1
 
+    def matrix(self) -> tuple[np.ndarray, ...]:
+        """(rows, cols, values, row_lower, row_upper): the constraints as
+        row_lower <= A x <= row_upper, with A as COO triplets in constraint
+        order whose repeated (row, col) pairs sum. Only an equality row has
+        both bounds finite."""
+        coefficients = [pair for con in self.constraints for pair in con.coefficients]
+        pairs = np.array(coefficients, dtype=float).reshape(-1, 2)
+        sizes = [len(con.coefficients) for con in self.constraints]
+        rhs = np.array([con.rhs for con in self.constraints], dtype=float)
+        relation = np.array([con.relation for con in self.constraints], dtype=str)
+        return (np.repeat(np.arange(len(sizes)), sizes), pairs[:, 0].astype(np.intp),
+                pairs[:, 1], np.where(relation == LESS_EQUAL, -math.inf, rhs),
+                np.where(relation == GREATER_EQUAL, math.inf, rhs))
+
     def objective_vector(self) -> np.ndarray:
         c = np.zeros(self.num_variables)
         for idx, coef in self.objective.items():
@@ -137,18 +151,17 @@ class LpSolution:
 
 def constraint_violation(problem: LpProblem, x: np.ndarray) -> float:
     """Largest bound or constraint violation of a point (0 means feasible)."""
-    worst = 0.0
-    for j in range(problem.num_variables):
-        worst = max(worst, problem.lower[j] - x[j], x[j] - problem.upper[j])
-    for con in problem.constraints:
-        lhs = sum(coef * x[idx] for idx, coef in con.coefficients)
-        if con.relation == LESS_EQUAL:
-            worst = max(worst, lhs - con.rhs)
-        elif con.relation == GREATER_EQUAL:
-            worst = max(worst, con.rhs - lhs)
-        else:
-            worst = max(worst, abs(lhs - con.rhs))
-    return float(worst)
+    x = np.asarray(x, dtype=float)
+    rows, cols, values, row_lower, row_upper = problem.matrix()
+    lhs = np.bincount(rows, values * x[cols], problem.num_constraints)
+    gaps = (np.array(problem.lower) - x, x - np.array(problem.upper),
+            row_lower - lhs, lhs - row_upper)
+    return float(max(gap.max(initial=0.0) for gap in gaps))
+
+
+def _rhs(row_lower: np.ndarray, row_upper: np.ndarray) -> np.ndarray:
+    """Each row's finite bound: the rhs of its relation."""
+    return np.where(np.isfinite(row_upper), row_upper, row_lower)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +170,7 @@ def constraint_violation(problem: LpProblem, x: np.ndarray) -> float:
 
 
 class _Tableau:
-    def __init__(self, problem: LpProblem):
+    def __init__(self, problem: LpProblem, matrix: tuple[np.ndarray, ...]):
         n = problem.num_variables
         m = problem.num_constraints
         self.n_structural = n
@@ -166,19 +179,13 @@ class _Tableau:
 
         # Row i reads A_i x + s_i = b_i; the bounds of slack s_i carry the
         # relation. The all-slack basis is the identity, so tab = [A | I].
+        rows, cols, values, row_lower, row_upper = matrix
         self.tab = np.zeros((m, n + m))
-        self.tab_b = np.zeros(m)
-        slack_lower = np.zeros(m)
-        slack_upper = np.zeros(m)
-        for i, con in enumerate(problem.constraints):
-            for idx, coef in con.coefficients:
-                self.tab[i, idx] += coef
-            self.tab[i, n + i] = 1.0
-            self.tab_b[i] = con.rhs
-            if con.relation == LESS_EQUAL:
-                slack_upper[i] = math.inf
-            elif con.relation == GREATER_EQUAL:
-                slack_lower[i] = -math.inf
+        np.add.at(self.tab, (rows, cols), values)
+        self.tab[np.arange(m), n + np.arange(m)] = 1.0
+        self.tab_b = _rhs(row_lower, row_upper)
+        slack_lower = self.tab_b - row_upper
+        slack_upper = self.tab_b - row_lower
 
         self.lower = np.concatenate([np.array(problem.lower, dtype=float), slack_lower])
         self.upper = np.concatenate([np.array(problem.upper, dtype=float), slack_upper])
@@ -382,7 +389,8 @@ def solve(problem: LpProblem, max_iterations: int | None = None) -> LpSolution:
     if max_iterations is None:
         max_iterations = 50 * (problem.num_variables + problem.num_constraints)
 
-    state = _Tableau(problem)
+    matrix = problem.matrix()
+    state = _Tableau(problem, matrix)
     status, used, _ = _run_simplex(state, None, max_iterations)
     if status == ITERATION_LIMIT:
         return LpSolution(status=ITERATION_LIMIT, iterations=used)
@@ -409,7 +417,7 @@ def solve(problem: LpProblem, max_iterations: int | None = None) -> LpSolution:
         raise ArithmeticError(
             f"simplex optimum violates a bound or constraint by {violation:.3g}")
     objective = problem.objective_value(values)
-    wrong_sign, gap = _dual_residuals(problem, state, c)
+    wrong_sign, gap = _dual_residuals(matrix, state, c)
     if wrong_sign > OPT_TOL:
         raise ArithmeticError(
             f"simplex optimum has a reduced cost of the wrong sign by "
@@ -421,24 +429,20 @@ def solve(problem: LpProblem, max_iterations: int | None = None) -> LpSolution:
                       iterations=used)
 
 
-def _dual_residuals(problem: LpProblem, state: _Tableau,
-                   c: np.ndarray) -> tuple[float, float]:
+def _dual_residuals(matrix: tuple[np.ndarray, ...], state: _Tableau,
+                    c: np.ndarray) -> tuple[float, float]:
     """Dual certificate of the final basis, independent of the reduced costs
     the simplex kept. The slack columns of the tableau hold B^-1, so the duals
     are y = c_B B^-1; the reduced costs d = c - y [A | I] are taken from the
-    original constraint rows. Returns the largest wrong-sign reduced cost
+    original rows of `matrix`. Returns the largest wrong-sign reduced cost
     (a basic one away from 0, a nonbasic one that would improve the objective
     by leaving its bound) and |c'x - (y'b + sum of d_j x_j over nonbasic j)|."""
     n = state.n_structural
+    rows, cols, values, row_lower, row_upper = matrix
     y = c[state.basis] @ state.tab[:, n:]
     d = c.copy()
     d[n:] -= y
-    dual_objective = 0.0
-    for y_i, con in zip(y.tolist(), problem.constraints):
-        if y_i:
-            dual_objective += y_i * con.rhs
-            for idx, coef in con.coefficients:
-                d[idx] -= y_i * coef
+    d[:n] -= np.bincount(cols, weights=y[rows] * values, minlength=n)
     # Basic and free reduced costs must be 0; a fixed variable's may be any.
     at_lower, at_upper, _ = state.resting()
     movable = state.upper - state.lower > PIVOT_TOL
@@ -447,7 +451,7 @@ def _dual_residuals(problem: LpProblem, state: _Tableau,
     wrong[at_lower] = np.maximum(priced[at_lower], 0.0)
     wrong[at_upper] = np.maximum(-priced[at_upper], 0.0)
     x, nonbasic = state.x, ~state.is_basic
-    dual_objective += float(d[nonbasic] @ x[nonbasic])
+    dual_objective = float(y @ _rhs(row_lower, row_upper) + d[nonbasic] @ x[nonbasic])
     gap = abs(float(c[:n] @ x[:n]) - dual_objective)
     return float(wrong.max(initial=0.0)), gap
 
@@ -460,42 +464,34 @@ def _dual_residuals(problem: LpProblem, state: _Tableau,
 def to_mps(problem: LpProblem) -> str:
     """Render as fixed-column MPS text (OBJSENSE MAX extension, free-format
     friendly). Layout is documented in the repository README."""
+    rows, cols, values, row_lower, row_upper = problem.matrix()
+    kinds = np.where(row_lower == row_upper, "E",
+                     np.where(np.isinf(row_lower), "L", "G"))
+    row_names = [f"C{i + 1:06d}" for i in range(len(kinds))] + ["OBJ"]
     lines = [f"NAME          {problem.name or 'LP'}", "OBJSENSE", "    MAX", "ROWS",
              " N  OBJ"]
-    row_names = []
-    for i, con in enumerate(problem.constraints):
-        kind = {LESS_EQUAL: "L", EQUAL: "E", GREATER_EQUAL: "G"}[con.relation]
-        row_name = f"C{i + 1:06d}"
-        row_names.append(row_name)
-        lines.append(f" {kind}  {row_name}")
+    lines += [f" {kind}  {name}" for kind, name in zip(kinds, row_names)]
 
     lines.append("COLUMNS")
     col_names = [f"X{j + 1:06d}" for j in range(problem.num_variables)]
-    entries: dict[int, list[tuple[str, float]]] = {
-        j: [] for j in range(problem.num_variables)}
     c = problem.objective_vector()
-    for j in range(problem.num_variables):
-        if c[j] != 0.0:
-            entries[j].append(("OBJ", c[j]))
-    for i, con in enumerate(problem.constraints):
-        for idx, coef in con.coefficients:
-            entries[idx].append((row_names[i], coef))
-    for j in range(problem.num_variables):
-        if not entries[j]:
-            # Every column must be declared, even if it touches nothing.
-            entries[j].append(("OBJ", 0.0))
-        for row, coef in entries[j]:
-            lines.append(f"    {col_names[j]:<10}{row:<10}{float(coef)!r}")
+    # Entries (column, row, value) by column: the objective entry (row -1, so
+    # the last row name) first, then the constraint entries in constraint order.
+    # Every column must be declared, so one that touches nothing gets a zero
+    # objective entry.
+    costed = np.flatnonzero((c != 0.0) | (np.bincount(cols, minlength=c.size) == 0))
+    objective = np.column_stack([costed, np.full(costed.size, -1), c[costed]])
+    entries = np.concatenate([objective, np.column_stack([cols, rows, values])])
+    for j, i, value in entries[np.argsort(entries[:, 0], kind="stable")].tolist():
+        lines.append(f"    {col_names[int(j)]:<10}{row_names[int(i)]:<10}{value!r}")
 
     lines.append("RHS")
-    for i, con in enumerate(problem.constraints):
-        if con.rhs != 0.0:
-            lines.append(f"    RHS       {row_names[i]:<10}{float(con.rhs)!r}")
+    for name, rhs in zip(row_names, _rhs(row_lower, row_upper).tolist()):
+        if rhs != 0.0:
+            lines.append(f"    RHS       {name:<10}{rhs!r}")
 
     lines.append("BOUNDS")
-    for j in range(problem.num_variables):
-        lo, up = problem.lower[j], problem.upper[j]
-        name = col_names[j]
+    for name, lo, up in zip(col_names, problem.lower, problem.upper):
         if lo == up:
             lines.append(f" FX BND       {name:<10}{float(lo)!r}")
             continue
@@ -523,7 +519,7 @@ def from_mps(text: str) -> LpProblem:
     # Coefficients by row name, then by column index; the objective row too.
     row_coefs: dict[str, dict[int, float]] = {}
     rhs_values: dict[str, float] = {}
-    bounds: dict[str, dict[str, float | None]] = {}
+    bounds: dict[tuple[str, str], float] = {}   # by (column, "lower"/"upper")
     maximize = False
 
     def fail(line_no: int, message: str) -> None:
@@ -556,6 +552,8 @@ def from_mps(text: str) -> LpProblem:
                 fail(line_no, f"unknown section {section!r}")
             continue
         if section == "OBJSENSE":
+            if tokens[0].upper() not in ("MAX", "MAXIMIZE", "MIN", "MINIMIZE"):
+                fail(line_no, f"unknown objective sense {tokens[0]!r}")
             maximize = tokens[0].upper().startswith("MAX")
         elif section == "ROWS":
             if len(tokens) != 2:
@@ -595,6 +593,8 @@ def from_mps(text: str) -> LpProblem:
                     fail(line_no, "RHS on the objective row is not supported")
                 if row not in row_relation:
                     fail(line_no, f"RHS for unknown row {row!r}")
+                if row in rhs_values:
+                    fail(line_no, f"second RHS entry for row {row!r}")
                 rhs_values[row] = number(line_no, value)
         elif section == "BOUNDS":
             kind = tokens[0].upper()
@@ -607,22 +607,20 @@ def from_mps(text: str) -> LpProblem:
             col = tokens[2]
             if col not in columns:
                 fail(line_no, f"bound for unknown column {col!r}")
-            record = bounds.setdefault(col, {"lower": 0.0, "upper": math.inf})
             value = number(line_no, tokens[3]) if valued else None
-            if kind in ("LO", "FX"):
-                record["lower"] = value
-            if kind in ("UP", "FX"):
-                record["upper"] = value
-            if kind in ("FR", "MI"):
-                record["lower"] = -math.inf
-            if kind in ("FR", "PL"):
-                record["upper"] = math.inf
+            sides = {"LO": {"lower": value}, "UP": {"upper": value},
+                     "MI": {"lower": -math.inf}, "PL": {"upper": math.inf},
+                     "FX": {"lower": value, "upper": value},
+                     "FR": {"lower": -math.inf, "upper": math.inf}}[kind]
+            for side, bound in sides.items():
+                if (col, side) in bounds:
+                    fail(line_no, f"{side} bound of column {col!r} set twice")
+                bounds[col, side] = bound
         elif section is None:
             fail(line_no, "data before any section header")
 
-    for col, record in bounds.items():
-        problem.lower[columns[col]] = record["lower"]
-        problem.upper[columns[col]] = record["upper"]
+    for (col, side), bound in bounds.items():
+        getattr(problem, side)[columns[col]] = bound
     # The embedded representation always maximizes; flip a MIN objective.
     sign = 1.0 if maximize else -1.0
     for j, value in row_coefs.get(objective_row, {}).items():

@@ -3,6 +3,11 @@
 `oracle_solve` enumerates every basic point from constraint/bound subsets and
 keeps the best feasible one: exact, but only for small LPs. `highs_objective`
 asks HiGHS through scipy, a test-time dependency, for LPs of any size.
+
+Both read `problem.constraints` (relation, coefficients, rhs) directly, not
+`LpProblem.matrix()`: the solver, its feasibility check and its dual
+certificate all take the constraints from `matrix()`, so a reference built on
+it would share any error in how `matrix()` encodes the relations and pass.
 """
 from __future__ import annotations
 

@@ -200,7 +200,7 @@ def test_violated_slack_basis_in_every_direction():
     p.add_constraint([(x, 1.0), (y, -1.0)], lp.EQUAL, -1.0)
     # At x = y = w = 0 each slack starts outside its bounds: above for the
     # >= row and the first equality, below for the <= row and the second.
-    state = lp._Tableau(p)
+    state = lp._Tableau(p, p.matrix())
     assert state.infeasibility_cost()[state.basis].tolist() == [-1, 1, -1, 1]
     s = lp.solve(p)
     o = oracle_solve(p)
@@ -234,16 +234,71 @@ def test_total_bound_violation_never_increases(monkeypatch):
     assert repaired >= 30
 
 
+def _dense_rows(problem):
+    """A, b and the slack bounds of A x + s = b, read straight from
+    problem.constraints."""
+    m, n = problem.num_constraints, problem.num_variables
+    a, b = np.zeros((m, n)), np.zeros(m)
+    slack_lower, slack_upper = np.zeros(m), np.zeros(m)
+    for i, con in enumerate(problem.constraints):
+        for j, coef in con.coefficients:
+            a[i, j] += coef
+        b[i] = con.rhs
+        if con.relation == lp.LESS_EQUAL:
+            slack_upper[i] = math.inf
+        elif con.relation == lp.GREATER_EQUAL:
+            slack_lower[i] = -math.inf
+    return a, b, slack_lower, slack_upper
+
+
 def test_tableau_is_constraints_by_structural_plus_slack_columns():
     rng = np.random.default_rng(77)
-    for anchored in (True, False):
-        for _ in range(10):
-            p = random_lp(rng, anchored=anchored)
-            m, n = p.num_constraints, p.num_variables
-            state = lp._Tableau(p)
-            assert state.tab.shape == (m, n + m)
-            assert np.array_equal(state.tab[:, n:], np.eye(m))
-            assert state.basis.tolist() == list(range(n, n + m))
+    problems = [random_lp(rng, anchored=anchored)
+                for anchored in (True, False) for _ in range(10)]
+    repeated = lp.LpProblem("repeated")
+    for j in range(3):
+        repeated.add_variable(f"x{j}", -1.0, 4.0)
+    repeated.add_constraint([(0, 1.5), (2, -1.0), (0, 2.25)], lp.GREATER_EQUAL, 4.0)
+    repeated.add_constraint([(1, 1.0)], lp.EQUAL, -2.0)
+    repeated.add_constraint([(2, 0.5), (1, 3.0)], lp.LESS_EQUAL, 1.0)
+    unconstrained = lp.LpProblem("unconstrained")
+    unconstrained.add_variable("x", -1.0, 1.0)
+    problems += [repeated, unconstrained]
+    for p in problems:
+        m, n = p.num_constraints, p.num_variables
+        state = lp._Tableau(p, p.matrix())
+        a, b, slack_lower, slack_upper = _dense_rows(p)
+        assert state.tab.shape == (m, n + m)
+        assert np.array_equal(state.tab[:, :n], a)
+        assert np.array_equal(state.tab[:, n:], np.eye(m))
+        assert np.array_equal(state.tab_b, b)
+        assert np.array_equal(state.lower, np.concatenate([p.lower, slack_lower]))
+        assert np.array_equal(state.upper, np.concatenate([p.upper, slack_upper]))
+        assert state.basis.tolist() == list(range(n, n + m))
+    assert lp._Tableau(repeated, repeated.matrix()).tab[0, 0] == 3.75
+
+
+@pytest.mark.parametrize("constraint, point, expected", [
+    (None, [3.0, 0.5], 0.0),
+    (([(0, 1.0), (1, 1.0)], lp.LESS_EQUAL, 1.0), [3.0, 0.5], 2.5),
+    (([(0, 1.0), (1, 1.0)], lp.LESS_EQUAL, 4.0), [3.0, 0.5], 0.0),
+    (([(0, 1.0), (1, -1.0)], lp.GREATER_EQUAL, 4.0), [3.0, 0.5], 1.5),
+    (([(0, 1.0), (1, -1.0)], lp.GREATER_EQUAL, 1.0), [3.0, 0.5], 0.0),
+    (([(0, 1.0), (1, 1.0)], lp.EQUAL, 4.25), [3.0, 0.5], 0.75),
+    (([(0, 1.0), (1, 1.0)], lp.EQUAL, 2.5), [3.0, 0.5], 1.0),
+    (([(0, 1.0), (0, 1.0)], lp.LESS_EQUAL, 5.0), [3.0, 0.5], 1.0),
+    (None, [5.0, 0.5], 1.0),
+    (None, [3.0, -1.5], 0.5),
+    (([(0, 1.0), (1, 1.0)], lp.LESS_EQUAL, 1.0), [5.0, 0.5], 4.5),
+], ids=["feasible", "le", "le_slack", "ge", "ge_slack", "eq_below", "eq_above",
+        "repeated_column", "upper_bound", "lower_bound", "worst_of_bound_and_row"])
+def test_constraint_violation_is_the_largest_gap(constraint, point, expected):
+    p = lp.LpProblem()
+    p.add_variable("x", 0.0, 4.0)
+    p.add_variable("y", -1.0, 1.0)
+    if constraint is not None:
+        p.add_constraint(*constraint)
+    assert lp.constraint_violation(p, np.array(point)) == expected
 
 
 def test_objective_scaling_invariance():
@@ -292,7 +347,7 @@ def test_pivot_equals_dense_rank1_update_on_sparse_tableaux():
             idx = rng.choice(n, size=int(rng.integers(1, 4)), replace=False)
             p.add_constraint([(int(j), float(rng.uniform(-3, 3))) for j in idx],
                              lp.LESS_EQUAL, float(rng.uniform(0, 5)))
-        state = lp._Tableau(p)  # all-slack basis: the tableau is [A | I]
+        state = lp._Tableau(p, p.matrix())  # all-slack basis: the tableau is [A | I]
         for _ in range(6):
             row, col = rng.choice(
                 np.argwhere((np.abs(state.tab) > 0.1) & ~state.is_basic))
@@ -443,11 +498,58 @@ def test_mps_round_trip_free_and_fixed_bounds():
     p.add_variable("free", -math.inf, math.inf)
     p.add_variable("fixed", 2.5, 2.5)
     p.add_variable("upper_only", -math.inf, 3.0)
+    p.add_variable("boxed", 1.5, 3.0)
     p.set_objective_coefficient(0, 1.0)
     p.add_constraint([(0, 1.0), (2, 1.0)], lp.LESS_EQUAL, 1.0)
-    q = lp.from_mps(lp.to_mps(p))
+    p.add_constraint([(3, 1.0), (0, -1.0), (3, 2.0)], lp.GREATER_EQUAL, 0.5)
+    text = lp.to_mps(p)
+    assert " MI BND       X000003\n UP BND       X000003   3.0\n" in text
+    assert " LO BND       X000004   1.5\n UP BND       X000004   3.0\n" in text
+    q = lp.from_mps(text)
     assert q.lower == p.lower
     assert q.upper == p.upper
+    # Repeated COLUMNS entries of one column in one row are summed.
+    assert q.constraints[1].coefficients == ((0, -1.0), (3, 3.0))
+
+
+_LAYOUT_MPS = """NAME          layout
+OBJSENSE
+    MAX
+ROWS
+ N  OBJ
+ L  C000001
+ E  C000002
+ G  C000003
+COLUMNS
+    X000001   C000001   3.0
+    X000001   C000002   -1.0
+    X000001   C000002   0.5
+    X000002   OBJ       2.5
+    X000002   C000001   1.0
+    X000002   C000003   2.0
+    X000003   OBJ       0.0
+RHS
+    RHS       C000001   6.0
+    RHS       C000003   -1.5
+BOUNDS
+ UP BND       X000001   4.0
+ LO BND       X000002   -1.0
+ENDATA
+"""
+
+
+def test_to_mps_layout():
+    # Per column: objective entry first, then constraint entries in constraint
+    # order (a repeated index stays repeated); an untouched column gets OBJ 0.0.
+    p = lp.LpProblem("layout")
+    for name, lower, upper in [("a", 0.0, 4.0), ("b", -1.0, math.inf),
+                               ("c", 0.0, math.inf)]:
+        p.add_variable(name, lower, upper)
+    p.set_objective_coefficient(1, 2.5)
+    p.add_constraint([(1, 1.0), (0, 3.0)], lp.LESS_EQUAL, 6.0)
+    p.add_constraint([(0, -1.0), (0, 0.5)], lp.EQUAL, 0.0)
+    p.add_constraint([(1, 2.0)], lp.GREATER_EQUAL, -1.5)
+    assert lp.to_mps(p) == _LAYOUT_MPS
 
 
 def test_mps_parse_error_context():
@@ -501,6 +603,14 @@ ENDATA
 """
 
 
+@pytest.mark.parametrize("sense, objective", [
+    ("MAX", 10.0), ("maximize", 10.0), ("MIN", -10.0), ("MINIMIZE", -10.0)])
+def test_mps_objective_senses(sense, objective):
+    # The embedded form maximizes, so MIN x with x = 10 solves as max -x.
+    text = _BOUNDED_MPS.replace("    MAX", f"    {sense}")
+    assert lp.solve(lp.from_mps(text)).objective == objective
+
+
 @pytest.mark.parametrize("line, replacement, message", [
     (" UP BND       X1        20.0", " UP BND       X1", "line 13: UP bound"),
     (" UP BND       X1        20.0", " UP BND", "line 13: UP bound"),
@@ -515,9 +625,22 @@ ENDATA
      "line 11: RHS on the objective row"),
     (" E  R1", " E  R1\n L  R1", "line 7: row 'R1' declared twice"),
     (" N  OBJ", " N  OBJ\n N  COST", "line 6: second objective row 'COST'"),
+    ("    RHS       R1        10.0", "    RHS       R1        10.0\n"
+     "    RHS       R1        4.0", "line 12: second RHS entry for row 'R1'"),
+    ("    RHS       R1        10.0", "    RHS       R1        10.0   R1   4.0",
+     "line 11: second RHS entry for row 'R1'"),
+    (" UP BND       X1        20.0", " UP BND       X1        20.0\n"
+     " UP BND       X1        30.0", "line 14: upper bound of column 'X1' set twice"),
+    (" UP BND       X1        20.0", " LO BND       X1        1.0\n"
+     " FR BND       X1", "line 14: lower bound of column 'X1' set twice"),
+    (" UP BND       X1        20.0", " UP BND       X1        20.0\n"
+     " FX BND       X1        5.0", "line 14: upper bound of column 'X1' set twice"),
+    ("    MAX", "    FOO", "line 3: unknown objective sense 'FOO'"),
 ], ids=["bound_without_value", "bound_without_column", "nan_upper_bound",
         "nan_lower_bound", "row_without_name", "rhs_for_undeclared_row",
-        "rhs_on_objective_row", "row_declared_twice", "second_objective_row"])
+        "rhs_on_objective_row", "row_declared_twice", "second_objective_row",
+        "second_rhs_line_for_row", "second_rhs_pair_for_row", "upper_bound_twice",
+        "free_after_lower_bound", "fixed_after_upper_bound", "unknown_objective_sense"])
 def test_malformed_mps_rejected_with_line_number(tmp_path, capsys, line,
                                                  replacement, message):
     assert lp.solve(lp.from_mps(_BOUNDED_MPS)).objective == 10.0
