@@ -15,7 +15,7 @@ import json
 import math
 import sys
 import time
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from pathlib import Path
 
 import numpy as np
@@ -78,13 +78,23 @@ class RunManifest:
         path.write_text(json.dumps(record, indent=2) + "\n")
 
 
+def _csv_line(row: Sequence) -> str:
+    # str of a float (Python or numpy float64) is its shortest round-trip repr.
+    return ",".join(map(str, row))
+
+
 def _write_csv(path: Path, manifest: RunManifest, header: list[str],
                rows: Sequence[Sequence]) -> None:
-    lines = [f"# {key}={value}" for key, value in manifest.embedded().items()]
-    lines.append(",".join(header))
-    # str of a float (Python or numpy float64) is its shortest round-trip repr.
-    lines.extend(",".join(map(str, row)) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+    _write_csv_lines(path, manifest, header, map(_csv_line, rows))
+
+
+def _write_csv_lines(path: Path, manifest: RunManifest, header: list[str],
+                     lines: Iterable[str]) -> None:
+    """Write the manifest comments, the header and already formatted rows."""
+    text = [f"# {key}={value}" for key, value in manifest.embedded().items()]
+    text.append(",".join(header))
+    text.extend(lines)
+    path.write_text("\n".join(text) + "\n")
 
 
 def _records(header: list[str], rows: Sequence[Sequence]) -> list[dict]:
@@ -246,20 +256,51 @@ def cmd_plan(args) -> int:
     return EXIT_OK
 
 
+def _report_columns(report: simulation.SimulationReport) -> tuple:
+    """Per-replication columns in REPORT_HEADER order, after `rep`."""
+    return (report.release_profit, report.transfer_cost, report.risk_cost,
+            report.total_profit)
+
+
 def _report_rows(report: simulation.SimulationReport) -> list[tuple]:
-    columns = (report.release_profit, report.transfer_cost, report.risk_cost,
-               report.total_profit)
-    rows = list(zip(range(report.replications),
-                    *(column.tolist() for column in columns)))
-    rows.append(("mean",
-                 float(report.release_profit.mean()),
-                 float(report.transfer_cost.mean()),
-                 report.mean_risk, report.mean_total))
-    rows.append(("std",
-                 simulation._sample_std(report.release_profit),
-                 simulation._sample_std(report.transfer_cost),
-                 report.std_risk, report.std_total))
-    return rows
+    """One row per replication: its index, then each column's value."""
+    return list(zip(range(report.replications),
+                    *(column.tolist() for column in _report_columns(report))))
+
+
+def _summary_rows(report: simulation.SimulationReport) -> list[tuple]:
+    return [("mean",
+             float(report.release_profit.mean()),
+             float(report.transfer_cost.mean()),
+             report.mean_risk, report.mean_total),
+            ("std",
+             simulation._sample_std(report.release_profit),
+             simulation._sample_std(report.transfer_cost),
+             report.std_risk, report.std_total)]
+
+
+def _format_column(column: np.ndarray) -> list[str]:
+    """`str` of every value of a float64 column, each distinct value
+    formatted once.
+
+    Values are told apart by bit pattern, not by float equality, because
+    -0.0 == 0.0 yet the two print differently. Repeats are the norm: each
+    replication's values depend on finitely many discrete inflow draws.
+    """
+    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    strings = np.array(list(map(str, bits.view(np.float64).tolist())),
+                       dtype=object)
+    return strings[inverse].tolist()
+
+
+def _write_report_csv(path: Path, manifest: RunManifest,
+                      report: simulation.SimulationReport) -> None:
+    """The evaluation table: one row per replication, then mean and std."""
+    columns = [_format_column(column) for column in _report_columns(report)]
+    lines = list(map(",".join, zip(map(str, range(report.replications)),
+                                   *columns)))
+    lines.extend(map(_csv_line, _summary_rows(report)))
+    _write_csv_lines(path, manifest, REPORT_HEADER, lines)
 
 
 def cmd_evaluate(args) -> int:
@@ -281,10 +322,9 @@ def cmd_evaluate(args) -> int:
     if args.format == "json":
         path = out_dir / "evaluation.json"
         manifest.outputs = [str(path)]
-        rows = _report_rows(report)[:report.replications]
         _write_json(path, manifest, {
             "replications": report.replications,
-            "per_replication": _records(REPORT_HEADER, rows),
+            "per_replication": _records(REPORT_HEADER, _report_rows(report)),
             "aggregates": {
                 "mean_total": report.mean_total,
                 "std_total": report.std_total,
@@ -295,7 +335,7 @@ def cmd_evaluate(args) -> int:
     else:
         path = out_dir / "evaluation.csv"
         manifest.outputs = [str(path)]
-        _write_csv(path, manifest, REPORT_HEADER, _report_rows(report))
+        _write_report_csv(path, manifest, report)
     manifest.duration_s = time.perf_counter() - started
     manifest.write(out_dir)
     print(f"mean_total={report.mean_total!r} std_total={report.std_total!r} "

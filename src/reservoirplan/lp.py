@@ -510,7 +510,9 @@ def to_mps(problem: LpProblem) -> str:
 
 def from_mps(text: str) -> LpProblem:
     """Parse the MPS subset emitted by `to_mps` (sections NAME, OBJSENSE, ROWS,
-    COLUMNS, RHS, BOUNDS, ENDATA). RANGES is rejected, not ignored."""
+    COLUMNS, RHS, BOUNDS, ENDATA). RANGES is rejected, not ignored. The
+    objective sense may follow `OBJSENSE` on its header line (free MPS) or
+    stand on the indented line below it, not both."""
     problem = LpProblem()
     section = None
     row_relation: dict[str, str] = {}
@@ -521,6 +523,7 @@ def from_mps(text: str) -> LpProblem:
     rhs_values: dict[str, float] = {}
     bounds: dict[tuple[str, str], float] = {}   # by (column, "lower"/"upper")
     maximize = False
+    sense_line = None   # line that gave the objective sense
 
     def fail(line_no: int, message: str) -> None:
         raise ValueError(f"MPS parse error at line {line_no}: {message}")
@@ -533,6 +536,17 @@ def from_mps(text: str) -> LpProblem:
         if math.isnan(value):
             fail(line_no, f"{token!r} is not a number")
         return value
+
+    def set_sense(line_no: int, tokens: list[str]) -> None:
+        nonlocal maximize, sense_line
+        if len(tokens) != 1:
+            fail(line_no, "OBJSENSE takes one objective sense")
+        if sense_line is not None:
+            fail(line_no, f"objective sense already given at line {sense_line}")
+        if tokens[0].upper() not in ("MAX", "MAXIMIZE", "MIN", "MINIMIZE"):
+            fail(line_no, f"unknown objective sense {tokens[0]!r}")
+        maximize = tokens[0].upper().startswith("MAX")
+        sense_line = line_no
 
     lines = text.splitlines()
     for line_no, raw in enumerate(lines, start=1):
@@ -548,13 +562,13 @@ def from_mps(text: str) -> LpProblem:
                 break
             elif section == "RANGES":
                 fail(line_no, "RANGES section is not supported")
+            elif section == "OBJSENSE" and len(tokens) > 1:
+                set_sense(line_no, tokens[1:])
             elif section not in ("OBJSENSE", "ROWS", "COLUMNS", "RHS", "BOUNDS"):
                 fail(line_no, f"unknown section {section!r}")
             continue
         if section == "OBJSENSE":
-            if tokens[0].upper() not in ("MAX", "MAXIMIZE", "MIN", "MINIMIZE"):
-                fail(line_no, f"unknown objective sense {tokens[0]!r}")
-            maximize = tokens[0].upper().startswith("MAX")
+            set_sense(line_no, tokens)
         elif section == "ROWS":
             if len(tokens) != 2:
                 fail(line_no, "ROWS entries must be a row kind and a name")

@@ -66,6 +66,8 @@ class PwlFunction:
     """Piecewise-linear function with linear extensions and declared shape flags.
 
     Immutable after construction; safe to share across concurrent readers.
+    The breakpoint coordinates are also kept as read-only arrays, built once
+    from `breakpoints` and left out of comparison, hashing and repr.
     """
 
     breakpoints: tuple[tuple[float, float], ...]
@@ -73,6 +75,8 @@ class PwlFunction:
     right_slope: float
     shape: tuple[str, ...] = ()
     provenance: str = "unspecified"
+    _xs: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
+    _ys: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         pts = tuple((float(x), float(y)) for x, y in self.breakpoints)
@@ -89,24 +93,33 @@ class PwlFunction:
         object.__setattr__(self, "left_slope", float(self.left_slope))
         object.__setattr__(self, "right_slope", float(self.right_slope))
         object.__setattr__(self, "shape", tuple(self.shape))
+        for name, column in (("_xs", 0), ("_ys", 1)):
+            values = np.array([p[column] for p in pts])
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
         if self.shape:
             report = self.verify_shape(self.shape)
             if not report.ok:
                 raise ValueError(f"declared shape does not verify: {report.message()}")
 
+    def __reduce__(self):
+        # Pickle and copy rebuild through the constructor, which validates the
+        # fields and makes the cached arrays read-only again.
+        return (type(self), tuple(getattr(self, field.name)
+                                  for field in dataclasses.fields(self)
+                                  if field.init))
+
     # -- geometry ----------------------------------------------------------
 
     def slopes(self) -> np.ndarray:
         """Slope sequence: left extension, interior segments, right extension."""
-        xs = np.array([p[0] for p in self.breakpoints])
-        ys = np.array([p[1] for p in self.breakpoints])
+        xs, ys = self._xs, self._ys
         interior = np.diff(ys) / np.diff(xs) if len(xs) > 1 else np.empty(0)
         return np.concatenate(([self.left_slope], interior, [self.right_slope]))
 
     def evaluate(self, x):
         """Exact piecewise-linear value at `x` (scalar or array), total on reals."""
-        xs = np.array([p[0] for p in self.breakpoints])
-        ys = np.array([p[1] for p in self.breakpoints])
+        xs, ys = self._xs, self._ys
         arr = np.asarray(x, dtype=float)
         out = np.interp(arr, xs, ys)
         below = arr < xs[0]

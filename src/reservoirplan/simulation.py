@@ -7,8 +7,11 @@ Each (seed, replication, reservoir, period) draw comes from its own
 counter-based stream: the SplitMix64 chain seed -> rep -> reservoir -> period,
 each prefix hashed once per batch. `run_monte_carlo` samples, realizes and
 scores replications in blocks of `_BLOCK_REPS` so its working set stays
-cache-sized; every per-replication quantity is elementwise in the replication,
-so results are bitwise identical whatever the block size, order or batching.
+cache-sized. A block's arrays are laid out (T, N, R), periods by reservoirs by
+replications, so each (period, reservoir) slice is one contiguous run of
+replications. Every per-replication quantity is elementwise in the
+replication, so results are bitwise identical whatever the block size, order
+or batching.
 """
 from __future__ import annotations
 
@@ -40,13 +43,13 @@ def _splitmix(z: np.ndarray) -> np.ndarray:
 
 
 def _sample_batch(scenario: Scenario, seed: int, reps: np.ndarray) -> np.ndarray:
-    """Inflow matrices for the given uint64 replication ids: (len(reps), T, N).
+    """Inflows for the given uint64 replication ids: (T, N, len(reps)).
 
     The uniform draw at (rep, n, t) is the top 53 bits of
     splitmix(splitmix(splitmix(splitmix(seed) ^ rep) ^ n) ^ t); it is inverted
     through the (n, t) inflow CDF.
     """
-    out = np.empty((reps.size, scenario.horizon, scenario.num_reservoirs))
+    out = np.empty((scenario.horizon, scenario.num_reservoirs, reps.size))
     with np.errstate(over="ignore"):
         seed_key = _splitmix(np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
         rep_keys = _splitmix(seed_key ^ reps)
@@ -59,7 +62,7 @@ def _sample_batch(scenario: Scenario, seed: int, reps: np.ndarray) -> np.ndarray
                 cdf = np.cumsum(dist.probabilities())
                 cdf[-1] = 1.0
                 picks = np.searchsorted(cdf, u, side="right")
-                out[:, t - 1, n - 1] = dist.values()[picks]
+                out[t - 1, n - 1] = dist.values()[picks]
     return out
 
 
@@ -68,7 +71,7 @@ def sample_inflows(scenario: Scenario, seed: int, rep: int) -> np.ndarray:
 
     The draw at (rep, n, t) is a pure function of (seed, rep, n, t).
     """
-    return _sample_batch(scenario, seed, np.array([rep], dtype=np.uint64))[0]
+    return _sample_batch(scenario, seed, np.array([rep], dtype=np.uint64))[..., 0]
 
 
 @dataclasses.dataclass
@@ -85,28 +88,29 @@ class RealizedTrajectory:
 
 def _realize_batch(plan: Plan, inflows: np.ndarray, scenario: Scenario,
                    physical: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized recursion over a batch of inflow matrices (R, T, N)."""
-    r_count, t_count, n_count = inflows.shape
+    """Vectorized recursion over a batch of inflows (T, N, R); returns the
+    releases (T, N, R) and volumes (T+1, N, R)."""
+    t_count, n_count, r_count = inflows.shape
     v0 = scenario.initial_volumes()
     net_links = plan.transfers.sum(axis=1) - plan.transfers.sum(axis=2)  # (T, N) in - out
-    max_volumes = scenario.max_volumes()
+    max_volumes = scenario.max_volumes()[:, None]
 
-    releases = np.empty((r_count, t_count, n_count))
-    volumes = np.empty((r_count, t_count + 1, n_count))
-    volumes[:, 0] = v0
+    releases = np.empty((t_count, n_count, r_count))
+    volumes = np.empty((t_count + 1, n_count, r_count))
+    volumes[0] = v0[:, None]
     planned_prev = np.concatenate([v0[None, :], plan.volumes[:-1]], axis=0)
 
     for t in range(t_count):
         # The volume deviation is applied as one term so a zero deviation
         # leaves the target release bitwise unchanged.
-        g = plan.releases[t] + (volumes[:, t] - planned_prev[t])
+        g = plan.releases[t][:, None] + (volumes[t] - planned_prev[t][:, None])
         if physical:
             g = np.maximum(g, 0.0)
-        v = volumes[:, t] - g + inflows[:, t] + net_links[t]
+        v = volumes[t] - g + inflows[t] + net_links[t][:, None]
         if physical:
             v = np.minimum(v, max_volumes)
-        releases[:, t] = g
-        volumes[:, t + 1] = v
+        releases[t] = g
+        volumes[t + 1] = v
     return releases, volumes
 
 
@@ -120,9 +124,9 @@ def realize(plan: Plan, inflows: np.ndarray, scenario: Scenario,
     if physical is None:
         physical = scenario.physical_sim
     inflows = np.asarray(inflows, dtype=float)
-    releases, volumes = _realize_batch(plan, inflows[None, ...], scenario, physical)
-    return RealizedTrajectory(inflows=inflows, releases=releases[0],
-                              volumes=volumes[0])
+    releases, volumes = _realize_batch(plan, inflows[..., None], scenario, physical)
+    return RealizedTrajectory(inflows=inflows, releases=releases[..., 0],
+                              volumes=volumes[..., 0])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -156,12 +160,12 @@ def _plan_transfer_cost(plan: Plan, scenario: Scenario) -> float:
 
 def _risk_batch(plan: Plan, realized_releases: np.ndarray,
                 scenario: Scenario) -> np.ndarray:
-    """Risk cost per replication; deficit is target minus realizable release."""
-    r_count = realized_releases.shape[0]
-    total = np.zeros(r_count)
+    """Risk cost per replication of realized releases (T, N, R); deficit is
+    target minus realizable release."""
+    total = np.zeros(realized_releases.shape[-1])
     for n in scenario.ids():
         for t in scenario.periods():
-            deficit = plan.releases[t - 1, n - 1] - realized_releases[:, t - 1, n - 1]
+            deficit = plan.releases[t - 1, n - 1] - realized_releases[t - 1, n - 1]
             total += scenario.shortfall_risk[(n, t)].evaluate(deficit)
     return total
 
@@ -170,7 +174,7 @@ def score(plan: Plan, trajectory: RealizedTrajectory,
           scenario: Scenario) -> ProfitBreakdown:
     """Profit breakdown of one replication. Release profit is earned on the
     declared target (the risk payment tops consumers up to the plan)."""
-    risk = _risk_batch(plan, trajectory.releases[None, ...], scenario)[0]
+    risk = _risk_batch(plan, trajectory.releases[..., None], scenario)[0]
     return ProfitBreakdown(
         release_profit=_plan_release_profit(plan, scenario),
         transfer_cost=_plan_transfer_cost(plan, scenario),

@@ -170,6 +170,18 @@ def test_evaluate_json_format(tmp_path):
     for row in doc["per_replication"]:
         assert row["total"] == pytest.approx(
             row["release"] - row["transfer"] - row["risk"], abs=1e-9)
+    # Per-replication values stay JSON numbers, equal to the report's.
+    report = simulation.run_monte_carlo(
+        cli.load_plan_json(tmp_path / "plan.json"),
+        resolve_scenario("builtin:simple1"), reps=10, seed=1)
+    assert doc["per_replication"] == [
+        {"rep": rep, "release": release, "transfer": transfer, "risk": risk,
+         "total": total}
+        for rep, (release, transfer, risk, total) in enumerate(zip(
+            report.release_profit.tolist(), report.transfer_cost.tolist(),
+            report.risk_cost.tolist(), report.total_profit.tolist()))]
+    assert all(type(row[key]) is float for row in doc["per_replication"]
+               for key in cli.REPORT_HEADER[1:])
 
 
 def test_evaluation_files_round_trip_every_number(tmp_path):
@@ -214,6 +226,37 @@ def test_csv_writes_floats_as_their_repr(tmp_path):
     assert lines[-2].endswith("0.30000000000000004,1e+16,1e-05,-0.0,"
                               "38.92499999999999")
     assert lines[-1] == "mean,"
+
+
+def test_report_csv_rows_are_str_of_each_value(tmp_path):
+    reps = 60
+    index = np.arange(reps)
+    constant = np.full(reps, 38.92499999999999)
+    # Repeats of a few values, 0.0 and -0.0 among them.
+    repeated = np.array([0.0, -0.0, 0.1 + 0.2, 1e16, -0.0, 1e-05])[index % 6]
+    distinct = np.random.default_rng(5).standard_normal(reps) * 1e3
+    total = constant - repeated - distinct
+    report = simulation.SimulationReport(
+        seed=0, release_profit=constant, transfer_cost=repeated,
+        risk_cost=distinct, total_profit=total,
+        mean_total=float(total.mean()), std_total=float(total.std()),
+        mean_risk=float(distinct.mean()), std_risk=float(distinct.std()))
+    path = tmp_path / "evaluation.csv"
+    cli._write_report_csv(path, cli.RunManifest(command="test", scenario="s"),
+                          report)
+    lines = [line for line in path.read_text().splitlines()
+             if not line.startswith("#")]
+    float_rows = list(zip(range(reps), constant.tolist(), repeated.tolist(),
+                          distinct.tolist(), total.tolist()))
+    assert lines[1:reps + 1] == [",".join(map(str, row)) for row in float_rows]
+    assert [line.split(",")[2] for line in lines[1:7]] == [
+        "0.0", "-0.0", "0.30000000000000004", "1e+16", "-0.0", "1e-05"]
+    assert lines[reps + 1:] == [",".join(map(str, row)) for row in (
+        ("mean", float(constant.mean()), float(repeated.mean()),
+         report.mean_risk, report.mean_total),
+        ("std", simulation._sample_std(constant),
+         simulation._sample_std(repeated), report.std_risk,
+         report.std_total))]
 
 
 def test_compare_direction_on_builtin_simple(tmp_path, capsys):

@@ -611,6 +611,12 @@ def test_mps_objective_senses(sense, objective):
     assert lp.solve(lp.from_mps(text)).objective == objective
 
 
+def test_mps_objective_sense_on_header_line():
+    # Free MPS may give the sense on the header line: max x s.t. x = 10.
+    text = _BOUNDED_MPS.replace("OBJSENSE\n    MAX", "OBJSENSE    MAX")
+    assert lp.solve(lp.from_mps(text)).objective == 10.0
+
+
 @pytest.mark.parametrize("line, replacement, message", [
     (" UP BND       X1        20.0", " UP BND       X1", "line 13: UP bound"),
     (" UP BND       X1        20.0", " UP BND", "line 13: UP bound"),
@@ -636,11 +642,23 @@ def test_mps_objective_senses(sense, objective):
     (" UP BND       X1        20.0", " UP BND       X1        20.0\n"
      " FX BND       X1        5.0", "line 14: upper bound of column 'X1' set twice"),
     ("    MAX", "    FOO", "line 3: unknown objective sense 'FOO'"),
+    ("OBJSENSE\n    MAX", "OBJSENSE    FOO",
+     "line 2: unknown objective sense 'FOO'"),
+    ("OBJSENSE\n    MAX", "OBJSENSE    MAX    MIN",
+     "line 2: OBJSENSE takes one objective sense"),
+    ("    MAX", "    MAX    MIN", "line 3: OBJSENSE takes one objective sense"),
+    ("OBJSENSE", "OBJSENSE    MIN",
+     "line 3: objective sense already given at line 2"),
+    ("    MAX", "    MAX\n    MIN",
+     "line 4: objective sense already given at line 3"),
 ], ids=["bound_without_value", "bound_without_column", "nan_upper_bound",
         "nan_lower_bound", "row_without_name", "rhs_for_undeclared_row",
         "rhs_on_objective_row", "row_declared_twice", "second_objective_row",
         "second_rhs_line_for_row", "second_rhs_pair_for_row", "upper_bound_twice",
-        "free_after_lower_bound", "fixed_after_upper_bound", "unknown_objective_sense"])
+        "free_after_lower_bound", "fixed_after_upper_bound", "unknown_objective_sense",
+        "unknown_header_sense", "header_sense_extra_token",
+        "indented_sense_extra_token", "header_and_indented_sense",
+        "second_indented_sense"])
 def test_malformed_mps_rejected_with_line_number(tmp_path, capsys, line,
                                                  replacement, message):
     assert lp.solve(lp.from_mps(_BOUNDED_MPS)).objective == 10.0

@@ -1,3 +1,9 @@
+import copy
+import dataclasses
+import pickle
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -196,3 +202,60 @@ def test_scale_preserves_shape_and_scales_values():
     assert f.verify_shape([CONCAVE, NONDECREASING]).ok
     with pytest.raises(ValueError):
         f.scale(0.0)
+
+
+def _three_piece() -> PwlFunction:
+    return PwlFunction(((0.0, 0.0), (2.0, 4.0), (5.0, 4.0)), -1.0, 0.5,
+                       provenance="test")
+
+
+_PROBES = np.linspace(-3.0, 8.0, 23)
+
+
+def test_breakpoint_arrays_are_read_only_and_outside_identity():
+    f = _three_piece()
+    for values in (f._xs, f._ys):
+        with pytest.raises(ValueError):
+            values[0] = 1.0
+    twin = _three_piece()
+    # Arrays in == would raise (ambiguous truth value), in hash TypeError.
+    assert twin == f and hash(twin) == hash(f)
+    assert twin != dataclasses.replace(f, provenance="other")
+    assert "_xs" not in repr(f) and "_ys" not in repr(f)
+
+
+@pytest.mark.parametrize("duplicate", [
+    lambda f: pickle.loads(pickle.dumps(f)),
+    copy.deepcopy,
+    dataclasses.replace,
+], ids=["pickle", "deepcopy", "replace"])
+def test_copies_keep_read_only_arrays_and_evaluate_identically(duplicate):
+    f = _three_piece()
+    g = duplicate(f)
+    assert g == f
+    assert not g._xs.flags.writeable and not g._ys.flags.writeable
+    for x in (-2.0, 0.0, 1.0, 5.0, 7.0):
+        assert g.evaluate(x) == f.evaluate(x)
+    assert np.array_equal(g.evaluate(_PROBES), f.evaluate(_PROBES))
+
+
+def test_replace_rebuilds_arrays_from_new_breakpoints():
+    f = _three_piece()
+    g = dataclasses.replace(f, breakpoints=((0.0, 0.0), (1.0, 3.0)))
+    fresh = PwlFunction(((0.0, 0.0), (1.0, 3.0)), -1.0, 0.5)
+    assert np.array_equal(g._xs, [0.0, 1.0])
+    assert np.array_equal(g.evaluate(_PROBES), fresh.evaluate(_PROBES))
+
+
+def test_concurrent_readers_see_serial_values():
+    f = _three_piece()
+    expected = f.evaluate(_PROBES)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(f.evaluate, _PROBES) for _ in range(200)]
+            results = [future.result(timeout=30) for future in futures]
+    finally:
+        sys.setswitchinterval(switch)
+    assert all(np.array_equal(result, expected) for result in results)
