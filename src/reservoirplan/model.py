@@ -65,6 +65,10 @@ class DiscreteDistribution:
     def violations(self) -> list[str]:
         problems = []
         vals, probs = self.values(), self.probabilities()
+        if not np.all(np.isfinite(vals)):
+            problems.append("support values must be finite")
+        if not np.all(np.isfinite(probs)):
+            problems.append("probabilities must be finite")
         if np.any(vals < 0):
             problems.append("support values must be nonnegative")
         if np.any(np.diff(vals) <= 0):
@@ -202,7 +206,7 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
             bad(loc, "link endpoints must differ")
         if link.source not in id_set or link.target not in id_set:
             bad(loc, "link endpoint is not a reservoir id")
-        if link.capacity <= 0:
+        if not (link.capacity > 0):
             bad(loc, f"capacity must be positive, got {link.capacity:g}")
         pair = (link.source, link.target)
         if pair in seen_pairs:

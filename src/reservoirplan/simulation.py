@@ -5,8 +5,11 @@ earned on the target release, transfer cost on the planned transfers, and a
 shortfall risk is charged whenever the realizable release falls below target.
 Each (seed, replication, reservoir, period) draw comes from its own
 counter-based stream: the SplitMix64 chain seed -> rep -> reservoir -> period,
-each prefix hashed once per batch. `run_monte_carlo` samples, realizes and
-scores replications in blocks of `_BLOCK_REPS` so its working set stays
+each prefix hashed once per batch. The draw is the chain's top 53 bits, and
+its inflow is found by counting the integer CDF thresholds it reaches, so the
+inversion is exact in integers. A point mass needs no draw and hashes nothing.
+`run_monte_carlo` builds those thresholds once per run, then samples, realizes
+and scores replications in blocks of `_BLOCK_REPS` so its working set stays
 cache-sized. A block's arrays are laid out (T, N, R), periods by reservoirs by
 replications, so each (period, reservoir) slice is one contiguous run of
 replications. Every per-replication quantity is elementwise in the
@@ -28,10 +31,12 @@ _SHIFT_30 = np.uint64(30)
 _SHIFT_27 = np.uint64(27)
 _SHIFT_31 = np.uint64(31)
 _SHIFT_11 = np.uint64(11)
-_INV_2_53 = float(2.0 ** -53)
 
 # Replications sampled, realized and scored together by run_monte_carlo.
 _BLOCK_REPS = 8192
+
+# Per reservoir, per period: (support values, CDF thresholds).
+_InverseCdfTables = list[list[tuple[np.ndarray, np.ndarray]]]
 
 
 def _splitmix(z: np.ndarray) -> np.ndarray:
@@ -42,27 +47,63 @@ def _splitmix(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> _SHIFT_31)
 
 
-def _sample_batch(scenario: Scenario, seed: int, reps: np.ndarray) -> np.ndarray:
+def _cdf_thresholds(probabilities: np.ndarray) -> np.ndarray:
+    """Integer thresholds ceil(cdf[j] * 2**53) of all but the last CDF entry.
+
+    Scaling by a power of two is exact, so cdf[j] <= m * 2**-53 holds exactly
+    when the j-th threshold is <= m. The last entry is left out: taken as 1,
+    it is never reached by a 53-bit m, and leaving it out keeps a CDF that
+    rounds below 1 from falling off its support. A point mass has no
+    thresholds.
+    """
+    cdf = np.cumsum(probabilities)
+    return np.ceil(cdf[:-1] * 2.0 ** 53).astype(np.uint64)
+
+
+def _count_reached(thresholds: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Number of thresholds each 53-bit draw in `m` reaches: its support index."""
+    picks = np.zeros(m.shape, dtype=np.intp)
+    for threshold in thresholds:
+        picks += m >= threshold
+    return picks
+
+
+def _inverse_cdf_tables(scenario: Scenario) -> _InverseCdfTables:
+    """Per reservoir, per period: the inflow support values and CDF thresholds."""
+    tables = []
+    for n in scenario.ids():
+        row = []
+        for t in scenario.periods():
+            dist = scenario.inflow[(n, t)]
+            row.append((dist.values(), _cdf_thresholds(dist.probabilities())))
+        tables.append(row)
+    return tables
+
+
+def _sample_batch(tables: _InverseCdfTables, seed: int,
+                  reps: np.ndarray) -> np.ndarray:
     """Inflows for the given uint64 replication ids: (T, N, len(reps)).
 
-    The uniform draw at (rep, n, t) is the top 53 bits of
-    splitmix(splitmix(splitmix(splitmix(seed) ^ rep) ^ n) ^ t); it is inverted
-    through the (n, t) inflow CDF.
+    The draw m at (rep, n, t) is the top 53 bits of
+    splitmix(splitmix(splitmix(splitmix(seed) ^ rep) ^ n) ^ t), and the
+    inflow is the support value whose index is the number of the (n, t)
+    thresholds m reaches. A point mass is its support value and hashes
+    nothing, and a reservoir's key is hashed only if one of its periods needs
+    a draw; the streams are counter-based, so skipping a draw changes no other.
     """
-    out = np.empty((scenario.horizon, scenario.num_reservoirs, reps.size))
+    out = np.empty((len(tables[0]), len(tables), reps.size))
     with np.errstate(over="ignore"):
         seed_key = _splitmix(np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
         rep_keys = _splitmix(seed_key ^ reps)
-        for n in scenario.ids():
-            reservoir_keys = _splitmix(rep_keys ^ np.uint64(n))
-            for t in scenario.periods():
-                h = _splitmix(reservoir_keys ^ np.uint64(t))
-                u = (h >> _SHIFT_11).astype(np.float64) * _INV_2_53
-                dist = scenario.inflow[(n, t)]
-                cdf = np.cumsum(dist.probabilities())
-                cdf[-1] = 1.0
-                picks = np.searchsorted(cdf, u, side="right")
-                out[t - 1, n - 1] = dist.values()[picks]
+        for n, row in enumerate(tables, start=1):
+            if any(thresholds.size for _, thresholds in row):
+                reservoir_keys = _splitmix(rep_keys ^ np.uint64(n))
+            for t, (values, thresholds) in enumerate(row, start=1):
+                if not thresholds.size:
+                    out[t - 1, n - 1] = values[0]
+                    continue
+                m = _splitmix(reservoir_keys ^ np.uint64(t)) >> _SHIFT_11
+                out[t - 1, n - 1] = values[_count_reached(thresholds, m)]
     return out
 
 
@@ -71,7 +112,8 @@ def sample_inflows(scenario: Scenario, seed: int, rep: int) -> np.ndarray:
 
     The draw at (rep, n, t) is a pure function of (seed, rep, n, t).
     """
-    return _sample_batch(scenario, seed, np.array([rep], dtype=np.uint64))[..., 0]
+    return _sample_batch(_inverse_cdf_tables(scenario), seed,
+                         np.array([rep], dtype=np.uint64))[..., 0]
 
 
 @dataclasses.dataclass
@@ -221,11 +263,12 @@ def run_monte_carlo(plan: Plan, scenario: Scenario, reps: int = 100,
     if physical is None:
         physical = scenario.physical_sim
 
+    tables = _inverse_cdf_tables(scenario)
     risk = np.empty(reps)
     for start in range(0, reps, _BLOCK_REPS):
         rep_ids = np.arange(start, min(start + _BLOCK_REPS, reps),
                             dtype=np.uint64)
-        inflows = _sample_batch(scenario, seed, rep_ids)
+        inflows = _sample_batch(tables, seed, rep_ids)
         realized_releases, _ = _realize_batch(plan, inflows, scenario, physical)
         risk[start:start + rep_ids.size] = _risk_batch(plan, realized_releases,
                                                        scenario)

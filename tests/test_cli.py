@@ -339,6 +339,41 @@ def test_malformed_input_file_is_usage_error(command, name, edit, tmp_path,
     assert f"error: {path}:" in err
 
 
+def _edit_support(doc, value):
+    entry = next(e for e in doc["distributions"]
+                 if e["reservoirs"] == [1] and e["periods"] == [2])
+    entry["support"] = value
+
+
+@pytest.mark.parametrize("command", ["plan", "evaluate"])
+@pytest.mark.parametrize("edit,message", [
+    pytest.param(lambda doc: _edit_support(doc, [[0.0, 0.6], [1.0, float("nan")]]),
+                 "probabilities must be finite", id="nan_probability"),
+    pytest.param(lambda doc: _edit_support(doc, [[0.0, 0.5], [float("nan"), 0.5]]),
+                 "support values must be finite", id="nan_value"),
+    pytest.param(lambda doc: _edit_support(doc, [[0.0, 0.5], [float("inf"), 0.5]]),
+                 "support values must be finite", id="infinite_value"),
+    pytest.param(lambda doc: doc["links"][0].update(capacity=float("nan")),
+                 "capacity must be positive, got nan", id="nan_capacity"),
+])
+def test_non_finite_scenario_numbers_are_usage_errors(command, edit, message,
+                                                      tmp_path, capsys):
+    assert run_cli("plan", "--scenario", "builtin:simple2",
+                   "--out", str(tmp_path)) == 0
+    doc = scenario_to_dict(builtin_simple(2))
+    edit(doc)
+    path = tmp_path / "non_finite.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    args = ["--scenario", str(path), "--out", str(tmp_path / "out")]
+    if command == "evaluate":
+        args += ["--plan", str(tmp_path / "plan.json"), "--reps", "10"]
+    assert run_cli(command, *args) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "error: " in err and message in err
+    assert "Traceback" not in err
+
+
 COMMITTED_PLAN = (Path(__file__).resolve().parents[1] / "perfbench" / "data"
                   / "angpuang_proposed_plan.json")
 

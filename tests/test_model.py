@@ -108,3 +108,39 @@ def test_random_generator_scenarios_validate():
         scenario = random_scenario(rng)
         report = validate_scenario(scenario)
         assert report.ok, report.summary()
+
+
+def _with_support(scenario, key, support):
+    inflow = dict(scenario.inflow)
+    inflow[key] = DiscreteDistribution(support)
+    return dataclasses.replace(scenario, inflow=inflow)
+
+
+def _with_capacity(scenario, capacity):
+    links = list(scenario.links)
+    links[0] = dataclasses.replace(links[0], capacity=capacity)
+    return dataclasses.replace(scenario, links=tuple(links))
+
+
+@pytest.mark.parametrize("edit,message", [
+    pytest.param(lambda s: _with_support(s, (1, 2), ((0.0, 0.6), (1.0, np.nan))),
+                 "reservoir 1, period 2: probabilities must be finite",
+                 id="nan_probability"),
+    pytest.param(lambda s: _with_support(s, (1, 2), ((0.0, 0.5), (np.nan, 0.5))),
+                 "reservoir 1, period 2: support values must be finite",
+                 id="nan_value"),
+    pytest.param(lambda s: _with_support(s, (1, 2), ((0.0, 0.5), (np.inf, 0.5))),
+                 "reservoir 1, period 2: support values must be finite",
+                 id="infinite_value"),
+    pytest.param(lambda s: _with_capacity(s, np.nan),
+                 "link 1->2: capacity must be positive, got nan",
+                 id="nan_capacity"),
+])
+def test_non_finite_scenario_numbers_rejected(edit, message):
+    report = validate_scenario(edit(builtin_simple(2)))
+    assert message in [str(v) for v in report.violations]
+
+
+def test_infinite_link_capacity_still_accepted():
+    report = validate_scenario(_with_capacity(builtin_simple(2), np.inf))
+    assert report.ok, report.summary()

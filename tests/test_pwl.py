@@ -6,6 +6,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reservoirplan.pwl import (CONCAVE, CONVEX, NONDECREASING, PwlFunction,
                                capped_linear, hinge, linear, zero)
@@ -175,6 +177,59 @@ def test_expected_cuts_of_point_mass_shift_the_cuts():
     f = PwlFunction(((0.0, 0.0), (1.5, 3.0)), 0.0, 4.0, (CONVEX, NONDECREASING))
     assert f.expected_cuts(((2.5, 1.0),)) == tuple(
         (slope, intercept - slope * 2.5) for slope, intercept in f.cuts())
+
+
+@st.composite
+def _exact_convex(draw):
+    """Convex functions on a grid of eighths, so breakpoints, values and
+    slopes are exact and construction cannot fail its own shape check."""
+    xs = sorted(draw(st.sets(st.integers(-160, 160), min_size=1, max_size=6)))
+    slopes = sorted(draw(st.lists(st.integers(-32, 32), min_size=len(xs) + 1,
+                                  max_size=len(xs) + 1)))
+    ys = [0]
+    for i in range(1, len(xs)):
+        ys.append(ys[-1] + slopes[i] * (xs[i] - xs[i - 1]))
+    return PwlFunction(tuple((x / 8, y / 64) for x, y in zip(xs, ys)),
+                       slopes[0] / 8, slopes[-1] / 8, (CONVEX,))
+
+
+_POINTS = st.lists(st.floats(-100, 100), min_size=1, max_size=30)
+_PROPERTY_SETTINGS = settings(max_examples=200, deadline=None,
+                              derandomize=True)
+
+
+@_PROPERTY_SETTINGS
+@given(f=_exact_convex(), points=_POINTS)
+def test_convex_function_is_the_max_of_its_cuts(f, points):
+    xs = np.array(points + [x for x, _ in f.breakpoints])
+    np.testing.assert_allclose(_max_of_cuts(f.cuts(), xs), f.evaluate(xs),
+                               rtol=1e-12, atol=1e-12)
+
+
+@_PROPERTY_SETTINGS
+@given(convex=_exact_convex(), points=_POINTS)
+def test_concave_function_is_the_min_of_its_cuts(convex, points):
+    f = PwlFunction(tuple((x, -y) for x, y in convex.breakpoints),
+                    -convex.left_slope, -convex.right_slope, (CONCAVE,))
+    xs = np.array(points + [x for x, _ in f.breakpoints])
+    via_cuts = np.min([slope * xs + intercept for slope, intercept in f.cuts()],
+                      axis=0)
+    np.testing.assert_allclose(via_cuts, f.evaluate(xs), rtol=1e-12, atol=1e-12)
+
+
+@_PROPERTY_SETTINGS
+@given(f=_exact_convex(), points=_POINTS,
+       support=st.lists(st.tuples(st.floats(-20, 20), st.floats(1e-3, 1.0)),
+                        min_size=1, max_size=5,
+                        unique_by=lambda point: point[0]))
+def test_expected_cuts_are_the_expectation(f, points, support):
+    total = sum(weight for _, weight in support)
+    support = tuple((value, weight / total) for value, weight in support)
+    shifted = [x + value for x, _ in f.breakpoints for value, _ in support]
+    xs = np.array(points + shifted)
+    np.testing.assert_allclose(_max_of_cuts(f.expected_cuts(support), xs),
+                               _expectation(f, support, xs),
+                               rtol=1e-9, atol=1e-9)
 
 
 def test_verified_convexity_implies_midpoint_inequality():

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import expected_realized_risk, random_scenario
 from reservoirplan import lp, simulation
@@ -230,24 +232,93 @@ def _splitmix_int(z):
     return z ^ (z >> 31)
 
 
+def _bisect_pick(probabilities, m):
+    """Reference inverse CDF: the support index of the uniform m * 2**-53."""
+    cdf = list(itertools.accumulate(probabilities))
+    cdf[-1] = 1.0
+    return bisect.bisect_right(cdf, m * 2.0 ** -53)
+
+
+def _mixed_random_scenario():
+    scenario = random_scenario(np.random.default_rng(8), max_reservoirs=4,
+                               max_horizon=4)
+    sizes = {len(d.support) for d in scenario.inflow.values()}
+    assert 1 in sizes and len(sizes) >= 3
+    return scenario
+
+
 def test_draws_follow_the_seed_rep_reservoir_period_chain():
     # Reference: all four SplitMix64 passes per draw in Python integers, then
-    # inverse-CDF lookup.
-    scenario = builtin_angpuang()
-    for seed in (0, 77, -3, _MASK_64):
-        for rep in (0, 1, 8191, 8192, 123457):
-            inflows = sample_inflows(scenario, seed=seed, rep=rep)
-            for n in scenario.ids():
-                for t in scenario.periods():
-                    h = _splitmix_int(seed & _MASK_64)
-                    for key in (rep, n, t):
-                        h = _splitmix_int(h ^ key)
-                    u = (h >> 11) * 2.0 ** -53
-                    support = scenario.inflow[(n, t)].support
-                    cdf = list(itertools.accumulate(p for _, p in support))
-                    cdf[-1] = 1.0
-                    value = support[bisect.bisect_right(cdf, u)][0]
-                    assert inflows[t - 1, n - 1] == value
+    # inverse-CDF lookup. The scenarios mix point masses with supports of two
+    # to six points.
+    for scenario in (builtin_angpuang(), builtin_simple(2),
+                     _mixed_random_scenario()):
+        for seed in (0, 77, -3, _MASK_64):
+            for rep in (0, 1, 8191, 8192, 123457):
+                inflows = sample_inflows(scenario, seed=seed, rep=rep)
+                for n in scenario.ids():
+                    for t in scenario.periods():
+                        h = _splitmix_int(seed & _MASK_64)
+                        for key in (rep, n, t):
+                            h = _splitmix_int(h ^ key)
+                        support = scenario.inflow[(n, t)].support
+                        pick = _bisect_pick([p for _, p in support], h >> 11)
+                        assert inflows[t - 1, n - 1] == support[pick][0]
+
+
+@pytest.mark.parametrize("probabilities", [
+    pytest.param([0.1] * 10, id="tenths_sum_below_one"),
+    pytest.param([1 / 3] * 3, id="thirds"),
+    pytest.param([1e-17, 1 - 1e-17], id="tiny_first"),
+    pytest.param([0.5, 0.5], id="halves"),
+    pytest.param([1.0], id="point_mass"),
+])
+def test_threshold_pick_matches_bisect_at_the_boundaries(probabilities):
+    thresholds = simulation._cdf_thresholds(np.array(probabilities))
+    assert thresholds.size == len(probabilities) - 1
+    ms = {0, 2 ** 53 - 1}
+    for threshold in thresholds.tolist():
+        ms |= {threshold, threshold - 1}
+    ms = sorted(m for m in ms if 0 <= m < 2 ** 53)
+    picks = simulation._count_reached(thresholds, np.array(ms, dtype=np.uint64))
+    assert picks.tolist() == [_bisect_pick(probabilities, m) for m in ms]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(weights=st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=8),
+       draws=st.lists(st.integers(0, 2 ** 53 - 1), min_size=1, max_size=20),
+       near=st.integers(-2, 2))
+def test_threshold_pick_matches_bisect(weights, draws, near):
+    total = sum(weights)
+    probabilities = [w / total for w in weights]
+    thresholds = simulation._cdf_thresholds(np.array(probabilities))
+    ms = draws + [min(max(int(x) + near, 0), 2 ** 53 - 1)
+                  for x in thresholds.tolist()]
+    picks = simulation._count_reached(thresholds, np.array(ms, dtype=np.uint64))
+    assert picks.tolist() == [_bisect_pick(probabilities, m) for m in ms]
+
+
+def test_changing_one_support_leaves_every_other_draw_unchanged():
+    # Widen a point mass of simple2 to three points, and narrow a three-point
+    # support to a point mass.
+    scenario = builtin_simple(2)
+    edits = {1: ((0.0, 0.2), (1.5, 0.5), (3.0, 0.3)), 3: ((1.5, 1.0),)}
+    for size, support in edits.items():
+        key = next(k for k, d in sorted(scenario.inflow.items())
+                   if len(d.support) == size)
+        inflow = dict(scenario.inflow)
+        inflow[key] = DiscreteDistribution(support)
+        changed = dataclasses.replace(scenario, inflow=inflow)
+        others = np.ones((scenario.horizon, scenario.num_reservoirs), dtype=bool)
+        others[key[1] - 1, key[0] - 1] = False
+        drawn = set()
+        for seed in (0, 5, -3):
+            for rep in range(200):
+                base = sample_inflows(scenario, seed=seed, rep=rep)
+                new = sample_inflows(changed, seed=seed, rep=rep)
+                assert base[others].tobytes() == new[others].tobytes()
+                drawn.add(float(new[key[1] - 1, key[0] - 1]))
+        assert drawn == {value for value, _ in support}
 
 
 PER_REPLICATION = ("release_profit", "transfer_cost", "risk_cost",
