@@ -130,11 +130,12 @@ def _load_scenario_arg(args, manifest: RunManifest) -> Scenario:
     return scenario
 
 
-def _solve_method(scenario: Scenario, method: str):
+def _solve_method(scenario: Scenario, method: str,
+                  start: lp.Basis | None = None):
     builder = (formulation.build_proposed if method == "proposed"
                else formulation.build_deterministic)
     problem, vm = builder(scenario)
-    solution = lp.solve(problem)
+    solution = lp.solve(problem, start=start)
     return problem, vm, solution
 
 
@@ -343,8 +344,13 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def compare_methods(scenario: Scenario, reps: int, seed: int):
+def compare_methods(scenario: Scenario, reps: int, seed: int,
+                    bases: dict[str, lp.Basis] | None = None):
     """Plan both methods and evaluate them on the same sampled inflows.
+
+    Without `bases` every solve starts cold. With it, each method's solve
+    starts from `bases[method]` if present, and `bases[method]` is then set
+    to that solve's optimal basis.
 
     Returns (proposed_report, deterministic_report, plans) or raises
     _SolveFailure carrying the failing solver status.
@@ -352,9 +358,12 @@ def compare_methods(scenario: Scenario, reps: int, seed: int):
     reports = {}
     plans = {}
     for method in ("proposed", "deterministic"):
-        _, vm, solution = _solve_method(scenario, method)
+        start = bases.get(method) if bases is not None else None
+        _, vm, solution = _solve_method(scenario, method, start)
         if not solution.is_optimal:
             raise _SolveFailure(method, solution.status)
+        if bases is not None:
+            bases[method] = solution.basis
         plan = formulation.extract_plan(solution, vm, scenario)
         plans[method] = plan
         reports[method] = simulation.run_monte_carlo(plan, scenario, reps=reps,
@@ -431,11 +440,14 @@ def cmd_sweep(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    # Grid points share the LP's shape, so each solve starts from the basis
+    # the previous point's solve of the same method ended at.
+    bases: dict[str, lp.Basis] = {}
     rows = []
     for value, scenario in zip(config.grid, variants):
         try:
             proposed, deterministic, _ = compare_methods(
-                scenario, config.reps, config.seed)
+                scenario, config.reps, config.seed, bases)
         except _SolveFailure as exc:
             print(f"error: grid value {value:g}: {exc}", file=sys.stderr)
             return _STATUS_EXIT[exc.status]

@@ -2,22 +2,23 @@
 
 The solver is a two-phase primal simplex on the bounded-variable standard form
 with a dense tableau [A | I]: every row gets a slack whose bounds carry the
-relation, and the all-slack basis starts the search. Phase 1 minimizes the
-total bound violation of that basis (a basic slack may start outside its
-bounds); phase 2 maximizes the objective from the feasible basis it leaves.
-Both phases run the same loop; there are no artificial variables. Nonbasic
-variables rest at a finite bound (free ones at zero) and may flip bounds
-without a basis change. The tableau is stored dense, but the planning LPs are
-only a few percent nonzero, so each iteration touches only nonzeros: the pivot
-updates the rows where the entering column is nonzero and the columns where
-the pivot row is nonzero, and the phase-2 reduced-cost row over the same
-columns; a move of the entering variable updates the basic values over the
-nonzeros of its column. Reduced costs and basic values are recomputed from
-scratch at the start of each phase, every REFRESH_EVERY iterations and before
-optimality is declared; phase 1 reprices every iteration, since its cost
-follows the set of violated rows. An optimal point must pass a primal check
-and a dual certificate taken from the original rows, or ArithmeticError is
-raised.
+relation, and the all-slack basis starts the search, or a start basis pivoted
+into it (a warm start). Phase 1 minimizes the total bound violation of that
+basis (a basic variable may start outside its bounds); phase 2 maximizes the
+objective from the feasible basis it leaves. Both phases run the same loop;
+there are no artificial variables. Nonbasic variables rest at a finite bound
+(free ones at zero) and may flip bounds without a basis change. The tableau is
+stored dense, but the planning LPs are only a few percent nonzero, so each
+iteration touches only nonzeros: the pivot updates the rows where the entering
+column is nonzero and the columns where the pivot row is nonzero, and the
+phase-2 reduced-cost row over the same columns; a move of the entering
+variable updates the basic values over the nonzeros of its column, and the
+ratio test reads only those rows. Reduced costs and basic values are
+recomputed from scratch at the start of each phase, every REFRESH_EVERY
+iterations and before optimality is declared; phase 1 reprices every
+iteration, since its cost follows the set of violated rows. An optimal point
+must pass a primal check and a dual certificate taken from the original rows,
+or ArithmeticError is raised.
 """
 from __future__ import annotations
 
@@ -136,6 +137,22 @@ class LpProblem:
             raise IndexError(f"variable index {index} out of range")
 
 
+@dataclasses.dataclass(frozen=True)
+class Basis:
+    """A simplex basis in the column numbering of [A | I], where column n + i
+    is the slack of row i: `columns[i]` is the basic column of row i, and
+    `at_upper` marks the nonbasic columns that rest at their upper bound (the
+    others rest at their lower bound, or at zero if free)."""
+
+    columns: np.ndarray
+    at_upper: np.ndarray
+
+
+# LpSolution.start: no start basis was given, or the given one was used.
+COLD = "cold"
+WARM = "warm"
+
+
 @dataclasses.dataclass
 class LpSolution:
     status: str
@@ -143,6 +160,12 @@ class LpSolution:
     objective: float | None = None
     iterations: int = 0
     ray: np.ndarray | None = None
+    basis: Basis | None = None    # the optimal basis, for a later warm start
+    # COLD, WARM, or why the start basis was dropped for a cold solve:
+    # "shape" (it does not fit the problem), "singular" (its columns are
+    # not a basis of the problem) or "check" (the warm solve gave no verified
+    # optimum).
+    start: str = COLD
 
     @property
     def is_optimal(self) -> bool:
@@ -170,7 +193,8 @@ def _rhs(row_lower: np.ndarray, row_upper: np.ndarray) -> np.ndarray:
 
 
 class _Tableau:
-    def __init__(self, problem: LpProblem, matrix: tuple[np.ndarray, ...]):
+    def __init__(self, problem: LpProblem, matrix: tuple[np.ndarray, ...],
+                 start: Basis | None = None):
         n = problem.num_variables
         m = problem.num_constraints
         self.n_structural = n
@@ -189,17 +213,50 @@ class _Tableau:
 
         self.lower = np.concatenate([np.array(problem.lower, dtype=float), slack_lower])
         self.upper = np.concatenate([np.array(problem.upper, dtype=float), slack_upper])
+        self.not_fixed = self.upper - self.lower > PIVOT_TOL
 
-        # Nonbasic starting values: finite lower bound if any, else finite
-        # upper bound, else 0 for free variables. A basic slack may start
-        # outside its bounds; phase 1 repairs that.
+        # Nonbasic starting values: the upper bound if the start rests the
+        # variable there and it is finite, else the finite lower bound if
+        # any, else the finite upper bound, else 0 for free variables. A
+        # basic variable may start outside its bounds; phase 1 repairs that.
         self.x = np.where(np.isfinite(self.lower), self.lower,
                           np.where(np.isfinite(self.upper), self.upper, 0.0))
         self.basis = np.arange(n, n + m)
         self.is_basic = np.zeros(n + m, dtype=bool)
         self.is_basic[self.basis] = True
-        self.refresh_basic_values()
         self.reduced = np.zeros(n + m)
+        self.can_rise = np.zeros(n + m, dtype=bool)
+        self.can_fall = np.zeros(n + m, dtype=bool)
+        if start is not None:
+            self._install(start.columns)
+            at_upper = start.at_upper & np.isfinite(self.upper)
+            self.x[at_upper] = self.upper[at_upper]
+        self.classify(np.arange(n + m))
+        self.refresh_basic_values()
+
+    def _install(self, columns: np.ndarray) -> None:
+        """Turn the all-slack tableau into B^-1 [A | I] for the basis B whose
+        basic column of each row is given, in place: each structural column
+        of `columns` is pivoted into the row, among those of the slacks that
+        `columns` leaves out, where its entry is largest. That is Gauss-Jordan
+        elimination with partial pivoting on the block of B that is not a
+        unit vector; a basic slack stays in its own row. Raises LinAlgError
+        if a column repeats, no entry is left above PIVOT_TOL to pivot on, or
+        the result is not finite."""
+        n, m = self.n_structural, self.m
+        if np.bincount(columns).max(initial=0) > 1:
+            raise np.linalg.LinAlgError("a basic column repeats")
+        open_rows = np.ones(m, dtype=bool)
+        open_rows[columns[columns >= n] - n] = False
+        for col in columns[columns < n].tolist():
+            entries = np.where(open_rows, np.abs(self.tab[:, col]), 0.0)
+            row = int(np.argmax(entries))
+            if not entries[row] > PIVOT_TOL:
+                raise np.linalg.LinAlgError("the start basis is singular")
+            self.pivot(row, col)
+            open_rows[row] = False
+        if not np.isfinite(self.tab_b.sum() + self.tab.sum()):
+            raise np.linalg.LinAlgError("the start basis is singular")
 
     def refresh_basic_values(self) -> None:
         active = np.flatnonzero(~self.is_basic & (self.x != 0.0))
@@ -217,6 +274,17 @@ class _Tableau:
         at_lower = nonbasic & (self.x <= self.lower + FEAS_TOL)
         at_upper = nonbasic & (self.x >= self.upper - FEAS_TOL) & ~at_lower
         return at_lower, at_upper, nonbasic & ~at_lower & ~at_upper
+
+    def classify(self, cols: np.ndarray) -> None:
+        """Update whether each of `cols` may enter the basis moving up (a
+        nonbasic, unfixed variable not at its upper bound) or moving down
+        (one not at its lower bound). A free variable may do both."""
+        x = self.x[cols]
+        at_lower = x <= self.lower[cols] + FEAS_TOL
+        at_upper = (x >= self.upper[cols] - FEAS_TOL) & ~at_lower
+        movable = ~self.is_basic[cols] & self.not_fixed[cols]
+        self.can_rise[cols] = movable & ~at_upper
+        self.can_fall[cols] = movable & ~at_lower
 
     def infeasibility_cost(self) -> np.ndarray:
         """Phase-1 cost: +1 on a basic variable below its lower bound and -1 on
@@ -241,12 +309,13 @@ class _Tableau:
         rows = rows[rows != row]
         cols = np.flatnonzero(self.tab[row])
         factors = self.tab[rows, col]
-        self.tab[np.ix_(rows, cols)] -= np.outer(factors, self.tab[row, cols])
+        self.tab[rows[:, None], cols] -= factors[:, None] * self.tab[row, cols]
         self.tab_b[rows] -= factors * self.tab_b[row]
         self.reduced[cols] -= self.reduced[col] * self.tab[row, cols]
         self.reduced[col] = 0.0
-        # Snap the entering column to a unit vector to avoid residue buildup.
-        self.tab[:, col] = 0.0
+        # Snap the entering column to a unit vector to avoid residue buildup;
+        # it is zero outside `rows` already.
+        self.tab[rows, col] = 0.0
         self.tab[row, col] = 1.0
         leaving = self.basis[row]
         self.is_basic[leaving] = False
@@ -263,11 +332,12 @@ def _run_simplex(state: _Tableau, objective: np.ndarray | None,
     basic values along the entering column. Reduced costs and basic values
     are recomputed from scratch at the start, every REFRESH_EVERY iterations
     and before optimality is declared. Returns (status, iterations, ray)."""
+    if state.total == 0:
+        return OPTIMAL, 0, None
     iterations = 0
     degenerate_streak = 0
     bland = False
-    lower, upper = state.lower, state.upper
-    not_fixed = upper - lower > PIVOT_TOL
+    lower, upper, x = state.lower, state.upper, state.x
     stale = REFRESH_EVERY
 
     while True:
@@ -281,51 +351,43 @@ def _run_simplex(state: _Tableau, objective: np.ndarray | None,
             c = state.infeasibility_cost()
             state.price(c)
         reduced = state.reduced
-        x = state.x
-        at_lower, at_upper, free = state.resting()
 
-        score = np.full(state.total, -math.inf)
-        up_ok = (at_lower | free) & not_fixed & (reduced > OPT_TOL)
-        down_ok = (at_upper | free) & not_fixed & (reduced < -OPT_TOL)
-        score[up_ok] = reduced[up_ok]
-        score[down_ok] = np.maximum(score[down_ok], -reduced[down_ok])
-        candidates = np.nonzero(score > 0)[0]
-        if candidates.size == 0:
+        # A candidate improves the objective by more than OPT_TOL per unit in
+        # a direction its bounds allow; its score is that improvement.
+        score = np.maximum(np.where(state.can_rise, reduced, -math.inf),
+                           np.where(state.can_fall, -reduced, -math.inf))
+        col = int(np.argmax(score > OPT_TOL if bland else score))
+        if not score[col] > OPT_TOL:
             if fresh:
                 return OPTIMAL, iterations, None
             stale = REFRESH_EVERY   # confirm on recomputed values first
             continue
         if iterations >= iterations_left:
             return ITERATION_LIMIT, iterations, None
-
-        if bland:
-            col = int(candidates[0])
-        else:
-            col = int(candidates[np.argmax(score[candidates])])
-        direction = 1.0 if up_ok[col] and (not down_ok[col] or reduced[col] > 0) \
-            else -1.0
+        direction = 1.0 if reduced[col] > 0 else -1.0
 
         iterations += 1
         stale += 1
 
-        # Basic values move by -step * w as the entering variable moves by step.
-        w = direction * state.tab[:, col]
-        basic_lower = lower[state.basis]
-        basic_upper = upper[state.basis]
-        basic_x = x[state.basis]
-        ratios = np.full(state.m, math.inf)
+        # Over the nonzeros of the entering column: basic values move by
+        # -step * w as the entering variable moves by step.
+        rows = np.flatnonzero(state.tab[:, col])
+        w = direction * state.tab[rows, col]
+        basic = state.basis[rows]
+        basic_x = x[basic]
+        ratios = np.full(rows.size, math.inf)
         pos = w > PIVOT_TOL
         neg = w < -PIVOT_TOL
-        ratios[pos] = np.maximum(basic_x[pos] - basic_lower[pos], 0.0) / w[pos]
-        ratios[neg] = np.maximum(basic_upper[neg] - basic_x[neg], 0.0) / (-w[neg])
+        ratios[pos] = np.maximum(basic_x[pos] - lower[basic[pos]], 0.0) / w[pos]
+        ratios[neg] = np.maximum(upper[basic[neg]] - basic_x[neg], 0.0) / (-w[neg])
         if objective is None:
             # The violated rows are the costed ones; sign is +1 below the
             # lower bound and -1 above the upper bound.
-            costed = np.flatnonzero(c[state.basis])
-            sign = c[state.basis[costed]]
+            costed = np.flatnonzero(c[basic])
+            sign = c[basic[costed]]
             approach = -sign * w[costed]
-            gap = np.where(sign > 0, basic_lower[costed] - basic_x[costed],
-                           basic_x[costed] - basic_upper[costed])
+            gap = np.where(sign > 0, lower[basic[costed]] - basic_x[costed],
+                           basic_x[costed] - upper[basic[costed]])
             blocks = approach > PIVOT_TOL
             ratios[costed] = math.inf
             ratios[costed[blocks]] = gap[blocks] / approach[blocks]
@@ -338,33 +400,34 @@ def _run_simplex(state: _Tableau, objective: np.ndarray | None,
         if math.isinf(step):
             ray = np.zeros(state.total)
             ray[col] = direction
-            ray[state.basis] = -w
+            ray[basic] = -w
             return UNBOUNDED, iterations, ray
 
-        moved = np.flatnonzero(w)
-        x[state.basis[moved]] -= step * w[moved]
+        x[basic] -= step * w
         if step_own <= step_basic:
             # Bound flip: nonbasic variable moves to its opposite bound.
             x[col] = upper[col] if direction > 0 else lower[col]
+            state.classify(np.array([col]))
             degenerate_streak = 0
             bland = False
             continue
 
-        tied = np.nonzero(ratios <= step + 1e-9)[0]
+        tied = np.flatnonzero(ratios <= step + 1e-9)
         if bland:
-            row = int(tied[np.argmin(state.basis[tied])])
+            pick = int(tied[np.argmin(basic[tied])])
         else:
-            row = int(tied[np.argmax(np.abs(state.tab[tied, col]))])
+            pick = int(tied[np.argmax(np.abs(w[tied]))])
 
-        leaving = state.basis[row]
+        leaving = basic[pick]
         if objective is None and c[leaving]:
             # A violated variable leaves at the bound it violated.
             leaving_to_upper = c[leaving] < 0
         else:
-            leaving_to_upper = w[row] < 0
+            leaving_to_upper = w[pick] < 0
         x[col] += direction * step
         x[leaving] = upper[leaving] if leaving_to_upper else lower[leaving]
-        state.pivot(row, col)
+        state.pivot(int(rows[pick]), col)
+        state.classify(np.array([leaving, col]))
 
         if step <= PIVOT_TOL:
             degenerate_streak += 1
@@ -375,12 +438,19 @@ def _run_simplex(state: _Tableau, objective: np.ndarray | None,
             bland = False
 
 
-def solve(problem: LpProblem, max_iterations: int | None = None) -> LpSolution:
+def solve(problem: LpProblem, max_iterations: int | None = None,
+          start: Basis | None = None) -> LpSolution:
     """Solve a bounded-variable LP; statuses: optimal / infeasible / unbounded /
     iteration_limit. An optimal point is checked to be feasible within FEAS_TOL
     (1e-7) per bound and constraint, and its basis to be dual feasible within
     OPT_TOL (1e-8) with a primal-dual gap within OPT_TOL relative to the
-    objective; if either check fails, ArithmeticError is raised."""
+    objective; if either check fails, ArithmeticError is raised.
+
+    `start` is a basis to start from, typically the `basis` of an optimal
+    solution of an LP of the same shape. The solve falls back to the cold
+    start from the all-slack basis, and names the reason in
+    `LpSolution.start`, if the basis does not fit the problem, if it is
+    singular, or if the warm solve ends in anything but a verified optimum."""
     lower = np.array(problem.lower)
     upper = np.array(problem.upper)
     if np.any(lower > upper + FEAS_TOL):
@@ -390,7 +460,36 @@ def solve(problem: LpProblem, max_iterations: int | None = None) -> LpSolution:
         max_iterations = 50 * (problem.num_variables + problem.num_constraints)
 
     matrix = problem.matrix()
-    state = _Tableau(problem, matrix)
+    if start is None:
+        return _solve_from(problem, matrix, max_iterations, None)
+    total = problem.num_variables + problem.num_constraints
+    columns = start.columns
+    if (columns.shape != (problem.num_constraints,)
+            or np.shape(start.at_upper) != (total,)
+            or np.any((columns < 0) | (columns >= total))):
+        reason = "shape"
+    else:
+        try:
+            solution = _solve_from(problem, matrix, max_iterations, start)
+        except np.linalg.LinAlgError:
+            reason = "singular"
+        except ArithmeticError:
+            reason = "check"
+        else:
+            if solution.is_optimal:
+                solution.start = WARM
+                return solution
+            reason = "check"
+    solution = _solve_from(problem, matrix, max_iterations, None)
+    solution.start = reason
+    return solution
+
+
+def _solve_from(problem: LpProblem, matrix: tuple[np.ndarray, ...],
+                max_iterations: int, start: Basis | None) -> LpSolution:
+    """Both simplex phases from `start` (the all-slack basis if None), then
+    the checks of an optimum."""
+    state = _Tableau(problem, matrix, start)
     status, used, _ = _run_simplex(state, None, max_iterations)
     if status == ITERATION_LIMIT:
         return LpSolution(status=ITERATION_LIMIT, iterations=used)
@@ -425,8 +524,9 @@ def solve(problem: LpProblem, max_iterations: int | None = None) -> LpSolution:
     if gap > OPT_TOL * max(1.0, abs(objective)):
         raise ArithmeticError(
             f"simplex optimum differs from its dual bound by {gap:.3g}")
+    basis = Basis(state.basis.copy(), state.resting()[1])
     return LpSolution(status=OPTIMAL, values=values, objective=objective,
-                      iterations=used)
+                      iterations=used, basis=basis)
 
 
 def _dual_residuals(matrix: tuple[np.ndarray, ...], state: _Tableau,

@@ -48,10 +48,24 @@ def _need(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _is_integer(value) -> bool:
+    """Whether a JSON value is an integer; true and false are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _integer(value, where: str, field: str) -> int:
+    """An integer field, refused rather than truncated or coerced if it is
+    a float, a bool, a string or anything else."""
+    if not _is_integer(value):
+        raise ScenarioParseError(
+            f"{where}: {field!r} must be an integer, got {value!r}")
+    return value
+
+
 def _expand_ids(raw, all_ids: list[int], where: str) -> list[int]:
     if raw == "all":
         return list(all_ids)
-    if isinstance(raw, list) and all(isinstance(v, int) for v in raw):
+    if isinstance(raw, list) and all(map(_is_integer, raw)):
         return list(raw)
     raise ScenarioParseError(f"{where}: expected \"all\" or a list of integers")
 
@@ -74,15 +88,16 @@ def scenario_from_dict(doc: dict) -> Scenario:
     """Build a scenario from the documented JSON structure (no validation)."""
     if not isinstance(doc, dict):
         raise ScenarioParseError("top level: expected a JSON object")
-    horizon = _need(doc, "horizon", "top level")
-    if not isinstance(horizon, int) or horizon < 1:
+    horizon = _integer(_need(doc, "horizon", "top level"), "top level",
+                       "horizon")
+    if horizon < 1:
         raise ScenarioParseError("top level: 'horizon' must be a positive integer")
 
     reservoirs = []
     for i, entry in enumerate(_need(doc, "reservoirs", "top level")):
         where = f"reservoirs[{i}]"
         reservoirs.append(ReservoirSpec(
-            id=int(_need(entry, "id", where)),
+            id=_integer(_need(entry, "id", where), where, "id"),
             max_volume=float(_need(entry, "max_volume", where)),
             initial_volume=float(_need(entry, "initial_volume", where)),
             final_min_volume=float(_need(entry, "final_min_volume", where)),
@@ -94,8 +109,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
     for i, entry in enumerate(doc.get("links", [])):
         where = f"links[{i}]"
         links.append(LinkSpec(
-            source=int(_need(entry, "from", where)),
-            target=int(_need(entry, "to", where)),
+            source=_integer(_need(entry, "from", where), where, "from"),
+            target=_integer(_need(entry, "to", where), where, "to"),
             capacity=float(_need(entry, "capacity", where)),
             provenance=str(entry.get("provenance", "unspecified")),
         ))
@@ -120,7 +135,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
             if raw_links == "all":
                 pairs = list(link_pairs)
             else:
-                pairs = [(int(a), int(b)) for a, b in raw_links]
+                pairs = [(_integer(a, where, "links"),
+                          _integer(b, where, "links")) for a, b in raw_links]
             for src, dst in pairs:
                 for t in entry_periods:
                     cost[(src, dst, t)] = func
@@ -153,8 +169,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
     penalty = {(n, t): default_value for n in ids for t in periods}
     for i, entry in enumerate(penalty_doc.get("overrides", [])):
         where = f"penalty.overrides[{i}]"
-        penalty[(int(_need(entry, "reservoir", where)),
-                 int(_need(entry, "period", where)))] = \
+        penalty[(_integer(_need(entry, "reservoir", where), where, "reservoir"),
+                 _integer(_need(entry, "period", where), where, "period"))] = \
             float(_need(entry, "value", where))
 
     return Scenario(
@@ -457,8 +473,8 @@ def load_sweep_config(path: str | Path) -> SweepConfig:
             scenario=str(_need(doc, "scenario", "sweep config")),
             parameter=str(_need(doc, "parameter", "sweep config")),
             grid=tuple(float(v) for v in _need(doc, "grid", "sweep config")),
-            reps=int(doc.get("reps", 100)),
-            seed=int(doc.get("seed", 0)),
+            reps=_integer(doc.get("reps", 100), "sweep config", "reps"),
+            seed=_integer(doc.get("seed", 0), "sweep config", "seed"),
         )
     except (TypeError, ValueError, AttributeError) as exc:
         raise ScenarioParseError(f"{path}: {exc}") from exc

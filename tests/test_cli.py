@@ -457,6 +457,63 @@ def test_sweep_profit_slope_nondecreasing_means(tmp_path):
         assert all(b >= a - 1e-6 for a, b in zip(means, means[1:]))
 
 
+def _record_solves(monkeypatch):
+    solutions = []
+    solve = lp.solve
+
+    def recording_solve(problem, *args, **kwargs):
+        solutions.append(solve(problem, *args, **kwargs))
+        return solutions[-1]
+
+    monkeypatch.setattr(lp, "solve", recording_solve)
+    return solutions
+
+
+def test_sweep_warm_starts_each_grid_point(tmp_path, monkeypatch):
+    # A fallback to cold starts would still give correct output, so only
+    # these counts show that the warm start works.
+    solutions = _record_solves(monkeypatch)
+    config = Path(__file__).resolve().parent.parent / "scenarios" / \
+        "example_sweep.json"
+    assert run_cli("sweep", "--config", str(config),
+                   "--out", str(tmp_path)) == 0
+    starts = [s.start for s in solutions]
+    assert len(starts) == 10
+    assert starts[:2] == [lp.COLD, lp.COLD]
+    assert starts.count(lp.WARM) >= 8
+    assert sum(s.iterations for s in solutions) <= 1000
+
+
+@pytest.mark.parametrize("command", ["plan", "compare"])
+def test_plan_and_compare_solve_cold(command, tmp_path, monkeypatch):
+    solutions = _record_solves(monkeypatch)
+    assert run_cli(command, "--scenario", "builtin:simple2",
+                   "--out", str(tmp_path)) == 0
+    assert solutions and all(s.start == lp.COLD for s in solutions)
+
+
+def test_sweep_output_does_not_depend_on_earlier_commands(tmp_path,
+                                                         monkeypatch):
+    # Bases pass only between the grid points of one sweep.
+    solutions = _record_solves(monkeypatch)
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({
+        "scenario": "builtin:simple2", "parameter": "risk-slope",
+        "grid": [0.5, 2.0, 1.0], "reps": 20, "seed": 3,
+    }))
+    outputs = []
+    for name in ("first", "second"):
+        out = tmp_path / name
+        assert run_cli("sweep", "--config", str(config), "--out", str(out)) == 0
+        outputs.append([line for line in
+                        (out / "sweep.csv").read_text().splitlines()
+                        if not line.startswith("# outputs=")])
+    assert outputs[0] == outputs[1]
+    starts = [s.start for s in solutions]
+    assert starts[:2] == starts[6:8] == [lp.COLD, lp.COLD]
+    assert starts[2:6] == starts[8:] == [lp.WARM] * 4
+
+
 def test_solve_lp_dump_and_round_trip(tmp_path, capsys):
     # Direct dump of a tiny LP.
     problem = lp.LpProblem("tiny")

@@ -7,8 +7,9 @@ import pytest
 from conftest import random_lp, random_scenario
 from oracle import highs_objective, oracle_solve
 from reservoirplan import cli, lp
-from reservoirplan.formulation import build_deterministic, build_proposed
-from reservoirplan.scenarios import BUILTINS
+from reservoirplan.formulation import (build_deterministic, build_proposed,
+                                       extract_plan, plan_violations)
+from reservoirplan.scenarios import BUILTINS, sweep_scenario
 
 
 def test_bound_only_problem():
@@ -465,6 +466,137 @@ def test_early_phase2_stop_fails_the_dual_certificate(monkeypatch, scenario,
     monkeypatch.setattr(lp, "_run_simplex", stop_early)
     with pytest.raises(ArithmeticError, match="reduced cost|dual bound"):
         lp.solve(problem)
+
+
+def _assert_same_solution(a, b):
+    assert (a.status, a.iterations, a.objective) == (b.status, b.iterations,
+                                                     b.objective)
+    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a.basis.columns, b.basis.columns)
+    assert np.array_equal(a.basis.at_upper, b.basis.at_upper)
+
+
+def test_start_from_own_optimal_basis_takes_no_iterations():
+    rng = np.random.default_rng(404)
+    problems = [build(factory())[0] for factory in BUILTINS.values()
+                for build in (build_proposed, build_deterministic)]
+    problems += [random_lp(rng, max_vars=8, max_cons=8) for _ in range(30)]
+    started = 0
+    for p in problems:
+        cold = lp.solve(p)
+        if not cold.is_optimal:
+            continue
+        assert cold.start == lp.COLD
+        warm = lp.solve(p, start=cold.basis)
+        assert warm.start == lp.WARM and warm.iterations == 0
+        assert warm.objective == pytest.approx(cold.objective, rel=1e-12,
+                                               abs=1e-12)
+        assert np.allclose(warm.values, cold.values, rtol=0, atol=1e-9)
+        started += 1
+    assert started >= 25
+
+
+SWEEP_GRIDS = {"transfer-cost-slope": [0.25, 1.0, 1.5, 2.0],
+               "risk-slope": [0.5, 1.0, 2.5, 5.0],
+               "profit-slope": [0.5, 1.0, 2.5, 5.0],
+               "initial-volume-fraction": [0.1, 0.5, 0.75, 1.0]}
+
+
+@pytest.mark.parametrize("build", [build_proposed, build_deterministic])
+@pytest.mark.parametrize("parameter", sorted(SWEEP_GRIDS))
+def test_chained_sweep_solves_match_cold_solves_and_highs(parameter, build):
+    # Each grid point starts from the previous point's optimal basis, as
+    # `sweep` does. The new right-hand sides of initial-volume-fraction push
+    # basic values out of their bounds, so phase 1 has repairs to make.
+    pytest.importorskip("scipy.optimize")
+    base = BUILTINS["angpuang"]()
+    basis, starts = None, []
+    for value in SWEEP_GRIDS[parameter]:
+        scenario = sweep_scenario(base, parameter, value)
+        problem, vm = build(scenario)
+        cold = lp.solve(problem)
+        warm = lp.solve(problem, start=basis)
+        starts.append(warm.start)
+        assert warm.is_optimal
+        assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
+        assert warm.objective == pytest.approx(highs_objective(problem),
+                                               rel=1e-9)
+        assert plan_violations(extract_plan(warm, vm, scenario), scenario) == []
+        basis = warm.basis
+    assert starts == [lp.COLD] + [lp.WARM] * (len(starts) - 1)
+
+
+def _two_row_problem(second_row):
+    p = lp.LpProblem("two_rows")
+    x = p.add_variable("x", 0.0, 4.0)
+    y = p.add_variable("y", 0.0, 4.0)
+    p.set_objective_coefficient(x, 1.0)
+    p.set_objective_coefficient(y, 2.0)
+    p.add_constraint([(x, 1.0), (y, 1.0)], lp.LESS_EQUAL, 3.0)
+    p.add_constraint(second_row, lp.LESS_EQUAL, 5.0)
+    return p
+
+
+def test_unusable_start_falls_back_to_the_cold_solve():
+    angpuang, _ = build_proposed(BUILTINS["angpuang"]())
+    simple, _ = build_proposed(BUILTINS["simple1"]())
+    foreign = lp.solve(simple).basis
+    n, m = angpuang.num_variables, angpuang.num_constraints
+    slack = np.arange(n, n + m)
+    duplicated = slack.copy()
+    duplicated[1] = duplicated[0]
+    out_of_range = slack.copy()
+    out_of_range[0] = n + m
+    cases = [
+        ("shape", foreign),
+        ("shape", lp.Basis(slack, np.zeros(n + m - 1, dtype=bool))),
+        ("shape", lp.Basis(out_of_range, np.zeros(n + m, dtype=bool))),
+        ("singular", lp.Basis(duplicated, np.zeros(n + m, dtype=bool))),
+    ]
+    cold = lp.solve(angpuang)
+    for reason, start in cases:
+        solution = lp.solve(angpuang, start=start)
+        assert solution.start == reason
+        _assert_same_solution(solution, cold)
+
+    # Columns x and y are dependent on the rows of `parallel`, so the basis
+    # {x, y} of `independent` is singular there.
+    independent = _two_row_problem([(0, 1.0), (1, 3.0)])
+    parallel = _two_row_problem([(0, 2.0), (1, 2.0)])
+    basis = lp.solve(independent).basis
+    assert sorted(basis.columns.tolist()) == [0, 1]
+    solution = lp.solve(parallel, start=basis)
+    assert solution.start == "singular"
+    _assert_same_solution(solution, lp.solve(parallel))
+
+
+@pytest.mark.parametrize("check", ["dual", "primal", "status"])
+def test_warm_result_that_fails_a_check_is_resolved_cold(monkeypatch, check):
+    # The first call of the patched function is the warm solve's; it fails the
+    # dual certificate, the primal check, or ends in a status other than optimal.
+    problem, _ = build_proposed(BUILTINS["angpuang"]())
+    cold = lp.solve(problem)
+    calls = []
+
+    def fail_first(original, failed):
+        def wrapper(*args):
+            calls.append(args)
+            return failed if len(calls) == 1 else original(*args)
+        return wrapper
+
+    if check == "dual":
+        monkeypatch.setattr(lp, "_dual_residuals",
+                            fail_first(lp._dual_residuals, (1.0, 0.0)))
+    elif check == "primal":
+        monkeypatch.setattr(lp, "constraint_violation",
+                            fail_first(lp.constraint_violation, 1.0))
+    else:
+        # The warm phase 1 stops without an optimum.
+        monkeypatch.setattr(lp, "_run_simplex", fail_first(
+            lp._run_simplex, (lp.ITERATION_LIMIT, 0, None)))
+    solution = lp.solve(problem, start=cold.basis)
+    assert solution.start == "check"
+    _assert_same_solution(solution, cold)
 
 
 def test_iteration_limit_is_distinguishable():

@@ -241,3 +241,67 @@ def test_shipped_example_files_load():
     config = load_sweep_config(root / "example_sweep.json")
     assert config.parameter == "transfer-cost-slope"
     assert len(config.grid) == 5
+
+
+def _first_transfer_cost(doc):
+    return next(e for e in doc["functions"] if e["role"] == "transfer-cost")
+
+
+@pytest.mark.parametrize("field,edit", [
+    ("id", lambda doc: doc["reservoirs"][1].update(id=2.5)),
+    ("id", lambda doc: doc["reservoirs"][1].update(id=True)),
+    ("id", lambda doc: doc["reservoirs"][1].update(id="2")),
+    ("from", lambda doc: doc["links"][0].update({"from": 1.9})),
+    ("to", lambda doc: doc["links"][0].update(to=2.0)),
+    ("links", lambda doc: _first_transfer_cost(doc).update(links=[[1.0, 2]])),
+    ("links", lambda doc: _first_transfer_cost(doc).update(links=[[1, "2"]])),
+    ("reservoir", lambda doc: doc["penalty"]["overrides"][0].update(
+        reservoir=1.0)),
+    ("period", lambda doc: doc["penalty"]["overrides"][0].update(period=False)),
+    ("horizon", lambda doc: doc.update(horizon=True)),
+    ("horizon", lambda doc: doc.update(horizon=3.0)),
+], ids=["id_float", "id_bool", "id_string", "from_float", "to_float",
+        "links_float", "links_string", "penalty_reservoir_float",
+        "penalty_period_bool", "horizon_bool", "horizon_float"])
+def test_integer_fields_are_not_truncated_or_coerced(field, edit, tmp_path):
+    # Each of these used to parse (2.5 as 2, true as 1, "2" as 2) and the
+    # scenario then validated.
+    doc = scenario_to_dict(builtin_simple(1))
+    edit(doc)
+    with pytest.raises(ScenarioParseError, match=f"'{field}' must be an integer"):
+        scenario_from_dict(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ScenarioParseError, match=f"{path}: .*'{field}'"):
+        load_scenario(path)
+
+
+def test_index_lists_refuse_bools():
+    doc = scenario_to_dict(builtin_simple(1))
+    doc["functions"][0]["reservoirs"] = [True]
+    with pytest.raises(ScenarioParseError, match="list of integers"):
+        scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("reps", 2.7), ("reps", True), ("reps", "10"),
+    ("seed", 1.5), ("seed", "7"), ("seed", False),
+])
+def test_sweep_reps_and_seed_must_be_integers(field, value, tmp_path):
+    # reps=2.7 and seed=1.5 used to run as reps=2, seed=1.
+    doc = {"scenario": "builtin:simple1", "parameter": "risk-slope",
+           "grid": [1.0], "reps": 10, "seed": 0, field: value}
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ScenarioParseError,
+                       match=f"{path}: sweep config: '{field}' must be an integer"):
+        load_sweep_config(path)
+
+
+def test_sweep_negative_seed_and_default_reps_still_load(tmp_path):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({"scenario": "builtin:simple1",
+                                "parameter": "risk-slope", "grid": [1.0],
+                                "seed": -3}))
+    config = load_sweep_config(path)
+    assert (config.reps, config.seed) == (100, -3)
