@@ -56,6 +56,8 @@ class RunManifest:
     tolerance_overrides: dict = dataclasses.field(default_factory=dict)
     outputs: list[str] = dataclasses.field(default_factory=list)
     duration_s: float | None = None
+    # Derived results written to manifest.json only, never into data files.
+    results: dict = dataclasses.field(default_factory=dict)
 
     def embedded(self) -> dict:
         """Deterministic fields embedded into data files (duration excluded)."""
@@ -73,6 +75,7 @@ class RunManifest:
 
     def write(self, out_dir: Path) -> None:
         record = dict(self.embedded())
+        record.update(self.results)
         record["duration_s"] = self.duration_s
         path = out_dir / "manifest.json"
         path.write_text(json.dumps(record, indent=2) + "\n")
@@ -337,11 +340,40 @@ def cmd_evaluate(args) -> int:
         path = out_dir / "evaluation.csv"
         manifest.outputs = [str(path)]
         _write_report_csv(path, manifest, report)
+    manifest.results = _exact_results(report, plan)
     manifest.duration_s = time.perf_counter() - started
     manifest.write(out_dir)
+    if report.exact is None:
+        exact = "exact=none (physical mode has no closed form)"
+    else:
+        exact = (f"exact_mean_total={report.exact.mean_total!r} "
+                 f"exact_std_total={report.exact.std_total!r}")
     print(f"mean_total={report.mean_total!r} std_total={report.std_total!r} "
-          f"mean_risk={report.mean_risk!r}")
+          f"mean_risk={report.mean_risk!r} {exact}")
     return EXIT_OK
+
+
+def _exact_results(report: simulation.SimulationReport, plan: Plan) -> dict:
+    """The exact moments next to the Monte Carlo ones, for manifest.json.
+
+    `mc_z_score` is the Monte Carlo mean's distance from the exact mean in
+    exact standard errors; it is None when the total has no spread.
+    `objective_minus_exact_mean_total` is what the plan's LP objective
+    promises beyond the exact expected total. All are None in physical mode.
+    """
+    exact = report.exact
+    if exact is None:
+        return {key: None for key in ("exact_mean_total", "exact_std_total",
+                                      "mc_z_score",
+                                      "objective_minus_exact_mean_total")}
+    standard_error = exact.std_total / math.sqrt(report.replications)
+    return {
+        "exact_mean_total": exact.mean_total,
+        "exact_std_total": exact.std_total,
+        "mc_z_score": ((report.mean_total - exact.mean_total) / standard_error
+                       if standard_error > 0 else None),
+        "objective_minus_exact_mean_total": plan.objective - exact.mean_total,
+    }
 
 
 def compare_methods(scenario: Scenario, reps: int, seed: int,

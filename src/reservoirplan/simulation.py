@@ -6,15 +6,26 @@ shortfall risk is charged whenever the realizable release falls below target.
 Each (seed, replication, reservoir, period) draw comes from its own
 counter-based stream: the SplitMix64 chain seed -> rep -> reservoir -> period,
 each prefix hashed once per batch. The draw is the chain's top 53 bits, and
-its inflow is found by counting the integer CDF thresholds it reaches, so the
+its support index is the number of integer CDF thresholds it reaches, so the
 inversion is exact in integers. A point mass needs no draw and hashes nothing.
-`run_monte_carlo` builds those thresholds once per run, then samples, realizes
-and scores replications in blocks of `_BLOCK_REPS` so its working set stays
-cache-sized. A block's arrays are laid out (T, N, R), periods by reservoirs by
-replications, so each (period, reservoir) slice is one contiguous run of
-replications. Every per-replication quantity is elementwise in the
-replication, so results are bitwise identical whatever the block size, order
-or batching.
+
+In literal mode the realizable release at period t absorbs exactly the period
+t-1 inflow deviation, so the risk charged at (n, t) is a function of the one
+draw at (n, t-1). `run_monte_carlo` builds one risk table per (reservoir,
+period) once per run, holding that risk for each support point, and a
+replication's risk is the sum of the tables at its sampled support indices.
+The same tables give the exact mean and standard deviation (`exact_moments`),
+because the draws are independent. Physical mode floors releases and spills
+volumes, which couples the periods, so it keeps the recursion: it samples
+inflows, realizes and scores each block. `realize` and `score` run that
+recursion for one replication and are the reference for both modes.
+
+Replications are processed in blocks of `_BLOCK_REPS` so the working set stays
+cache-sized. A physical-mode block's arrays are laid out (T, N, R), periods by
+reservoirs by replications, so each (period, reservoir) slice is one
+contiguous run of replications. Every per-replication quantity is elementwise
+in the replication, so results are bitwise identical whatever the block size,
+order or batching.
 """
 from __future__ import annotations
 
@@ -32,7 +43,7 @@ _SHIFT_27 = np.uint64(27)
 _SHIFT_31 = np.uint64(31)
 _SHIFT_11 = np.uint64(11)
 
-# Replications sampled, realized and scored together by run_monte_carlo.
+# Replications sampled and scored together by run_monte_carlo.
 _BLOCK_REPS = 8192
 
 # Per reservoir, per period: (support values, CDF thresholds).
@@ -80,30 +91,49 @@ def _inverse_cdf_tables(scenario: Scenario) -> _InverseCdfTables:
     return tables
 
 
+def _sample_indices(thresholds: list[list[np.ndarray]], seed: int,
+                    reps: np.ndarray) -> list[tuple[int, int, np.ndarray]]:
+    """Support indices for the given uint64 replication ids.
+
+    Returns (n, t, picks) for each zero-based (reservoir, period) that has
+    thresholds, reservoirs outer and periods inner; `picks` holds one support
+    index per replication. The draw m at (rep, n, t) is the top 53 bits of
+    splitmix(splitmix(splitmix(splitmix(seed) ^ rep) ^ n) ^ t) with one-based
+    n and t, and its index is the number of the (n, t) thresholds m reaches.
+    A (reservoir, period) without thresholds hashes nothing, and a
+    reservoir's key is hashed only if one of its periods needs a draw; the
+    streams are counter-based, so skipping a draw changes no other.
+    """
+    drawn = []
+    with np.errstate(over="ignore"):
+        seed_key = _splitmix(np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
+        rep_keys = _splitmix(seed_key ^ reps)
+        for n, row in enumerate(thresholds, start=1):
+            if not any(period.size for period in row):
+                continue
+            reservoir_keys = _splitmix(rep_keys ^ np.uint64(n))
+            for t, period in enumerate(row, start=1):
+                if period.size:
+                    m = _splitmix(reservoir_keys ^ np.uint64(t)) >> _SHIFT_11
+                    drawn.append((n - 1, t - 1, _count_reached(period, m)))
+    return drawn
+
+
 def _sample_batch(tables: _InverseCdfTables, seed: int,
                   reps: np.ndarray) -> np.ndarray:
     """Inflows for the given uint64 replication ids: (T, N, len(reps)).
 
-    The draw m at (rep, n, t) is the top 53 bits of
-    splitmix(splitmix(splitmix(splitmix(seed) ^ rep) ^ n) ^ t), and the
-    inflow is the support value whose index is the number of the (n, t)
-    thresholds m reaches. A point mass is its support value and hashes
-    nothing, and a reservoir's key is hashed only if one of its periods needs
-    a draw; the streams are counter-based, so skipping a draw changes no other.
+    The inflow is the support value at the index `_sample_indices` draws; a
+    point mass is its support value.
     """
     out = np.empty((len(tables[0]), len(tables), reps.size))
-    with np.errstate(over="ignore"):
-        seed_key = _splitmix(np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
-        rep_keys = _splitmix(seed_key ^ reps)
-        for n, row in enumerate(tables, start=1):
-            if any(thresholds.size for _, thresholds in row):
-                reservoir_keys = _splitmix(rep_keys ^ np.uint64(n))
-            for t, (values, thresholds) in enumerate(row, start=1):
-                if not thresholds.size:
-                    out[t - 1, n - 1] = values[0]
-                    continue
-                m = _splitmix(reservoir_keys ^ np.uint64(t)) >> _SHIFT_11
-                out[t - 1, n - 1] = values[_count_reached(thresholds, m)]
+    for n, row in enumerate(tables):
+        for t, (values, period) in enumerate(row):
+            if not period.size:
+                out[t, n] = values[0]
+    thresholds = [[period for _, period in row] for row in tables]
+    for n, t, picks in _sample_indices(thresholds, seed, reps):
+        out[t, n] = tables[n][t][0][picks]
     return out
 
 
@@ -128,19 +158,27 @@ class RealizedTrajectory:
     volumes: np.ndarray    # (T+1, N) actual volumes
 
 
+def _planned_starts_and_net_links(plan: Plan, scenario: Scenario
+                                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The planned volume at the start of each period, the initial volumes
+    first, and the net transfer into each reservoir (in - out); both (T, N)."""
+    v0 = scenario.initial_volumes()
+    planned_prev = np.concatenate([v0[None, :], plan.volumes[:-1]], axis=0)
+    net_links = plan.transfers.sum(axis=1) - plan.transfers.sum(axis=2)
+    return planned_prev, net_links
+
+
 def _realize_batch(plan: Plan, inflows: np.ndarray, scenario: Scenario,
                    physical: bool) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized recursion over a batch of inflows (T, N, R); returns the
     releases (T, N, R) and volumes (T+1, N, R)."""
     t_count, n_count, r_count = inflows.shape
-    v0 = scenario.initial_volumes()
-    net_links = plan.transfers.sum(axis=1) - plan.transfers.sum(axis=2)  # (T, N) in - out
+    planned_prev, net_links = _planned_starts_and_net_links(plan, scenario)
     max_volumes = scenario.max_volumes()[:, None]
 
     releases = np.empty((t_count, n_count, r_count))
     volumes = np.empty((t_count + 1, n_count, r_count))
-    volumes[0] = v0[:, None]
-    planned_prev = np.concatenate([v0[None, :], plan.volumes[:-1]], axis=0)
+    volumes[0] = planned_prev[0][:, None]
 
     for t in range(t_count):
         # The volume deviation is applied as one term so a zero deviation
@@ -224,9 +262,122 @@ def score(plan: Plan, trajectory: RealizedTrajectory,
     )
 
 
+# Per reservoir, per period t: (risk charged at t, probabilities), one entry
+# per support point of the period t-1 inflow and a single entry at t = 1.
+_RiskTables = list[list[tuple[np.ndarray, np.ndarray]]]
+
+
+def _risk_tables(plan: Plan, scenario: Scenario) -> _RiskTables:
+    """The literal-mode risk charged at each (reservoir, period), per support
+    point of the previous period's inflow.
+
+    In literal mode the realizable release at t absorbs exactly the period
+    t-1 inflow deviation, so the risk charged at t is a function of that one
+    draw: risk[n, t](c[n, t-1] - inflow[n, t-1]) with c a constant of the
+    plan, and risk[n, 1](0) at t = 1. Each entry is computed by the float
+    operations the recursion in `_realize_batch` performs when the previous
+    period's volume deviation is zero, so the two agree bitwise whenever that
+    deviation is.
+    """
+    planned_prev, net_links = _planned_starts_and_net_links(plan, scenario)
+    tables = []
+    for n in scenario.ids():
+        i = n - 1
+        row = []
+        for t in range(scenario.horizon):
+            if t == 0:
+                volume, probabilities = planned_prev[0, i:i + 1], np.ones(1)
+            else:
+                inflow = scenario.inflow[(n, t)]
+                previous = planned_prev[t - 1, i]
+                # The recursion's release at t-1 for a zero volume deviation.
+                release = plan.releases[t - 1, i] + (previous - previous)
+                volume = (previous - release + inflow.values()
+                          + net_links[t - 1, i])
+                probabilities = inflow.probabilities()
+            realized = plan.releases[t, i] + (volume - planned_prev[t, i])
+            deficit = plan.releases[t, i] - realized
+            risk = scenario.shortfall_risk[(n, t + 1)].evaluate(deficit)
+            row.append((risk, probabilities))
+        tables.append(row)
+    return tables
+
+
+def _gathered_risk(tables: _RiskTables, seed: int, reps: int) -> np.ndarray:
+    """Literal-mode risk cost of replications 0..reps-1 by table gathers.
+
+    Only the inflows that a table reads are drawn: never the last period's,
+    and never a point mass. Each replication's terms are summed from zero in
+    the order of `_risk_batch` (reservoirs outer, periods inner), and a
+    single-entry table is added as a scalar, so the sum is bitwise that of
+    the recursion's risks whenever the tables are.
+    """
+    thresholds = [[_cdf_thresholds(probabilities)
+                   for _, probabilities in row[1:]]
+                  + [np.empty(0, dtype=np.uint64)] for row in tables]
+    risk = np.empty(reps)
+    for start in range(0, reps, _BLOCK_REPS):
+        rep_ids = np.arange(start, min(start + _BLOCK_REPS, reps),
+                            dtype=np.uint64)
+        picks = {(n, t + 1): drawn for n, t, drawn
+                 in _sample_indices(thresholds, seed, rep_ids)}
+        block = np.zeros(rep_ids.size)
+        for n, row in enumerate(tables):
+            for t, (charged, _) in enumerate(row):
+                drawn = picks.get((n, t))
+                block += charged[0] if drawn is None else charged[drawn]
+        risk[start:start + rep_ids.size] = block
+    return risk
+
+
+@dataclasses.dataclass(frozen=True)
+class ExactMoments:
+    """Exact mean and standard deviation of one literal-mode replication."""
+
+    mean_total: float
+    std_total: float
+    mean_risk: float
+    std_risk: float
+
+
+def _exact_moments(tables: _RiskTables, release_profit: float,
+                   transfer_cost: float) -> ExactMoments:
+    """Moments of the sum of independent table draws: the means add, and so
+    do the variances. Each table is shifted by its first entry, so a constant
+    table adds that entry to the mean and exactly zero to the variance."""
+    mean_risk = variance = 0.0
+    for row in tables:
+        for risk, probabilities in row:
+            shifted = risk - risk[0]
+            mean = float(probabilities @ shifted)
+            mean_risk += float(risk[0]) + mean
+            variance += float(probabilities @ (shifted - mean) ** 2)
+    std = float(np.sqrt(variance))
+    return ExactMoments(mean_total=release_profit - transfer_cost - mean_risk,
+                        std_total=std, mean_risk=mean_risk, std_risk=std)
+
+
+def exact_moments(plan: Plan, scenario: Scenario) -> ExactMoments:
+    """Exact mean and std of a replication's total profit and risk cost.
+
+    Literal mode only: physical mode floors releases and spills volumes, so
+    its risk has no closed form, and a physical scenario raises ValueError.
+    """
+    plan.check_dimensions(scenario)
+    if scenario.physical_sim:
+        raise ValueError("physical mode has no closed form")
+    return _exact_moments(_risk_tables(plan, scenario),
+                          _plan_release_profit(plan, scenario),
+                          _plan_transfer_cost(plan, scenario))
+
+
 @dataclasses.dataclass
 class SimulationReport:
-    """Per-replication profit breakdowns plus aggregate statistics."""
+    """Per-replication profit breakdowns plus aggregate statistics.
+
+    `exact` holds the exact moments in literal mode and is None in physical
+    mode.
+    """
 
     seed: int
     release_profit: np.ndarray   # (reps,)
@@ -237,6 +388,7 @@ class SimulationReport:
     std_total: float
     mean_risk: float
     std_risk: float
+    exact: ExactMoments | None = None
 
     @property
     def replications(self) -> int:
@@ -250,12 +402,31 @@ def _sample_std(values: np.ndarray) -> float:
     return float(np.std(values - values[0], ddof=1))
 
 
+def _physical_risk(plan: Plan, scenario: Scenario, seed: int,
+                   reps: int) -> np.ndarray:
+    """Physical-mode risk cost of replications 0..reps-1: sample inflows,
+    realize and score each block."""
+    tables = _inverse_cdf_tables(scenario)
+    risk = np.empty(reps)
+    for start in range(0, reps, _BLOCK_REPS):
+        rep_ids = np.arange(start, min(start + _BLOCK_REPS, reps),
+                            dtype=np.uint64)
+        inflows = _sample_batch(tables, seed, rep_ids)
+        realized_releases, _ = _realize_batch(plan, inflows, scenario,
+                                              physical=True)
+        risk[start:start + rep_ids.size] = _risk_batch(plan, realized_releases,
+                                                       scenario)
+    return risk
+
+
 def run_monte_carlo(plan: Plan, scenario: Scenario, reps: int = 100,
                     seed: int = 0, physical: bool | None = None) -> SimulationReport:
     """Evaluate a plan over `reps` independently sampled inflow sequences.
 
     Bitwise deterministic in (plan, scenario, reps, seed): every draw comes
     from its own (seed, rep, n, t) stream, independent of execution order.
+    Literal mode gathers from the risk tables and also reports their exact
+    moments; physical mode runs the recursion.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
@@ -263,18 +434,18 @@ def run_monte_carlo(plan: Plan, scenario: Scenario, reps: int = 100,
     if physical is None:
         physical = scenario.physical_sim
 
-    tables = _inverse_cdf_tables(scenario)
-    risk = np.empty(reps)
-    for start in range(0, reps, _BLOCK_REPS):
-        rep_ids = np.arange(start, min(start + _BLOCK_REPS, reps),
-                            dtype=np.uint64)
-        inflows = _sample_batch(tables, seed, rep_ids)
-        realized_releases, _ = _realize_batch(plan, inflows, scenario, physical)
-        risk[start:start + rep_ids.size] = _risk_batch(plan, realized_releases,
-                                                       scenario)
+    release_profit = _plan_release_profit(plan, scenario)
+    transfer_cost = _plan_transfer_cost(plan, scenario)
+    if physical:
+        risk = _physical_risk(plan, scenario, seed, reps)
+        exact = None
+    else:
+        tables = _risk_tables(plan, scenario)
+        risk = _gathered_risk(tables, seed, reps)
+        exact = _exact_moments(tables, release_profit, transfer_cost)
 
-    release = np.full(reps, _plan_release_profit(plan, scenario))
-    transfer = np.full(reps, _plan_transfer_cost(plan, scenario))
+    release = np.full(reps, release_profit)
+    transfer = np.full(reps, transfer_cost)
     total = release - transfer - risk
 
     return SimulationReport(
@@ -287,4 +458,5 @@ def run_monte_carlo(plan: Plan, scenario: Scenario, reps: int = 100,
         std_total=_sample_std(total),
         mean_risk=float(risk.mean()),
         std_risk=_sample_std(risk),
+        exact=exact,
     )

@@ -577,6 +577,48 @@ def test_physical_sim_flag(tmp_path):
     assert len(rows(literal)) == len(rows(physical))
 
 
+def test_evaluate_reports_exact_moments(tmp_path, capsys):
+    run_cli("plan", "--scenario", "builtin:simple2", "--out", str(tmp_path))
+    capsys.readouterr()
+    plan_path = tmp_path / "plan.json"
+    runs = {}
+    for mode, flags in (("literal", ()), ("physical", ("--physical-sim",))):
+        out = tmp_path / mode
+        assert run_cli("evaluate", "--scenario", "builtin:simple2",
+                       "--plan", str(plan_path), "--reps", "400", "--seed", "8",
+                       *flags, "--out", str(out)) == 0
+        runs[mode] = (capsys.readouterr().out,
+                      json.loads((out / "manifest.json").read_text()),
+                      (out / "evaluation.csv").read_text())
+
+    stdout, manifest, csv = runs["literal"]
+    plan = cli.load_plan_json(plan_path)
+    scenario = resolve_scenario("builtin:simple2")
+    exact = simulation.exact_moments(plan, scenario)
+    report = simulation.run_monte_carlo(plan, scenario, reps=400, seed=8)
+    assert stdout.split() == [
+        f"mean_total={report.mean_total!r}", f"std_total={report.std_total!r}",
+        f"mean_risk={report.mean_risk!r}",
+        f"exact_mean_total={exact.mean_total!r}",
+        f"exact_std_total={exact.std_total!r}"]
+    assert manifest["exact_mean_total"] == exact.mean_total
+    assert manifest["exact_std_total"] == exact.std_total
+    assert manifest["mc_z_score"] == pytest.approx(
+        (report.mean_total - exact.mean_total)
+        / (exact.std_total / np.sqrt(400)), rel=1e-12)
+    assert abs(manifest["mc_z_score"]) < 4
+    assert manifest["objective_minus_exact_mean_total"] == \
+        plan.objective - exact.mean_total
+
+    stdout, manifest, csv = runs["physical"]
+    assert "no closed form" in stdout
+    assert manifest["exact_mean_total"] is None
+    assert manifest["mc_z_score"] is None
+    # The results go to manifest.json only, never into the data files.
+    for _, _, csv in runs.values():
+        assert "exact_mean_total" not in csv and "mc_z_score" not in csv
+
+
 def test_big_f_override_recorded_in_manifest(tmp_path):
     assert run_cli("plan", "--scenario", "builtin:simple1",
                    "--big-f", "5000", "--out", str(tmp_path)) == 0

@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import expected_realized_risk, random_scenario
+from conftest import (expected_realized_risk, random_distribution,
+                      random_scenario)
 from reservoirplan import lp, simulation
 from reservoirplan.formulation import build_proposed, extract_plan
 from reservoirplan.model import DiscreteDistribution
 from reservoirplan.scenarios import (builtin_angpuang, builtin_simple,
                                     resolve_scenario)
-from reservoirplan.simulation import (realize, run_monte_carlo, sample_inflows,
-                                      score)
+from reservoirplan.simulation import (exact_moments, realize, run_monte_carlo,
+                                      sample_inflows, score)
 
 
 def solve_plan(scenario):
@@ -369,11 +370,137 @@ def test_exact_expected_total_is_lp_objective_plus_terminal_risk(name):
     # terminal term separates its exact mean from the LP objective.
     scenario = resolve_scenario(f"builtin:{name}")
     plan = solve_plan(scenario)
-    exact = (simulation._plan_release_profit(plan, scenario)
-             - simulation._plan_transfer_cost(plan, scenario)
-             - expected_realized_risk(plan, scenario))
-    assert exact == pytest.approx(
+    exact = exact_moments(plan, scenario)
+    assert exact.mean_total == pytest.approx(
         plan.objective + _terminal_expected_risk(plan, scenario), rel=1e-12)
     reps = 20_000
     report = run_monte_carlo(plan, scenario, reps=reps, seed=2024)
-    assert abs(report.mean_total - exact) <= 4 * report.std_total / np.sqrt(reps)
+    assert report.exact == exact
+    assert abs(report.mean_total - exact.mean_total) <= \
+        4 * report.std_total / np.sqrt(reps)
+
+
+def _perturbed_volumes(plan, rng):
+    """The plan with its volumes moved off its own recursion."""
+    return dataclasses.replace(
+        plan, volumes=plan.volumes + rng.uniform(-2.0, 2.0, plan.volumes.shape))
+
+
+def _table_cases():
+    """(scenario, plan) pairs: solved random plans, point masses and plans
+    whose volumes do not follow their recursion."""
+    rng = np.random.default_rng(4141)
+    cases = []
+    for _ in range(8):
+        scenario = random_scenario(rng)
+        plan = solve_plan(scenario)
+        cases += [(scenario, plan), (scenario, _perturbed_volumes(plan, rng))]
+    for _ in range(3):
+        scenario = random_scenario(rng, point_mass=True)
+        cases.append((scenario, solve_plan(scenario)))
+    return cases
+
+
+def _assert_tables_match_recursion(scenario, plan, seed=5, reps=40):
+    """Each replication's gathered risk against score(realize(...))."""
+    report = run_monte_carlo(plan, scenario, reps=reps, seed=seed)
+    for rep in range(reps):
+        inflows = sample_inflows(scenario, seed=seed, rep=rep)
+        expected = score(plan, realize(plan, inflows, scenario),
+                         scenario).risk_cost
+        assert report.risk_cost[rep] == pytest.approx(expected, rel=1e-12,
+                                                      abs=1e-12)
+
+
+def test_risk_tables_match_the_recursion_per_replication():
+    for scenario, plan in _table_cases():
+        _assert_tables_match_recursion(scenario, plan)
+
+
+def _small_case(rng):
+    """A random scenario with N*T <= 4 and supports of at most 3 points, and
+    its plan with perturbed volumes."""
+    scenario = random_scenario(rng, max_reservoirs=2, max_horizon=2)
+    scenario = dataclasses.replace(scenario, inflow={
+        key: random_distribution(rng, max_points=3) for key in scenario.inflow})
+    return scenario, _perturbed_volumes(solve_plan(scenario), rng)
+
+
+def _assert_exact_moments_match_enumeration(scenario, plan):
+    """exact_moments against every inflow sequence of the support product,
+    each realized and scored on its own."""
+    keys = [(n, t) for n in scenario.ids() for t in scenario.periods()]
+    probabilities, totals, risks = [], [], []
+    for support in itertools.product(*(scenario.inflow[key].support
+                                       for key in keys)):
+        inflows = np.empty((scenario.horizon, scenario.num_reservoirs))
+        probability = 1.0
+        for (n, t), (value, p) in zip(keys, support):
+            inflows[t - 1, n - 1] = value
+            probability *= p
+        breakdown = score(plan, realize(plan, inflows, scenario), scenario)
+        probabilities.append(probability)
+        totals.append(breakdown.total)
+        risks.append(breakdown.risk_cost)
+    probabilities = np.array(probabilities)
+    exact = exact_moments(plan, scenario)
+    for values, mean, std in ((np.array(totals), exact.mean_total,
+                               exact.std_total),
+                              (np.array(risks), exact.mean_risk,
+                               exact.std_risk)):
+        expected_mean = probabilities @ values
+        expected_std = np.sqrt(probabilities @ (values - expected_mean) ** 2)
+        scale = 1.0 + np.abs(values).max()
+        assert mean == pytest.approx(expected_mean, rel=1e-12, abs=1e-12 * scale)
+        assert std == pytest.approx(expected_std, rel=1e-9, abs=1e-12 * scale)
+
+
+def test_exact_moments_match_enumeration_over_the_supports():
+    rng = np.random.default_rng(77)
+    for _ in range(12):
+        _assert_exact_moments_match_enumeration(*_small_case(rng))
+
+
+def test_exact_moments_of_a_point_mass_have_zero_std():
+    scenario = point_mass_scenario()
+    plan = solve_plan(scenario)
+    exact = exact_moments(plan, scenario)
+    report = run_monte_carlo(plan, scenario, reps=20, seed=1)
+    assert exact.std_total == exact.std_risk == 0.0
+    assert exact.mean_risk == report.risk_cost[0]
+    assert exact.mean_total == pytest.approx(report.mean_total, rel=1e-15)
+
+
+def test_exact_moments_refuse_physical_mode():
+    scenario = dataclasses.replace(builtin_simple(1), physical_sim=True)
+    plan = solve_plan(scenario)
+    with pytest.raises(ValueError, match="no closed form"):
+        exact_moments(plan, scenario)
+    assert run_monte_carlo(plan, scenario, reps=3).exact is None
+
+
+def _charge_own_period(monkeypatch):
+    """Build the risk tables with each period's own risk function, r[n, t],
+    in place of the next period's, r[n, t+1]."""
+    build = simulation._risk_tables
+
+    def mutant(plan, scenario):
+        shifted = {(n, t): scenario.shortfall_risk[(n, max(t - 1, 1))]
+                   for n, t in scenario.shortfall_risk}
+        return build(plan, dataclasses.replace(scenario,
+                                               shortfall_risk=shifted))
+
+    monkeypatch.setattr(simulation, "_risk_tables", mutant)
+
+
+def test_tables_charging_the_wrong_period_are_caught(monkeypatch):
+    rng = np.random.default_rng(77)
+    small = [_small_case(rng) for _ in range(4)]
+    tables = _table_cases()[:4]
+    _charge_own_period(monkeypatch)
+    with pytest.raises(AssertionError):
+        for scenario, plan in tables:
+            _assert_tables_match_recursion(scenario, plan)
+    with pytest.raises(AssertionError):
+        for scenario, plan in small:
+            _assert_exact_moments_match_enumeration(scenario, plan)
