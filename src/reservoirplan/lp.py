@@ -3,7 +3,11 @@
 The solver is a two-phase primal simplex on the bounded-variable standard form
 with a dense tableau [A | I]: every row gets a slack whose bounds carry the
 relation, and the all-slack basis starts the search, or a start basis pivoted
-into it (a warm start). Phase 1 minimizes the total bound violation of that
+into it (a warm start). The planning bases are nearly triangular, so a start
+is installed by peeling singletons off its structural block, as in Suhl and
+Suhl's LU factors of simplex bases: each level of column or row singletons is
+pivoted in vectorized updates, and only the remaining bump goes through the
+pivot loop. Phase 1 minimizes the total bound violation of that
 basis (a basic variable may start outside its bounds); phase 2 maximizes the
 objective from the feasible basis it leaves. Both phases run the same loop;
 there are no artificial variables. Nonbasic variables rest at a finite bound
@@ -44,6 +48,10 @@ BLAND_TRIGGER = 1000
 # Iterations between from-scratch recomputes of the reduced costs and basic
 # values; see CHANGES.md for how it was measured.
 REFRESH_EVERY = 50
+# Most pivots of a level of the warm-start install applied in one update.
+# Each update copies that many tableau rows, so this bounds its temporary
+# memory: a whole first level of an angpuang proposed LP copies 1.1 MB.
+LEVEL_CHUNK = 32
 
 
 @dataclasses.dataclass(frozen=True)
@@ -228,27 +236,66 @@ class _Tableau:
         self.can_rise = np.zeros(n + m, dtype=bool)
         self.can_fall = np.zeros(n + m, dtype=bool)
         if start is not None:
-            self._install(start.columns)
+            self._install(start.columns, matrix)
             at_upper = start.at_upper & np.isfinite(self.upper)
             self.x[at_upper] = self.upper[at_upper]
         self.classify(np.arange(n + m))
         self.refresh_basic_values()
 
-    def _install(self, columns: np.ndarray) -> None:
+    def _install(self, columns: np.ndarray, matrix: tuple[np.ndarray, ...]) -> None:
         """Turn the all-slack tableau into B^-1 [A | I] for the basis B whose
-        basic column of each row is given, in place: each structural column
-        of `columns` is pivoted into the row, among those of the slacks that
-        `columns` leaves out, where its entry is largest. That is Gauss-Jordan
-        elimination with partial pivoting on the block of B that is not a
-        unit vector; a basic slack stays in its own row. Raises LinAlgError
-        if a column repeats, no entry is left above PIVOT_TOL to pivot on, or
-        the result is not finite."""
+        basic column of each row is given, in place. A basic slack stays in
+        its own row; the structural columns S of `columns` go to the open rows
+        Q, those whose slacks `columns` leaves out. The triangular part of the
+        block A[Q, S] goes first, in levels found from the nonzeros of
+        `matrix`: the columns with one nonzero left in the remaining open
+        rows, or if there are none, the rows with one nonzero left in the
+        remaining columns, each pivoting on that nonzero. Such a pivot leaves
+        the rest of the block as it was, so the block's entries are those of
+        `matrix`, and the pivots of a level commute and run as one update
+        (`_pivot_level`) per LEVEL_CHUNK of them. Each remaining column, the bump, is then pivoted in
+        turn into the open row where its entry is largest: Gauss-Jordan
+        elimination with partial pivoting. Raises LinAlgError if a column
+        repeats, two singletons of a level share their row or column, no
+        entry is left above PIVOT_TOL to pivot on, or the result is not
+        finite."""
         n, m = self.n_structural, self.m
         if np.bincount(columns).max(initial=0) > 1:
             raise np.linalg.LinAlgError("a basic column repeats")
         open_rows = np.ones(m, dtype=bool)
         open_rows[columns[columns >= n] - n] = False
-        for col in columns[columns < n].tolist():
+        structural = columns[columns < n]
+        pending = np.zeros(n, dtype=bool)
+        pending[structural] = True
+        # The nonzeros of A[Q, S], repeated triplets summed by the tableau.
+        rows, cols = matrix[0], matrix[1]
+        keep = open_rows[rows] & pending[cols]
+        rows, cols = rows[keep], cols[keep]
+        nonzero = self.tab[rows, cols] != 0.0
+        keys = np.sort(rows[nonzero] * n + cols[nonzero])
+        # Sorted and deduplicated by hand: np.unique of integers imports
+        # numpy.ma, over 1 MB of resident memory.
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        rows, cols = keys // n, keys % n
+        while True:
+            keep = open_rows[rows] & pending[cols]
+            rows, cols = rows[keep], cols[keep]
+            single = np.bincount(cols, minlength=n)[cols] == 1
+            if not single.any():
+                single = np.bincount(rows, minlength=m)[rows] == 1
+                if not single.any():
+                    break
+            level_rows, level_cols = rows[single], cols[single]
+            if (np.bincount(level_rows).max() > 1
+                    or np.bincount(level_cols).max() > 1):
+                # Two singletons share their row (or column).
+                raise np.linalg.LinAlgError("the start basis is singular")
+            for chunk in range(0, level_rows.size, LEVEL_CHUNK):
+                self._pivot_level(level_rows[chunk:chunk + LEVEL_CHUNK],
+                                  level_cols[chunk:chunk + LEVEL_CHUNK])
+            open_rows[level_rows] = False
+            pending[level_cols] = False
+        for col in structural[pending[structural]].tolist():
             entries = np.where(open_rows, np.abs(self.tab[:, col]), 0.0)
             row = int(np.argmax(entries))
             if not entries[row] > PIVOT_TOL:
@@ -257,6 +304,50 @@ class _Tableau:
             open_rows[row] = False
         if not np.isfinite(self.tab_b.sum() + self.tab.sum()):
             raise np.linalg.LinAlgError("the start basis is singular")
+
+    def _pivot_level(self, rows: np.ndarray, cols: np.ndarray) -> None:
+        """Pivot each cols[k] into rows[k] at once, where column cols[k] is zero
+        in every other of `rows`, so the pivots commute. Each update touches
+        only the nonzeros of a pivot row and of its entering column, with the
+        products and in the order that pivoting cols[0], cols[1], ... one at
+        a time would make them, so the result is the same to the bit. Leaves
+        the reduced costs alone; the tableau is installed before any pricing."""
+        tab, tab_b = self.tab, self.tab_b
+        pivots = tab[rows, cols]
+        if not np.all(np.abs(pivots) > PIVOT_TOL):
+            raise np.linalg.LinAlgError("the start basis is singular")
+        pivot_rows = tab[rows]
+        pivot_rows /= pivots[:, None]
+        tab[rows] = pivot_rows
+        tab_b[rows] /= pivots
+        # The nonzeros (k, c) of the pivot rows, and the multipliers (i, k):
+        # the nonzeros of the entering columns outside the pivot rows. Both
+        # come in row-major order, so the updates of an entry run in order
+        # of k. Each is found within the columns (rows) that have any.
+        hit_cols = np.flatnonzero(pivot_rows.any(axis=0))
+        pivot_k, at = np.nonzero(pivot_rows[:, hit_cols])
+        pivot_col = hit_cols[at]
+        factors = tab[:, cols]
+        factors[rows, np.arange(rows.size)] = 0.0
+        hit_rows = np.flatnonzero(factors.any(axis=1))
+        at, k = np.nonzero(factors[hit_rows])
+        target = hit_rows[at]
+        factor = factors[target, k]
+        # Pair each multiplier (i, k) with every nonzero (k, c) of its row.
+        per_row = np.bincount(pivot_k, minlength=rows.size)
+        repeats = per_row[k]
+        pairs = np.arange(repeats.sum()) + np.repeat(
+            np.cumsum(per_row)[k] - np.cumsum(repeats), repeats)
+        np.subtract.at(tab, (np.repeat(target, repeats), pivot_col[pairs]),
+                       np.repeat(factor, repeats)
+                       * pivot_rows[pivot_k[pairs], pivot_col[pairs]])
+        np.subtract.at(tab_b, target, factor * tab_b[rows[k]])
+        # Snap the entering columns to unit vectors, as `pivot` does.
+        tab[target, cols[k]] = 0.0
+        tab[rows, cols] = 1.0
+        self.is_basic[self.basis[rows]] = False
+        self.is_basic[cols] = True
+        self.basis[rows] = cols
 
     def refresh_basic_values(self) -> None:
         active = np.flatnonzero(~self.is_basic & (self.x != 0.0))

@@ -38,10 +38,15 @@ class LinkSpec:
 
 @dataclasses.dataclass(frozen=True)
 class DiscreteDistribution:
-    """Finite inflow distribution; support sorted ascending with positive mass."""
+    """Finite inflow distribution; support sorted ascending with positive mass.
+
+    Immutable, so `violations` checks the support once, on first use."""
 
     support: tuple[tuple[float, float], ...]
     provenance: str = "unspecified"
+    # What `violations` found, once it has looked.
+    _problems: tuple[str, ...] | None = dataclasses.field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         pts = tuple((float(v), float(p)) for v, p in self.support)
@@ -63,6 +68,11 @@ class DiscreteDistribution:
         return float(vals.min()), float(vals.max())
 
     def violations(self) -> list[str]:
+        if self._problems is None:
+            object.__setattr__(self, "_problems", tuple(self._check()))
+        return list(self._problems)
+
+    def _check(self) -> list[str]:
         problems = []
         vals, probs = self.values(), self.probabilities()
         if not np.all(np.isfinite(vals)):

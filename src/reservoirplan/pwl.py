@@ -4,6 +4,11 @@ A function is stored as a sorted breakpoint list plus linear extension slopes
 beyond the first and last breakpoint, so it is defined on the whole real line.
 Convex (resp. concave) functions are exactly representable as the max (resp.
 min) of their supporting lines ("cuts"), which is what the LP compiler needs.
+
+Functions are immutable, so what follows from the breakpoints is worked out
+once: construction stores the slope sequence and its shape report for every
+flag, and the pieces and cuts are derived on first use. Shape checks, cut
+extraction and scenario validation read these instead of recomputing them.
 """
 from __future__ import annotations
 
@@ -66,8 +71,10 @@ class PwlFunction:
     """Piecewise-linear function with linear extensions and declared shape flags.
 
     Immutable after construction; safe to share across concurrent readers.
-    The breakpoint coordinates are also kept as read-only arrays, built once
-    from `breakpoints` and left out of comparison, hashing and repr.
+    The breakpoint coordinates, the slope sequence and its shape report for
+    every flag are also kept, read-only: built once from the fields and left
+    out of comparison, hashing and repr. The pieces and cuts are derived on
+    first use and kept the same way.
     """
 
     breakpoints: tuple[tuple[float, float], ...]
@@ -77,6 +84,11 @@ class PwlFunction:
     provenance: str = "unspecified"
     _xs: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
     _ys: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
+    _slopes: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
+    _shape: ShapeReport = dataclasses.field(init=False, repr=False, compare=False)
+    # The pieces' starts and cuts, once `_starts_and_cuts` has derived them.
+    _derived: tuple | None = dataclasses.field(default=None, init=False,
+                                               repr=False, compare=False)
 
     def __post_init__(self) -> None:
         pts = tuple((float(x), float(y)) for x, y in self.breakpoints)
@@ -93,10 +105,13 @@ class PwlFunction:
         object.__setattr__(self, "left_slope", float(self.left_slope))
         object.__setattr__(self, "right_slope", float(self.right_slope))
         object.__setattr__(self, "shape", tuple(self.shape))
-        for name, column in (("_xs", 0), ("_ys", 1)):
-            values = np.array([p[column] for p in pts])
+        xs, ys = (np.array([p[column] for p in pts]) for column in (0, 1))
+        interior = np.diff(ys) / np.diff(xs) if len(pts) > 1 else np.empty(0)
+        slopes = np.concatenate(([self.left_slope], interior, [self.right_slope]))
+        for name, values in (("_xs", xs), ("_ys", ys), ("_slopes", slopes)):
             values.flags.writeable = False
             object.__setattr__(self, name, values)
+        object.__setattr__(self, "_shape", _check_slopes(slopes, VALID_FLAGS))
         if self.shape:
             report = self.verify_shape(self.shape)
             if not report.ok:
@@ -104,7 +119,7 @@ class PwlFunction:
 
     def __reduce__(self):
         # Pickle and copy rebuild through the constructor, which validates the
-        # fields and makes the cached arrays read-only again.
+        # fields and recomputes the stored arrays and report, read-only.
         return (type(self), tuple(getattr(self, field.name)
                                   for field in dataclasses.fields(self)
                                   if field.init))
@@ -112,14 +127,22 @@ class PwlFunction:
     # -- geometry ----------------------------------------------------------
 
     def slopes(self) -> np.ndarray:
-        """Slope sequence: left extension, interior segments, right extension."""
-        xs, ys = self._xs, self._ys
-        interior = np.diff(ys) / np.diff(xs) if len(xs) > 1 else np.empty(0)
-        return np.concatenate(([self.left_slope], interior, [self.right_slope]))
+        """Slope sequence: left extension, interior segments, right extension.
+        The stored, read-only array."""
+        return self._slopes
 
     def evaluate(self, x):
         """Exact piecewise-linear value at `x` (scalar or array), total on reals."""
         xs, ys = self._xs, self._ys
+        if np.ndim(x) == 0:
+            # One branch instead of the masks below, with the same np.interp
+            # and extension arithmetic, so the value is bitwise the same.
+            value = float(x)
+            if value < xs[0]:
+                return float(ys[0] + self.left_slope * (value - xs[0]))
+            if value > xs[-1]:
+                return float(ys[-1] + self.right_slope * (value - xs[-1]))
+            return float(np.interp(value, xs, ys))
         arr = np.asarray(x, dtype=float)
         out = np.interp(arr, xs, ys)
         below = arr < xs[0]
@@ -128,29 +151,37 @@ class PwlFunction:
             out = np.where(below, ys[0] + self.left_slope * (arr - xs[0]), out)
         if np.any(above):
             out = np.where(above, ys[-1] + self.right_slope * (arr - xs[-1]), out)
-        if np.isscalar(x) or np.ndim(x) == 0:
-            return float(out)
         return out
 
     def verify_shape(self, required: Sequence[str]) -> ShapeReport:
-        """Accept iff the slope sequence satisfies every required flag."""
-        return _check_slopes(self.slopes(), required)
+        """Accept iff the slope sequence satisfies every required flag: the
+        stored report of all flags, restricted to `required` in its order."""
+        first = dict(self._shape.violations)
+        for flag in required:
+            if flag not in VALID_FLAGS:
+                raise ValueError(f"unknown shape flag {flag!r}")
+        violations = tuple((flag, first[flag]) for flag in required if flag in first)
+        return ShapeReport(ok=not violations, violations=violations)
 
-    def _pieces(self) -> list[tuple[float, float, float]]:
-        """(start, slope, intercept) per distinct slope, left to right."""
-        convex = self.verify_shape([CONVEX]).ok
-        concave = self.verify_shape([CONCAVE]).ok
-        if not (convex or concave):
-            raise ValueError("cuts require a convex or concave function")
-        # Anchor point for each piece: the breakpoint where the piece starts
-        # (extensions anchor at the first/last breakpoint).
-        anchors = [self.breakpoints[0]] + list(self.breakpoints)
-        result: list[tuple[float, float, float]] = []
-        for slope, (ax, ay) in zip(self.slopes(), anchors):
-            if result and abs(slope - result[-1][1]) <= SLOPE_TOL:
-                continue
-            result.append((ax, float(slope), float(ay - slope * ax)))
-        return result
+    def _starts_and_cuts(self) -> tuple[tuple[float, ...],
+                                        tuple[tuple[float, float], ...]]:
+        """Where each piece of distinct slope starts, left to right, and its
+        cut (slope, intercept); derived on first use and kept."""
+        if self._derived is None:
+            if not (self.verify_shape([CONVEX]).ok or self.verify_shape([CONCAVE]).ok):
+                raise ValueError("cuts require a convex or concave function")
+            # Anchor point for each piece: the breakpoint where the piece
+            # starts (extensions anchor at the first/last breakpoint).
+            anchors = [self.breakpoints[0]] + list(self.breakpoints)
+            starts: list[float] = []
+            cuts: list[tuple[float, float]] = []
+            for slope, (ax, ay) in zip(self._slopes, anchors):
+                if cuts and abs(slope - cuts[-1][0]) <= SLOPE_TOL:
+                    continue
+                starts.append(ax)
+                cuts.append((float(slope), float(ay - slope * ax)))
+            object.__setattr__(self, "_derived", (tuple(starts), tuple(cuts)))
+        return self._derived
 
     def cuts(self) -> tuple[tuple[float, float], ...]:
         """Supporting lines as (slope, intercept) pairs, one per distinct slope.
@@ -158,7 +189,7 @@ class PwlFunction:
         For convex f, f(x) = max over cuts of slope*x + intercept; for concave
         f the max becomes a min. Rejects functions that are neither.
         """
-        return tuple((slope, intercept) for _, slope, intercept in self._pieces())
+        return self._starts_and_cuts()[1]
 
     def expected_cuts(self, support) -> tuple[tuple[float, float], ...]:
         """Cuts of x -> sum_k p_k * f(x - xi_k) over (xi_k, p_k) in `support`.
@@ -167,24 +198,24 @@ class PwlFunction:
         probability-weighted sum of the cuts of f active there. Every such sum
         bounds the expectation, so nearly coincident kinks cannot spoil it.
         """
-        pieces = self._pieces()
+        starts, cuts = self._starts_and_cuts()
         kinks = sorted((start + xi, k) for k, (xi, _) in enumerate(support)
-                       for start, _, _ in pieces[1:])
+                       for start in starts[1:])
         active = [0] * len(support)
         result: list[tuple[float, float]] = []
         for group in [()] + [list(g) for _, g in
                              itertools.groupby(kinks, key=lambda e: e[0])]:
             for _, k in group:
                 active[k] += 1
-            slope = sum(p * pieces[j][1] for j, (_, p) in zip(active, support))
-            intercept = sum(p * (pieces[j][2] - pieces[j][1] * xi)
+            slope = sum(p * cuts[j][0] for j, (_, p) in zip(active, support))
+            intercept = sum(p * (cuts[j][1] - cuts[j][0] * xi)
                             for j, (xi, p) in zip(active, support))
             if not result or abs(slope - result[-1][0]) > SLOPE_TOL:
                 result.append((float(slope), float(intercept)))
         return tuple(result)
 
     def max_cut_slope(self) -> float:
-        return float(np.max(np.abs(self.slopes())))
+        return float(np.max(np.abs(self._slopes)))
 
     def scale(self, factor: float) -> "PwlFunction":
         """Scale function values by a positive factor; shape flags are preserved."""

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
@@ -60,6 +61,28 @@ def _integer(value, where: str, field: str) -> int:
         raise ScenarioParseError(
             f"{where}: {field!r} must be an integer, got {value!r}")
     return value
+
+
+def _grid(raw, where: str) -> tuple[float, ...]:
+    """A sweep grid: a JSON array of finite numbers. Strings, bools and other
+    iterables are refused rather than coerced, and a bad value is named by
+    its index."""
+    if not isinstance(raw, list):
+        raise ScenarioParseError(
+            f"{where}: 'grid' must be an array of numbers, got {raw!r}")
+    grid = []
+    for i, value in enumerate(raw):
+        number = math.nan
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            try:
+                number = float(value)
+            except OverflowError:
+                pass
+        if not math.isfinite(number):
+            raise ScenarioParseError(
+                f"{where}: grid[{i}] must be a finite number, got {value!r}")
+        grid.append(number)
+    return tuple(grid)
 
 
 def _expand_ids(raw, all_ids: list[int], where: str) -> list[int]:
@@ -472,7 +495,7 @@ def load_sweep_config(path: str | Path) -> SweepConfig:
         config = SweepConfig(
             scenario=str(_need(doc, "scenario", "sweep config")),
             parameter=str(_need(doc, "parameter", "sweep config")),
-            grid=tuple(float(v) for v in _need(doc, "grid", "sweep config")),
+            grid=_grid(_need(doc, "grid", "sweep config"), "sweep config"),
             reps=_integer(doc.get("reps", 100), "sweep config", "reps"),
             seed=_integer(doc.get("seed", 0), "sweep config", "seed"),
         )

@@ -1,5 +1,6 @@
 import copy
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -524,6 +525,181 @@ def test_chained_sweep_solves_match_cold_solves_and_highs(parameter, build):
         assert plan_violations(extract_plan(warm, vm, scenario), scenario) == []
         basis = warm.basis
     assert starts == [lp.COLD] + [lp.WARM] * (len(starts) - 1)
+
+
+def _gauss_jordan_install(problem, columns):
+    """Reference install: from [A | I], one dense pivot per structural column
+    of `columns`, in their order, into the open row where its entry is
+    largest. Returns (tab, tab_b, basis)."""
+    n, m = problem.num_variables, problem.num_constraints
+    rows, cols, values, row_lower, row_upper = problem.matrix()
+    tab = np.zeros((m, n + m))
+    np.add.at(tab, (rows, cols), values)
+    tab[np.arange(m), n + np.arange(m)] = 1.0
+    tab_b = lp._rhs(row_lower, row_upper)
+    basis = np.arange(n, n + m)
+    open_rows = np.ones(m, dtype=bool)
+    open_rows[columns[columns >= n] - n] = False
+    for col in columns[columns < n].tolist():
+        row = int(np.argmax(np.where(open_rows, np.abs(tab[:, col]), 0.0)))
+        tab, tab_b = _dense_pivot(tab, tab_b, row, col)
+        basis[row] = col
+        open_rows[row] = False
+    return tab, tab_b, basis
+
+
+def _count_install_pivots(monkeypatch):
+    """A list that gets, for each `_install`, the number of `pivot` calls it
+    made."""
+    pivot, install = lp._Tableau.pivot, lp._Tableau._install
+    counts, installing = [], []
+
+    def counting_pivot(state, row, col):
+        if installing:
+            counts[-1] += 1
+        pivot(state, row, col)
+
+    def counting_install(state, columns, matrix):
+        counts.append(0)
+        installing.append(True)
+        try:
+            install(state, columns, matrix)
+        finally:
+            installing.pop()
+
+    monkeypatch.setattr(lp._Tableau, "pivot", counting_pivot)
+    monkeypatch.setattr(lp._Tableau, "_install", counting_install)
+    return counts
+
+
+def _example_sweep_chains():
+    """(problem, start) for every warm build of the example sweep: each
+    method's LP at a grid point with the previous point's optimal basis."""
+    base = BUILTINS["angpuang"]()
+    cases = []
+    for build in (build_proposed, build_deterministic):
+        basis = None
+        for value in (0.25, 0.5, 1.0, 1.5, 2.0):
+            problem, _ = build(sweep_scenario(base, "transfer-cost-slope", value))
+            if basis is not None:
+                cases.append((problem, basis))
+            basis = lp.solve(problem, start=basis).basis
+    return cases
+
+
+def test_batched_install_matches_one_pivot_per_column_reference(monkeypatch):
+    rng = np.random.default_rng(1990)
+    cases = []
+    for _ in range(40):
+        problem = random_lp(rng, max_vars=10, max_cons=10)
+        solution = lp.solve(problem)
+        if solution.is_optimal:
+            cases.append((problem, solution.basis))
+    for _ in range(12):
+        problem, _ = build_proposed(random_scenario(rng))
+        cases.append((problem, lp.solve(problem).basis))
+    cases += _example_sweep_chains()
+    pivots = _count_install_pivots(monkeypatch)
+    for problem, start in cases:
+        state = lp._Tableau(problem, problem.matrix(), start)
+        tab, tab_b, basis = _gauss_jordan_install(problem, start.columns)
+        # Rows are matched by their basic variable, since the two may place
+        # a structural column in different rows.
+        assert np.array_equal(np.sort(state.basis), np.sort(basis))
+        mine, theirs = np.argsort(state.basis), np.argsort(basis)
+        assert np.allclose(state.tab[mine], tab[theirs], rtol=0, atol=1e-12)
+        assert np.allclose(state.tab_b[mine], tab_b[theirs], rtol=0, atol=1e-12)
+        assert np.array_equal(state.is_basic[:state.n_structural],
+                              np.isin(np.arange(state.n_structural), basis))
+    assert len(cases) >= 50
+    # Some starts leave a bump for the pivot loop, and some leave none.
+    assert len(pivots) == len(cases) and max(pivots) > 0 and min(pivots) == 0
+
+
+def test_level_update_is_bitwise_its_pivots_one_at_a_time(monkeypatch):
+    cases = _example_sweep_chains()
+    batched = [lp._Tableau(problem, problem.matrix(), start)
+               for problem, start in cases]
+
+    def one_at_a_time(state, rows, cols):
+        for row, col in zip(rows.tolist(), cols.tolist()):
+            state.pivot(row, col)
+
+    monkeypatch.setattr(lp._Tableau, "_pivot_level", one_at_a_time)
+    for (problem, start), state in zip(cases, batched):
+        single = lp._Tableau(problem, problem.matrix(), start)
+        assert np.array_equal(state.basis, single.basis)
+        assert state.tab.tobytes() == single.tab.tobytes()
+        assert state.tab_b.tobytes() == single.tab_b.tobytes()
+
+
+def test_example_sweep_installs_with_few_pivot_calls(tmp_path, monkeypatch):
+    # One pivot per structural basic column would be 215 to 279 calls per
+    # warm build; the triangular levels leave only the bump to the loop.
+    pivots = _count_install_pivots(monkeypatch)
+    config = Path(__file__).resolve().parent.parent / "scenarios" / \
+        "example_sweep.json"
+    assert cli.main(["sweep", "--config", str(config), "--out",
+                     str(tmp_path)]) == 0
+    assert len(pivots) == 8
+    assert all(count <= 100 for count in pivots)
+
+
+def _singular_starts():
+    """(problem, columns) of starts whose basis is singular, each refused by
+    a different check of the batched install."""
+    cases = []
+    # x and y have their only nonzero in the same row: two column singletons.
+    p = lp.LpProblem("shared_row")
+    x, y, z = (p.add_variable(name, 0.0, 4.0) for name in "xyz")
+    p.add_constraint([(x, 1.0), (y, 1.0)], lp.LESS_EQUAL, 3.0)
+    p.add_constraint([(z, 1.0)], lp.LESS_EQUAL, 3.0)
+    cases.append((p, [x, y]))
+    # Rows 0 and 1 have their only nonzero in column x: two row singletons.
+    p = lp.LpProblem("shared_column")
+    x, y = (p.add_variable(name, 0.0, 4.0) for name in "xy")
+    p.add_constraint([(x, 1.0)], lp.LESS_EQUAL, 3.0)
+    p.add_constraint([(x, 2.0)], lp.LESS_EQUAL, 3.0)
+    p.add_constraint([(y, 1.0)], lp.LESS_EQUAL, 3.0)
+    cases.append((p, [x, y, p.num_variables + 2]))
+    # A singleton entry at or below PIVOT_TOL.
+    p = lp.LpProblem("tiny_pivot")
+    x, y = (p.add_variable(name, 0.0, 4.0) for name in "xy")
+    p.add_constraint([(x, lp.PIVOT_TOL)], lp.LESS_EQUAL, 3.0)
+    p.add_constraint([(y, 1.0)], lp.LESS_EQUAL, 3.0)
+    cases.append((p, [x, y]))
+    # No singletons: x has no nonzero in the open rows, and the pivot loop
+    # finds no entry for it.
+    p = lp.LpProblem("empty_column")
+    x, y, w = (p.add_variable(name, 0.0, 4.0) for name in "xyw")
+    for row in range(3):
+        p.add_constraint([(y, 1.0 + row), (w, 1.0)], lp.LESS_EQUAL, 3.0)
+    cases.append((p, [x, y, w]))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(4), ids=["shared-row", "shared-column",
+                                                "tiny-pivot", "empty-column"])
+def test_batched_install_refuses_singular_starts(case):
+    problem, columns = _singular_starts()[case]
+    total = problem.num_variables + problem.num_constraints
+    start = lp.Basis(np.array(columns), np.zeros(total, dtype=bool))
+    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        lp._Tableau(problem, problem.matrix(), start)
+    solution = lp.solve(problem, start=start)
+    assert solution.start == "singular"
+    _assert_same_solution(solution, lp.solve(problem))
+
+
+def test_batched_install_refuses_a_repeated_column():
+    problem, _ = build_proposed(BUILTINS["angpuang"]())
+    columns = lp.solve(problem).basis.columns.copy()
+    structural = np.flatnonzero(columns < problem.num_variables)
+    columns[structural[1]] = columns[structural[0]]
+    start = lp.Basis(columns, np.zeros(problem.num_variables
+                                       + problem.num_constraints, dtype=bool))
+    with pytest.raises(np.linalg.LinAlgError, match="repeats"):
+        lp._Tableau(problem, problem.matrix(), start)
 
 
 def _two_row_problem(second_row):

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -59,6 +61,19 @@ def test_missing_function_reported_with_location():
         dataclasses.replace(scenario, release_profit=profit))
     assert any(str(v) == "reservoir 2, period 3: missing release profit function"
                for v in report.violations)
+
+
+@pytest.mark.parametrize("duplicate", [
+    lambda d: d, lambda d: pickle.loads(pickle.dumps(d)), copy.deepcopy,
+    dataclasses.replace,
+], ids=["same", "pickle", "deepcopy", "replace"])
+def test_distribution_violations_are_checked_once_and_not_shared(duplicate):
+    bad = DiscreteDistribution(((1.0, 0.5), (0.0, 0.4)))
+    expected = ["support values must be distinct and sorted ascending",
+                "distribution sums to 0.9"]
+    bad.violations().append("edited by a caller")
+    assert duplicate(bad).violations() == expected
+    assert duplicate(bad) == bad
 
 
 def test_distribution_mean_symmetric_two_point():

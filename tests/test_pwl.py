@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import itertools
 import pickle
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reservoirplan.pwl import (CONCAVE, CONVEX, NONDECREASING, PwlFunction,
+from reservoirplan.pwl import (CONCAVE, CONVEX, NONDECREASING, VALID_FLAGS,
+                               PwlFunction, ShapeReport, _check_slopes,
                                capped_linear, hinge, linear, zero)
 
 
@@ -267,16 +269,84 @@ def _three_piece() -> PwlFunction:
 _PROBES = np.linspace(-3.0, 8.0, 23)
 
 
+def _scratch_slopes(f: PwlFunction) -> np.ndarray:
+    """The slope sequence worked out from the fields alone."""
+    xs = np.array([x for x, _ in f.breakpoints])
+    ys = np.array([y for _, y in f.breakpoints])
+    interior = np.diff(ys) / np.diff(xs) if len(xs) > 1 else np.empty(0)
+    return np.concatenate(([f.left_slope], interior, [f.right_slope]))
+
+
+_FLAG_LISTS = [list(order) for size in range(len(VALID_FLAGS) + 1)
+               for subset in itertools.combinations(VALID_FLAGS, size)
+               for order in itertools.permutations(subset)]
+
+
+def _assert_stored_data_is_fresh(f: PwlFunction) -> None:
+    """Stored slopes and shape report equal a from-scratch computation and
+    are read-only."""
+    slopes = _scratch_slopes(f)
+    assert np.array_equal(f.slopes(), slopes)
+    assert not f.slopes().flags.writeable
+    for flags in _FLAG_LISTS:
+        assert f.verify_shape(flags) == _check_slopes(slopes, flags)
+
+
 def test_breakpoint_arrays_are_read_only_and_outside_identity():
     f = _three_piece()
-    for values in (f._xs, f._ys):
+    for values in (f._xs, f._ys, f._slopes, f.slopes()):
         with pytest.raises(ValueError):
             values[0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        f._shape.violations = ()
+    assert isinstance(f._shape.violations, tuple)
     twin = _three_piece()
     # Arrays in == would raise (ambiguous truth value), in hash TypeError.
     assert twin == f and hash(twin) == hash(f)
     assert twin != dataclasses.replace(f, provenance="other")
-    assert "_xs" not in repr(f) and "_ys" not in repr(f)
+    assert all(name not in repr(f) for name in ("_xs", "_ys", "_slopes", "_shape"))
+    # A different stored report changes neither == nor hash.
+    object.__setattr__(twin, "_shape", ShapeReport(ok=True))
+    assert twin == f and hash(twin) == hash(f)
+
+
+_SLOPE_VALUES = st.one_of(st.floats(-8, 8), st.sampled_from([-1.0, 0.0, 1.0]))
+
+
+@st.composite
+def _any_function(draw):
+    """Functions of any shape, with repeated slopes and exact ties likely."""
+    xs = sorted(draw(st.sets(st.integers(-40, 40), min_size=1, max_size=6)))
+    slopes = draw(st.lists(_SLOPE_VALUES, min_size=len(xs) + 1,
+                           max_size=len(xs) + 1))
+    ys = [draw(st.floats(-10, 10))]
+    for i in range(1, len(xs)):
+        ys.append(ys[-1] + slopes[i] * (xs[i] - xs[i - 1]))
+    return PwlFunction(tuple((x / 4, y) for x, y in zip(xs, ys)),
+                       slopes[0], slopes[-1])
+
+
+@_PROPERTY_SETTINGS
+@given(f=_any_function(), factor=st.floats(1e-3, 1e3))
+def test_stored_slopes_and_report_equal_a_fresh_check(f, factor):
+    _assert_stored_data_is_fresh(f)
+    _assert_stored_data_is_fresh(f.scale(factor))
+    for flags in _FLAG_LISTS:
+        if flags and f.verify_shape(flags).ok:
+            _assert_stored_data_is_fresh(dataclasses.replace(f, shape=tuple(flags)))
+
+
+def test_unknown_flag_is_refused_by_the_stored_report():
+    with pytest.raises(ValueError, match="unknown shape flag 'convx'"):
+        _three_piece().verify_shape([CONVEX, "convx"])
+
+
+def test_cuts_are_derived_once():
+    f = capped_linear(1.0, 2.0)
+    first = f.cuts()
+    assert isinstance(first, tuple) and f.cuts() == first
+    assert f.cuts() is first
+    assert f.expected_cuts(((0.5, 1.0),)) == f.expected_cuts(((0.5, 1.0),))
 
 
 @pytest.mark.parametrize("duplicate", [
@@ -294,12 +364,48 @@ def test_copies_keep_read_only_arrays_and_evaluate_identically(duplicate):
     assert np.array_equal(g.evaluate(_PROBES), f.evaluate(_PROBES))
 
 
+@pytest.mark.parametrize("duplicate", [
+    lambda f: pickle.loads(pickle.dumps(f)),
+    copy.deepcopy,
+    dataclasses.replace,
+    lambda f: f.scale(2.5),
+], ids=["pickle", "deepcopy", "replace", "scale"])
+def test_copies_rebuild_slopes_report_and_cuts(duplicate):
+    f = hinge(2.0)
+    f.cuts()    # derived before the copy, so a copied cache would show
+    g = duplicate(f)
+    _assert_stored_data_is_fresh(g)
+    fresh = PwlFunction(g.breakpoints, g.left_slope, g.right_slope, g.shape)
+    assert g.cuts() == fresh.cuts()
+
+
 def test_replace_rebuilds_arrays_from_new_breakpoints():
     f = _three_piece()
     g = dataclasses.replace(f, breakpoints=((0.0, 0.0), (1.0, 3.0)))
     fresh = PwlFunction(((0.0, 0.0), (1.0, 3.0)), -1.0, 0.5)
     assert np.array_equal(g._xs, [0.0, 1.0])
     assert np.array_equal(g.evaluate(_PROBES), fresh.evaluate(_PROBES))
+    assert np.array_equal(g.slopes(), [-1.0, 3.0, 0.5])
+    assert g.verify_shape([CONVEX]) == fresh.verify_shape([CONVEX])
+
+
+def _bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+@_PROPERTY_SETTINGS
+@given(f=_any_function(), offsets=st.lists(st.floats(-1e3, 1e3), max_size=8))
+def test_scalar_evaluate_is_bitwise_the_array_path(f, offsets):
+    xs = f._xs.tolist()
+    points = xs + [(a + b) / 2 for a, b in zip(xs, xs[1:])]
+    points += [xs[0] - abs(d) for d in offsets] + [xs[-1] + abs(d) for d in offsets]
+    points += [xs[0] + d for d in offsets] + [-0.0, 0.1 + 0.2]
+    array = f.evaluate(np.array(points))
+    for point, expected in zip(points, array):
+        for arg in (point, np.float64(point), np.array(point)):
+            value = f.evaluate(arg)
+            assert type(value) is float
+            assert _bits(value) == _bits(expected)
 
 
 def test_concurrent_readers_see_serial_values():

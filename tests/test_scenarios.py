@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -305,3 +306,35 @@ def test_sweep_negative_seed_and_default_reps_still_load(tmp_path):
                                 "seed": -3}))
     config = load_sweep_config(path)
     assert (config.reps, config.seed) == (100, -3)
+
+
+@pytest.mark.parametrize("text,message", [
+    ('"12"', "'grid' must be an array of numbers, got '12'"),
+    ('{"0": 1.0}', "'grid' must be an array of numbers"),
+    ("[true]", "grid[0] must be a finite number, got True"),
+    ('[1.0, "0.5"]', "grid[1] must be a finite number, got '0.5'"),
+    ("[1.0, 2.0, NaN]", "grid[2] must be a finite number, got nan"),
+    ("[Infinity]", "grid[0] must be a finite number, got inf"),
+    ("[0.5, 1e400]", "grid[1] must be a finite number, got inf"),
+    ("[[1.0]]", "grid[0] must be a finite number, got [1.0]"),
+    ("[1" + "0" * 400 + "]", "grid[0] must be a finite number, got 1000"),
+], ids=["string", "object", "bool", "numeric-string", "nan", "infinity",
+        "float-overflow", "nested", "integer-overflow"])
+def test_sweep_grid_must_be_an_array_of_finite_numbers(text, message, tmp_path):
+    # "12" used to run as the grid [1.0, 2.0], true as 1.0 and "0.5" as 0.5;
+    # NaN, Infinity and 1e400 failed later without naming the grid value.
+    path = tmp_path / "sweep.json"
+    path.write_text('{"scenario": "builtin:simple1", "parameter": "risk-slope", '
+                    f'"grid": {text}}}')
+    with pytest.raises(ScenarioParseError,
+                       match=re.escape(f"{path}: sweep config: {message}")):
+        load_sweep_config(path)
+
+
+def test_sweep_grid_keeps_integers_and_floats(tmp_path):
+    path = tmp_path / "sweep.json"
+    path.write_text('{"scenario": "builtin:simple1", "parameter": "risk-slope", '
+                    '"grid": [1, 2.5, 1e-3]}')
+    grid = load_sweep_config(path).grid
+    assert grid == (1.0, 2.5, 1e-3)
+    assert all(type(value) is float for value in grid)
