@@ -22,8 +22,8 @@ import numpy as np
 
 from . import formulation, lp, simulation
 from .model import Plan, Scenario, ScenarioValidationError, validate_scenario
-from .scenarios import (ScenarioParseError, expand_sweep, load_sweep_config,
-                        resolve_scenario)
+from .scenarios import (ScenarioParseError, expand_sweep, finite_number,
+                        load_sweep_config, resolve_scenario)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -86,18 +86,21 @@ def _csv_line(row: Sequence) -> str:
     return ",".join(map(str, row))
 
 
+def _csv_lines(rows: Iterable[Sequence]) -> str:
+    return "".join(_csv_line(row) + "\n" for row in rows)
+
+
+def _csv_head(manifest: RunManifest, header: list[str]) -> str:
+    """The manifest comment lines and the header line of a data CSV."""
+    comments = [f"# {key}={value}\n"
+                for key, value in manifest.embedded().items()]
+    return "".join(comments) + ",".join(header) + "\n"
+
+
 def _write_csv(path: Path, manifest: RunManifest, header: list[str],
                rows: Sequence[Sequence]) -> None:
-    _write_csv_lines(path, manifest, header, map(_csv_line, rows))
-
-
-def _write_csv_lines(path: Path, manifest: RunManifest, header: list[str],
-                     lines: Iterable[str]) -> None:
-    """Write the manifest comments, the header and already formatted rows."""
-    text = [f"# {key}={value}" for key, value in manifest.embedded().items()]
-    text.append(",".join(header))
-    text.extend(lines)
-    path.write_text("\n".join(text) + "\n")
+    # Data files are UTF-8 with LF line ends, whatever the platform's locale.
+    path.write_bytes((_csv_head(manifest, header) + _csv_lines(rows)).encode())
 
 
 def _records(header: list[str], rows: Sequence[Sequence]) -> list[dict]:
@@ -148,14 +151,29 @@ def _is_index(value, size) -> bool:
         1 <= value <= size
 
 
-def _plan_entries(path, kind: str, entries: list, fields: tuple[str, ...],
-                  sizes: tuple[int, ...]) -> dict[tuple[int, ...], dict]:
-    """Plan entries keyed by their zero-based `fields` indices.
+def _plan_number(path, what: str, value) -> float:
+    number = finite_number(value)
+    if number is None:
+        raise ValueError(f"{path}: {what} must be a finite number, "
+                         f"got {value!r}")
+    return number
 
-    Rejects an index that is not an integer in 1..size and a repeated key.
+
+def _plan_entries(path, kind: str, entries: list, fields: tuple[str, ...],
+                  sizes: tuple[int, ...],
+                  numbers: tuple[str, ...]) -> dict[tuple[int, ...], tuple]:
+    """The `numbers` fields of plan entries, keyed by the entries' zero-based
+    `fields` indices.
+
+    Rejects a missing field, an index that is not an integer in 1..size, a
+    value that is not a finite number and a repeated key, naming the entry.
     """
     keyed = {}
     for entry in entries:
+        for field in (*fields, *numbers):
+            if field not in entry:
+                raise ValueError(f"{path}: {kind} entry {entry}: "
+                                 f"missing {field!r}")
         for field, size in zip(fields, sizes):
             if not _is_index(entry[field], size):
                 raise ValueError(f"{path}: {kind} entry {entry}: {field!r} "
@@ -163,44 +181,53 @@ def _plan_entries(path, kind: str, entries: list, fields: tuple[str, ...],
         key = tuple(entry[field] - 1 for field in fields)
         if key in keyed:
             raise ValueError(f"{path}: duplicate {kind} entry {entry}")
-        keyed[key] = entry
+        keyed[key] = tuple(
+            _plan_number(path, f"{kind} entry {entry}: {field!r}", entry[field])
+            for field in numbers)
     return keyed
 
 
 def load_plan_json(path: str | Path) -> Plan:
     """Read a plan written by `plan`/`compare` back into arrays.
 
-    Raises ValueError, naming the entry, for a horizon or reservoir count that
-    is not a positive integer, an out-of-range or non-integer index, a
-    repeated (t, n) or (t, from, to) entry and a missing (t, n) release entry.
+    Raises ValueError, naming the field or entry, for a missing field, a
+    horizon or reservoir count that is not a positive integer, an
+    out-of-range or non-integer index, a plan value or objective that is not
+    a finite number, a repeated (t, n) or (t, from, to) entry and a missing
+    (t, n) release entry.
     """
     doc = json.loads(Path(path).read_text())
+    for field in ("horizon", "reservoirs", "objective", "transfers",
+                  "releases"):
+        if field not in doc:
+            raise ValueError(f"{path}: missing {field!r}")
     for field in ("horizon", "reservoirs"):
         if not _is_index(doc[field], math.inf):
             raise ValueError(f"{path}: {field!r} must be a positive integer, "
                              f"got {doc[field]!r}")
+    objective = _plan_number(path, "'objective'", doc["objective"])
     t_count, n_count = doc["horizon"], doc["reservoirs"]
     transfers = np.zeros((t_count, n_count, n_count))
-    for key, entry in _plan_entries(path, "transfer", doc["transfers"],
-                                    ("t", "from", "to"),
-                                    (t_count, n_count, n_count)).items():
-        transfers[key] = entry["q"]
+    for key, (q,) in _plan_entries(path, "transfer", doc["transfers"],
+                                   ("t", "from", "to"),
+                                   (t_count, n_count, n_count),
+                                   ("q",)).items():
+        transfers[key] = q
     releases = np.zeros((t_count, n_count))
     predicted = np.zeros((t_count, n_count))
     volumes = np.zeros((t_count, n_count))
     release_entries = _plan_entries(path, "release", doc["releases"],
-                                    ("t", "n"), (t_count, n_count))
-    for key, entry in release_entries.items():
-        releases[key] = entry["g"]
-        predicted[key] = entry["x"]
-        volumes[key] = entry["v"]
+                                    ("t", "n"), (t_count, n_count),
+                                    ("g", "x", "v"))
+    for key, (g, x, v) in release_entries.items():
+        releases[key], predicted[key], volumes[key] = g, x, v
     missing = set(np.ndindex(t_count, n_count)) - release_entries.keys()
     if missing:
         t, n = min(missing)
         raise ValueError(f"{path}: no release entry for t={t + 1}, n={n + 1}")
     return Plan(transfers=transfers, releases=releases,
                 predicted_inflows=predicted, volumes=volumes,
-                objective=float(doc["objective"]))
+                objective=objective)
 
 
 def _write_plan_files(plan: Plan, scenario: Scenario, manifest: RunManifest,
@@ -283,28 +310,91 @@ def _summary_rows(report: simulation.SimulationReport) -> list[tuple]:
              report.std_risk, report.std_total)]
 
 
-def _format_column(column: np.ndarray) -> list[str]:
-    """`str` of every value of a float64 column, each distinct value
-    formatted once.
+def _dense_ranks(codes: np.ndarray, bound: int) -> tuple[np.ndarray, int]:
+    """Each code's rank among the distinct codes, and how many there are.
 
-    Values are told apart by bit pattern, not by float equality, because
-    -0.0 == 0.0 yet the two print differently. Repeats are the norm: each
-    replication's values depend on finitely many discrete inflow draws.
+    Every code is in 0..bound-1. A bound no larger than the number of codes
+    is ranked through a table of the codes present, without sorting.
     """
-    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
-    strings = np.array(list(map(str, bits.view(np.float64).tolist())),
-                       dtype=object)
-    return strings[inverse].tolist()
+    if bound <= codes.size:
+        present = np.zeros(bound, bool)
+        present[codes] = True
+        ranks = np.cumsum(present) - 1
+        return ranks[codes], int(ranks[-1]) + 1
+    distinct, ranks = np.unique(codes, return_inverse=True)
+    return ranks, distinct.size
+
+
+def _row_codes(columns: Sequence[np.ndarray]) -> tuple[np.ndarray, int]:
+    """A code per row, equal for rows with the same bits in every column.
+
+    Codes run 0..count-1. Values are told apart by bit pattern, not by float
+    equality, because -0.0 == 0.0 yet the two print differently. The codes
+    are ranked again after each column is mixed in, so a mixed code stays
+    below the number of rows squared; a mixed-radix product of all the
+    columns at once could wrap int64.
+    """
+    codes, count = np.zeros(columns[0].size, np.intp), 1
+    for column in columns:
+        bits = column.view(np.int64)
+        if bits.min() == bits.max():
+            continue  # a constant column tells no rows apart
+        values, inverse = np.unique(bits, return_inverse=True)
+        codes, count = _dense_ranks(codes * values.size + inverse,
+                                    count * values.size)
+    return codes, count
+
+
+def _indexed_rows(columns: Sequence[np.ndarray]) -> np.ndarray:
+    """The bytes of the CSV lines `i,c0[i],c1[i],...` for every row i of the
+    float64 `columns`, as one uint8 array.
+
+    Each value prints as `str` of its Python float, as `_csv_line` would
+    print it. Repeated rows are the norm (a replication's values depend on
+    finitely many discrete inflow draws), so each distinct row's text after
+    the index is formatted once. The rows are laid out in a padded matrix,
+    index digits first, and its padding dropped by one length mask.
+    """
+    size = columns[0].size
+    codes, count = _row_codes(columns)
+    first = np.empty(count, np.intp)
+    first[codes] = np.arange(size)  # the rows of a code share their bits
+    suffixes = ["," + ",".join(map(str, row)) + "\n"
+                for row in zip(*(column[first].tolist() for column in columns))]
+    lengths = np.fromiter(map(len, suffixes), np.intp, count)
+    longest = int(lengths.max())
+    table = np.zeros((count, longest), np.uint8)
+    table[np.arange(longest) < lengths[:, None]] = np.frombuffer(
+        "".join(suffixes).encode(), np.uint8)
+
+    digits = len(str(size - 1))
+    matrix = np.empty((size, digits + longest), np.uint8)
+    row_lengths = np.take(lengths, codes)
+    start = 0
+    for width in range(1, digits + 1):
+        stop = min(10 ** width, size)
+        # The narrowest unsigned type divides fastest.
+        index = np.arange(start, stop, dtype=np.min_scalar_type(stop))
+        for column in range(width - 1, -1, -1):
+            matrix[start:stop, column] = index % 10 + ord("0")
+            index //= 10
+        matrix[start:stop, width:width + longest] = np.take(
+            table, codes[start:stop], axis=0)
+        row_lengths[start:stop] += width
+        start = stop
+    # keep[n] marks the first n bytes of a matrix row.
+    keep = np.arange(matrix.shape[1] + 1)[:, None] > np.arange(matrix.shape[1])
+    return matrix[np.take(keep, row_lengths, axis=0)]
 
 
 def _write_report_csv(path: Path, manifest: RunManifest,
                       report: simulation.SimulationReport) -> None:
     """The evaluation table: one row per replication, then mean and std."""
-    columns = [_format_column(column) for column in _report_columns(report)]
-    lines = list(map(",".join, zip(map(str, range(report.replications)),
-                                   *columns)))
-    lines.extend(map(_csv_line, _summary_rows(report)))
-    _write_csv_lines(path, manifest, REPORT_HEADER, lines)
+    rows = _indexed_rows(_report_columns(report))
+    with path.open("wb") as file:
+        file.write(_csv_head(manifest, REPORT_HEADER).encode())
+        file.write(rows)
+        file.write(_csv_lines(_summary_rows(report)).encode())
 
 
 def cmd_evaluate(args) -> int:
@@ -584,6 +674,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ScenarioParseError, ScenarioValidationError) as exc:
+        return _fail(str(exc))
+    except OSError as exc:
+        # An --out that cannot be made or an output that cannot be written;
+        # each command reports its unreadable inputs itself.
         return _fail(str(exc))
     except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -54,6 +54,20 @@ def _is_integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def finite_number(value) -> float | None:
+    """A JSON number as a float, or None if it is not a finite number: a
+    string, a bool, null, an array, an object, NaN, an infinity or an integer
+    too large for a float."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            return None
+        if math.isfinite(number):
+            return number
+    return None
+
+
 def _integer(value, where: str, field: str) -> int:
     """An integer field, refused rather than truncated or coerced if it is
     a float, a bool, a string or anything else."""
@@ -72,13 +86,8 @@ def _grid(raw, where: str) -> tuple[float, ...]:
             f"{where}: 'grid' must be an array of numbers, got {raw!r}")
     grid = []
     for i, value in enumerate(raw):
-        number = math.nan
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            try:
-                number = float(value)
-            except OverflowError:
-                pass
-        if not math.isfinite(number):
+        number = finite_number(value)
+        if number is None:
             raise ScenarioParseError(
                 f"{where}: grid[{i}] must be a finite number, got {value!r}")
         grid.append(number)

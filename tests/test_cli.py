@@ -1,8 +1,11 @@
+import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from reservoirplan import cli, lp, simulation
 from reservoirplan.scenarios import (builtin_simple, resolve_scenario,
@@ -259,6 +262,80 @@ def test_report_csv_rows_are_str_of_each_value(tmp_path):
          report.std_total))]
 
 
+def _per_row_reference(columns) -> bytes:
+    """The replication lines as `_csv_line` writes one row at a time."""
+    rows = zip(*(column.tolist() for column in columns))
+    return "".join(",".join(map(str, (i, *row))) + "\n"
+                   for i, row in enumerate(rows)).encode()
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+               1e308, -1e308, 1.7976931348623157e308, 0.1 + 0.2, 1e16, 1e-05,
+               38.92499999999999]
+
+
+@st.composite
+def _report_columns(draw):
+    """Four float64 columns: each mostly repeats a few values (edge values
+    among them), or else holds a distinct value per row."""
+    size = draw(st.sampled_from([1, 2, 9, 10, 11, 99, 100, 101, 1000, 1001]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    columns = []
+    for _ in range(4):
+        if draw(st.integers(0, 3)):
+            pool = draw(st.lists(st.sampled_from(EDGE_FLOATS) | st.floats(),
+                                 min_size=1, max_size=6))
+            columns.append(np.array(pool)[rng.integers(len(pool), size=size)])
+        else:
+            columns.append(rng.standard_normal(size)
+                           * 10.0 ** rng.integers(-300, 300, size))
+    return columns
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(columns=_report_columns())
+@example(columns=[np.array([0.0, -0.0] * 6), np.full(12, 68.0),
+                  np.full(12, 5e-324), np.full(12, -1e308)])
+def test_indexed_rows_equal_the_per_row_text(columns):
+    assert cli._indexed_rows(columns).tobytes() == _per_row_reference(columns)
+
+
+def test_indexed_rows_survive_mixed_radix_wraparound():
+    # One column of 2**17 distinct values and three of 2**16: rows i and
+    # i + 2**16 differ only in the first column, yet their codes as one
+    # unreduced mixed-radix product, a * 2**48 + b * 2**32 + c * 2**16 + d,
+    # are equal modulo 2**64.
+    size, half = 2 ** 17, 2 ** 16
+    index = np.arange(size)
+    columns = [index * 0.5] + [(index % half) * 0.25 + j for j in (1, 2, 3)]
+    unreduced = np.zeros(size, np.int64)
+    for column in columns:
+        values, inverse = np.unique(column.view(np.int64), return_inverse=True)
+        unreduced = unreduced * values.size + inverse
+    assert unreduced[0] == unreduced[half]
+    assert cli._indexed_rows(columns).tobytes() == _per_row_reference(columns)
+
+
+# Digests of evaluation.csv written before the table was assembled as bytes,
+# when each row was joined from per-value strings.
+EVALUATION_SHA256 = {
+    "literal": "e5d6fa42f65a2d3a114c5b47dcff83e6d8bd0806204b8489c0ee293f10b2b843",
+    "physical": "a9645d3eec4d959057116c6e2917151dcec9726fad09b1687bd4ea2594ddb6f9",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(EVALUATION_SHA256))
+def test_evaluation_csv_bytes_are_unchanged(mode, tmp_path, monkeypatch):
+    # A relative --out keeps the embedded `# outputs=` line the same.
+    monkeypatch.chdir(tmp_path)
+    flags = ["--physical-sim"] if mode == "physical" else []
+    assert run_cli("evaluate", "--scenario", "builtin:angpuang",
+                   "--plan", str(COMMITTED_PLAN), "--reps", "20000",
+                   "--seed", "7", *flags, "--out", "out") == 0
+    data = (tmp_path / "out" / "evaluation.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == EVALUATION_SHA256[mode]
+
+
 def test_compare_direction_on_builtin_simple(tmp_path, capsys):
     for name in ("simple1", "simple2"):
         out = tmp_path / name
@@ -400,6 +477,32 @@ def _release(doc, t, n):
     pytest.param(lambda doc: doc["transfers"].append(
                      {"t": 1, "from": 1, "to": 4, "q": 1.0}),
                  "1->4 is not a scenario link", id="unlinked_transfer"),
+    pytest.param(lambda doc: _release(doc, 2, 3).update(g="2.0"),
+                 "release entry {'t': 2, 'n': 3, 'g': '2.0', 'x': 2.0, "
+                 "'v': 2.5}: 'g' must be a finite number, got '2.0'",
+                 id="g_string"),
+    pytest.param(lambda doc: _release(doc, 2, 3).update(v=True),
+                 "'v' must be a finite number, got True", id="v_bool"),
+    pytest.param(lambda doc: _release(doc, 2, 3).update(x=None),
+                 "'x' must be a finite number, got None", id="x_null"),
+    pytest.param(lambda doc: _release(doc, 2, 3).update(g=float("nan")),
+                 "'g' must be a finite number, got nan", id="g_nan"),
+    pytest.param(lambda doc: doc["transfers"][4].update(q=[1.0]),
+                 "transfer entry {'t': 1, 'from': 3, 'to': 4, 'q': [1.0]}: "
+                 "'q' must be a finite number, got [1.0]", id="q_list"),
+    pytest.param(lambda doc: doc["transfers"][4].update(q=10 ** 400),
+                 "'q' must be a finite number, got 1000", id="q_overflows"),
+    pytest.param(lambda doc: doc.update(objective="12"),
+                 "'objective' must be a finite number, got '12'",
+                 id="objective_string"),
+    pytest.param(lambda doc: doc.update(objective=float("inf")),
+                 "'objective' must be a finite number, got inf",
+                 id="objective_infinite"),
+    pytest.param(lambda doc: _release(doc, 2, 3).pop("g"),
+                 "release entry {'t': 2, 'n': 3, 'x': 2.0, 'v': 2.5}: "
+                 "missing 'g'", id="g_missing"),
+    pytest.param(lambda doc: doc.pop("objective"),
+                 "missing 'objective'", id="objective_missing"),
 ])
 def test_evaluate_rejects_malformed_plan(edit, message, tmp_path, capsys):
     doc = json.loads(COMMITTED_PLAN.read_text())
@@ -414,6 +517,40 @@ def test_evaluate_rejects_malformed_plan(edit, message, tmp_path, capsys):
     assert "error: " in err and message in err
     assert "Traceback" not in err
     assert not (tmp_path / "out" / "evaluation.csv").exists()
+
+
+EXAMPLE_SWEEP = Path(__file__).resolve().parents[1] / "scenarios" / \
+    "example_sweep.json"
+COMMAND_INPUTS = {
+    "plan": ["--scenario", "builtin:simple1"],
+    "evaluate": ["--scenario", "builtin:angpuang", "--plan",
+                 str(COMMITTED_PLAN), "--reps", "10"],
+    "compare": ["--scenario", "builtin:simple1", "--reps", "10"],
+    "sweep": ["--config", str(EXAMPLE_SWEEP)],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_INPUTS))
+def test_out_naming_a_file_is_usage_error(command, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    assert run_cli(command, *COMMAND_INPUTS[command],
+                   "--out", str(taken)) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"error: [Errno 17] File exists: '{taken}'" in err
+    assert "Traceback" not in err
+    assert taken.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("command,name", [("plan", "plan_releases.csv"),
+                                          ("evaluate", "evaluation.csv")])
+def test_unwritable_data_file_is_usage_error(command, name, tmp_path, capsys):
+    (tmp_path / name).mkdir()
+    assert run_cli(command, *COMMAND_INPUTS[command],
+                   "--out", str(tmp_path)) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"error: [Errno 21] Is a directory: '{tmp_path / name}'" in err
+    assert "Traceback" not in err
 
 
 def test_committed_benchmark_plan_loads():
