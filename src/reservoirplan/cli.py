@@ -121,7 +121,9 @@ def _fail(message: str, manifest: RunManifest | None = None) -> int:
 
 
 def _load_scenario_arg(args, manifest: RunManifest) -> Scenario:
-    scenario = resolve_scenario(args.scenario)
+    """The validated scenario of `--scenario`; one that `--big-f` or
+    `--physical-sim` changed is validated again."""
+    resolved = scenario = resolve_scenario(args.scenario)
     if getattr(args, "big_f", None) is not None:
         manifest.tolerance_overrides["big_f"] = args.big_f
         scenario = dataclasses.replace(
@@ -130,9 +132,10 @@ def _load_scenario_arg(args, manifest: RunManifest) -> Scenario:
                               for key in scenario.overflow_penalty})
     if getattr(args, "physical_sim", False):
         scenario = dataclasses.replace(scenario, physical_sim=True)
-    report = validate_scenario(scenario)
-    if not report.ok:
-        raise ScenarioValidationError(report)
+    if scenario is not resolved:
+        report = validate_scenario(scenario)
+        if not report.ok:
+            raise ScenarioValidationError(report)
     return scenario
 
 

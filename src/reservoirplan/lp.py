@@ -2,12 +2,18 @@
 
 The solver is a two-phase primal simplex on the bounded-variable standard form
 with a dense tableau [A | I]: every row gets a slack whose bounds carry the
-relation, and the all-slack basis starts the search, or a start basis pivoted
-into it (a warm start). The planning bases are nearly triangular, so a start
-is installed by peeling singletons off its structural block, as in Suhl and
-Suhl's LU factors of simplex bases: each level of column or row singletons is
-pivoted in vectorized updates, and only the remaining bump goes through the
-pivot loop. Phase 1 minimizes the total bound violation of that
+relation, and a basis pivoted into the all-slack one starts the search: a
+given start basis (a warm start), or else a crash basis (Bixby 1992). The
+crash makes every free structural column with a nonzero cost basic in the row
+that binds it first in the direction its cost favours, among the rows where
+it is the only free column; in the planning LPs these are the hypograph and
+epigraph variables of the piecewise-linear terms, which the search would
+otherwise bring in one pivot each and never drop. The planning bases are
+nearly triangular, so a start is installed by peeling singletons off its
+structural block, as in Suhl and Suhl's LU factors of simplex bases: each
+level of column or row singletons is pivoted in vectorized updates, and only
+the remaining bump goes through the pivot loop. The crash block is diagonal,
+one level. Phase 1 minimizes the total bound violation of that
 basis (a basic variable may start outside its bounds); phase 2 maximizes the
 objective from the feasible basis it leaves. Both phases run the same loop;
 there are no artificial variables. Nonbasic variables rest at a finite bound
@@ -235,12 +241,57 @@ class _Tableau:
         self.reduced = np.zeros(n + m)
         self.can_rise = np.zeros(n + m, dtype=bool)
         self.can_fall = np.zeros(n + m, dtype=bool)
-        if start is not None:
+        self._entering = None   # (column, its nonzero rows) from `entering`
+        if start is None:
+            self._install(self._crash(problem, matrix), matrix)
+        else:
             self._install(start.columns, matrix)
             at_upper = start.at_upper & np.isfinite(self.upper)
             self.x[at_upper] = self.upper[at_upper]
         self.classify(np.arange(n + m))
         self.refresh_basic_values()
+
+    def _crash(self, problem: LpProblem, matrix: tuple[np.ndarray, ...]
+               ) -> np.ndarray:
+        """The basic column of each row for a cold start: the slack, except
+        that every free structural column with a nonzero cost is basic in
+        the row that binds it first in the direction its cost favours, among
+        the rows where it is the only free column and its entry exceeds
+        PIVOT_TOL: the smallest upper bound on it for c > 0, the largest
+        lower bound for c < 0, ties to the lowest row. The bounds are taken
+        at the nonbasic start values, where every slack rests at 0, so each
+        row is tight at its finite bound. No two such columns share a row,
+        so `_install` places them in one level. A column with no such row
+        stays nonbasic."""
+        n, m = self.n_structural, self.m
+        rows, cols, values = matrix[:3]
+        free = (self.lower[:n] == -math.inf) & (self.upper[:n] == math.inf)
+        # The distinct (row, free column) pairs with a nonzero summed entry.
+        keep = free[cols]
+        keys = rows[keep] * n + cols[keep]
+        keys = np.sort(keys[self.tab[rows[keep], cols[keep]] != 0.0])
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        rows_f, cols_f = keys // n, keys % n
+        c = problem.objective_vector()
+        pick = (np.bincount(rows_f, minlength=m)[rows_f] == 1) & (c[cols_f] != 0.0)
+        rows_f, cols_f = rows_f[pick], cols_f[pick]
+        # w is the row's entry signed by the favoured direction; the row
+        # binds that way if its slack meets a finite bound as the column
+        # moves: the slack moves by -w per unit.
+        w = np.sign(c[cols_f]) * self.tab[rows_f, cols_f]
+        slack = n + rows_f
+        binds = np.where(w > 0, np.isfinite(self.lower[slack]),
+                         np.isfinite(self.upper[slack]))
+        binds &= np.abs(w) > PIVOT_TOL
+        rows_f, cols_f, w = rows_f[binds], cols_f[binds], w[binds]
+        # Each row's residual b - A x at the start values, over which the
+        # column moves by residual / w (in the favoured direction) to bind.
+        residual = self.tab_b - np.bincount(rows, values * self.x[cols], m)
+        order = np.lexsort((rows_f, residual[rows_f] / w, cols_f))
+        first = order[np.diff(cols_f[order], prepend=-1) != 0]
+        columns = np.arange(n, n + m)
+        columns[rows_f[first]] = cols_f[first]
+        return columns
 
     def _install(self, columns: np.ndarray, matrix: tuple[np.ndarray, ...]) -> None:
         """Turn the all-slack tableau into B^-1 [A | I] for the basis B whose
@@ -366,10 +417,11 @@ class _Tableau:
         at_upper = nonbasic & (self.x >= self.upper - FEAS_TOL) & ~at_lower
         return at_lower, at_upper, nonbasic & ~at_lower & ~at_upper
 
-    def classify(self, cols: np.ndarray) -> None:
-        """Update whether each of `cols` may enter the basis moving up (a
-        nonbasic, unfixed variable not at its upper bound) or moving down
-        (one not at its lower bound). A free variable may do both."""
+    def classify(self, cols: np.ndarray | int) -> None:
+        """Update whether each of `cols` (an index array, or one index) may
+        enter the basis moving up (a nonbasic, unfixed variable not at its
+        upper bound) or moving down (one not at its lower bound). A free
+        variable may do both."""
         x = self.x[cols]
         at_lower = x <= self.lower[cols] + FEAS_TOL
         at_upper = (x >= self.upper[cols] - FEAS_TOL) & ~at_lower
@@ -388,15 +440,27 @@ class _Tableau:
         c[self.basis] = below.astype(float) - above
         return c
 
+    def entering(self, col: int) -> np.ndarray:
+        """The rows where column `col` is nonzero, kept for a `pivot` on it."""
+        rows = np.flatnonzero(self.tab[:, col])
+        self._entering = (col, rows)
+        return rows
+
     def pivot(self, row: int, col: int) -> None:
         """Make `col` basic in `row`, updating the tableau and the reduced
-        costs over the nonzeros of the entering column and the pivot row."""
+        costs over the nonzeros of the entering column and the pivot row.
+        The column's rows come from `entering` if it was last called on
+        `col`; dividing the pivot row keeps its entry nonzero."""
         pivot = self.tab[row, col]
         self.tab[row] /= pivot
         self.tab_b[row] /= pivot
         # Rank-1 update restricted to the nonzeros of the pivot column and
         # row; every skipped entry would subtract an exact zero.
-        rows = np.flatnonzero(self.tab[:, col])
+        if self._entering is not None and self._entering[0] == col:
+            rows = self._entering[1]
+        else:
+            rows = np.flatnonzero(self.tab[:, col])
+        self._entering = None
         rows = rows[rows != row]
         cols = np.flatnonzero(self.tab[row])
         factors = self.tab[rows, col]
@@ -462,7 +526,7 @@ def _run_simplex(state: _Tableau, objective: np.ndarray | None,
 
         # Over the nonzeros of the entering column: basic values move by
         # -step * w as the entering variable moves by step.
-        rows = np.flatnonzero(state.tab[:, col])
+        rows = state.entering(col)
         w = direction * state.tab[rows, col]
         basic = state.basis[rows]
         basic_x = x[basic]
@@ -498,7 +562,7 @@ def _run_simplex(state: _Tableau, objective: np.ndarray | None,
         if step_own <= step_basic:
             # Bound flip: nonbasic variable moves to its opposite bound.
             x[col] = upper[col] if direction > 0 else lower[col]
-            state.classify(np.array([col]))
+            state.classify(col)
             degenerate_streak = 0
             bland = False
             continue
@@ -518,7 +582,8 @@ def _run_simplex(state: _Tableau, objective: np.ndarray | None,
         x[col] += direction * step
         x[leaving] = upper[leaving] if leaving_to_upper else lower[leaving]
         state.pivot(int(rows[pick]), col)
-        state.classify(np.array([leaving, col]))
+        state.classify(int(leaving))
+        state.classify(col)
 
         if step <= PIVOT_TOL:
             degenerate_streak += 1
@@ -539,7 +604,7 @@ def solve(problem: LpProblem, max_iterations: int | None = None,
 
     `start` is a basis to start from, typically the `basis` of an optimal
     solution of an LP of the same shape. The solve falls back to the cold
-    start from the all-slack basis, and names the reason in
+    start from the crash basis, and names the reason in
     `LpSolution.start`, if the basis does not fit the problem, if it is
     singular, or if the warm solve ends in anything but a verified optimum."""
     lower = np.array(problem.lower)
@@ -578,8 +643,8 @@ def solve(problem: LpProblem, max_iterations: int | None = None,
 
 def _solve_from(problem: LpProblem, matrix: tuple[np.ndarray, ...],
                 max_iterations: int, start: Basis | None) -> LpSolution:
-    """Both simplex phases from `start` (the all-slack basis if None), then
-    the checks of an optimum."""
+    """Both simplex phases from `start` (the crash basis if None), then the
+    checks of an optimum."""
     state = _Tableau(problem, matrix, start)
     status, used, _ = _run_simplex(state, None, max_iterations)
     if status == ITERATION_LIMIT:

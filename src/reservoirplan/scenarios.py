@@ -452,15 +452,19 @@ BUILTINS: dict[str, Callable[[], Scenario]] = {
 
 
 def resolve_scenario(reference: str | Path) -> Scenario:
-    """Load `builtin:<name>` or a scenario file path."""
+    """Load and validate `builtin:<name>` or a scenario file path."""
     ref = str(reference)
-    if ref.startswith("builtin:"):
-        name = ref.split(":", 1)[1]
-        if name not in BUILTINS:
-            raise ScenarioParseError(
-                f"unknown builtin {name!r}; available: {', '.join(sorted(BUILTINS))}")
-        return BUILTINS[name]()
-    return load_scenario(ref)
+    if not ref.startswith("builtin:"):
+        return load_scenario(ref)
+    name = ref.split(":", 1)[1]
+    if name not in BUILTINS:
+        raise ScenarioParseError(
+            f"unknown builtin {name!r}; available: {', '.join(sorted(BUILTINS))}")
+    scenario = BUILTINS[name]()
+    report = validate_scenario(scenario)
+    if not report.ok:
+        raise ScenarioValidationError(report)
+    return scenario
 
 
 # ---------------------------------------------------------------------------

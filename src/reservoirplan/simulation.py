@@ -168,10 +168,19 @@ def _planned_starts_and_net_links(plan: Plan, scenario: Scenario
     return planned_prev, net_links
 
 
+def _absorbed_volume(previous, target, inflow, net_link):
+    """Literal-mode volume at the end of a period: the realizable release
+    absorbs the start volume's deviation exactly, so the period starts from
+    the planned volume `previous` and releases the `target`."""
+    return previous - target + inflow + net_link
+
+
 def _realize_batch(plan: Plan, inflows: np.ndarray, scenario: Scenario,
                    physical: bool) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized recursion over a batch of inflows (T, N, R); returns the
-    releases (T, N, R) and volumes (T+1, N, R)."""
+    releases (T, N, R) and volumes (T+1, N, R). A literal-mode volume is
+    `_absorbed_volume`, the float operations of `_risk_tables`, so the two
+    agree bitwise."""
     t_count, n_count, r_count = inflows.shape
     planned_prev, net_links = _planned_starts_and_net_links(plan, scenario)
     max_volumes = scenario.max_volumes()[:, None]
@@ -186,9 +195,12 @@ def _realize_batch(plan: Plan, inflows: np.ndarray, scenario: Scenario,
         g = plan.releases[t][:, None] + (volumes[t] - planned_prev[t][:, None])
         if physical:
             g = np.maximum(g, 0.0)
-        v = volumes[t] - g + inflows[t] + net_links[t][:, None]
-        if physical:
-            v = np.minimum(v, max_volumes)
+            v = np.minimum(volumes[t] - g + inflows[t] + net_links[t][:, None],
+                           max_volumes)
+        else:
+            v = _absorbed_volume(planned_prev[t][:, None],
+                                 plan.releases[t][:, None], inflows[t],
+                                 net_links[t][:, None])
         releases[t] = g
         volumes[t + 1] = v
     return releases, volumes
@@ -275,9 +287,8 @@ def _risk_tables(plan: Plan, scenario: Scenario) -> _RiskTables:
     t-1 inflow deviation, so the risk charged at t is a function of that one
     draw: risk[n, t](c[n, t-1] - inflow[n, t-1]) with c a constant of the
     plan, and risk[n, 1](0) at t = 1. Each entry is computed by the float
-    operations the recursion in `_realize_batch` performs when the previous
-    period's volume deviation is zero, so the two agree bitwise whenever that
-    deviation is.
+    operations of the literal recursion in `_realize_batch`, the volume by
+    the same `_absorbed_volume`, so the two agree bitwise.
     """
     planned_prev, net_links = _planned_starts_and_net_links(plan, scenario)
     tables = []
@@ -289,11 +300,9 @@ def _risk_tables(plan: Plan, scenario: Scenario) -> _RiskTables:
                 volume, probabilities = planned_prev[0, i:i + 1], np.ones(1)
             else:
                 inflow = scenario.inflow[(n, t)]
-                previous = planned_prev[t - 1, i]
-                # The recursion's release at t-1 for a zero volume deviation.
-                release = plan.releases[t - 1, i] + (previous - previous)
-                volume = (previous - release + inflow.values()
-                          + net_links[t - 1, i])
+                volume = _absorbed_volume(planned_prev[t - 1, i],
+                                          plan.releases[t - 1, i],
+                                          inflow.values(), net_links[t - 1, i])
                 probabilities = inflow.probabilities()
             realized = plan.releases[t, i] + (volume - planned_prev[t, i])
             deficit = plan.releases[t, i] - realized

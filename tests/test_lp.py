@@ -349,7 +349,8 @@ def test_pivot_equals_dense_rank1_update_on_sparse_tableaux():
             idx = rng.choice(n, size=int(rng.integers(1, 4)), replace=False)
             p.add_constraint([(int(j), float(rng.uniform(-3, 3))) for j in idx],
                              lp.LESS_EQUAL, float(rng.uniform(0, 5)))
-        state = lp._Tableau(p, p.matrix())  # all-slack basis: the tableau is [A | I]
+        # No free column, so the cold start keeps the all-slack basis [A | I].
+        state = lp._Tableau(p, p.matrix())
         for _ in range(6):
             row, col = rng.choice(
                 np.argwhere((np.abs(state.tab) > 0.1) & ~state.is_basic))
@@ -548,19 +549,27 @@ def _gauss_jordan_install(problem, columns):
     return tab, tab_b, basis
 
 
-def _count_install_pivots(monkeypatch):
+def _count_install_pivots(monkeypatch, crashes=None):
     """A list that gets, for each `_install`, the number of `pivot` calls it
-    made."""
-    pivot, install = lp._Tableau.pivot, lp._Tableau._install
-    counts, installing = [], []
+    made; `crashes`, if given, gets for each whether it installed a crash
+    basis."""
+    pivot, install, crash = (lp._Tableau.pivot, lp._Tableau._install,
+                             lp._Tableau._crash)
+    counts, installing, crashed = [], [], []
 
     def counting_pivot(state, row, col):
         if installing:
             counts[-1] += 1
         pivot(state, row, col)
 
+    def recording_crash(state, problem, matrix):
+        crashed.append(crash(state, problem, matrix))
+        return crashed[-1]
+
     def counting_install(state, columns, matrix):
         counts.append(0)
+        if crashes is not None:
+            crashes.append(any(columns is c for c in crashed))
         installing.append(True)
         try:
             install(state, columns, matrix)
@@ -568,6 +577,7 @@ def _count_install_pivots(monkeypatch):
             installing.pop()
 
     monkeypatch.setattr(lp._Tableau, "pivot", counting_pivot)
+    monkeypatch.setattr(lp._Tableau, "_crash", recording_crash)
     monkeypatch.setattr(lp._Tableau, "_install", counting_install)
     return counts
 
@@ -635,14 +645,147 @@ def test_level_update_is_bitwise_its_pivots_one_at_a_time(monkeypatch):
 
 def test_example_sweep_installs_with_few_pivot_calls(tmp_path, monkeypatch):
     # One pivot per structural basic column would be 215 to 279 calls per
-    # warm build; the triangular levels leave only the bump to the loop.
-    pivots = _count_install_pivots(monkeypatch)
+    # warm build; the triangular levels leave only the bump to the loop. The
+    # crash basis of each method's cold solve is diagonal: one level, no
+    # pivot call.
+    crashes = []
+    pivots = _count_install_pivots(monkeypatch, crashes)
     config = Path(__file__).resolve().parent.parent / "scenarios" / \
         "example_sweep.json"
     assert cli.main(["sweep", "--config", str(config), "--out",
                      str(tmp_path)]) == 0
-    assert len(pivots) == 8
-    assert all(count <= 100 for count in pivots)
+    warm = [count for count, crash in zip(pivots, crashes) if not crash]
+    cold = [count for count, crash in zip(pivots, crashes) if crash]
+    assert len(warm) == 8 and all(count <= 100 for count in warm)
+    assert cold == [0, 0]
+
+
+def _crash_columns(state):
+    return state.basis[state.basis < state.n_structural]
+
+
+def _costed_free_columns(problem):
+    c = problem.objective_vector()
+    free = np.isinf(problem.lower) & np.isinf(problem.upper)
+    return np.flatnonzero(free & (c != 0.0))
+
+
+def _crash_cases():
+    rng = np.random.default_rng(2112)
+    problems = [build(factory())[0] for factory in BUILTINS.values()
+                for build in (build_proposed, build_deterministic)]
+    problems += [(build_proposed if i % 2 else build_deterministic)(
+        random_scenario(rng))[0] for i in range(40)]
+    return problems
+
+
+def test_crash_leaves_no_row_of_a_crash_column_violated():
+    # Each crash column is basic in the row that binds it first in the
+    # direction its cost favours, so it stops inside every other row that
+    # bounds it that way; a column basic in any later-binding row would
+    # violate the earlier ones.
+    for problem in _crash_cases():
+        state = lp._Tableau(problem, problem.matrix())
+        crashed = _crash_columns(state)
+        # The formulation's free columns each have a cut row to themselves.
+        assert np.array_equal(np.sort(crashed), _costed_free_columns(problem))
+        rows, cols, values, row_lower, row_upper = problem.matrix()
+        activity = np.bincount(rows, values * state.x[cols],
+                               problem.num_constraints)
+        touched = np.unique(rows[np.isin(cols, crashed)])
+        assert touched.size >= crashed.size > 0
+        assert np.all(activity[touched] <= row_upper[touched] + lp.FEAS_TOL)
+        assert np.all(activity[touched] >= row_lower[touched] - lp.FEAS_TOL)
+
+
+def _crash_lps():
+    """(name, problem, the crash's basic structural columns) of LPs whose
+    costed free columns each test one rule of the crash."""
+    cases = []
+    inf = math.inf
+    # z costs nothing, so it stays nonbasic though its row would bind it.
+    p = lp.LpProblem("zero_cost")
+    x = p.add_variable("x", 0.0, 10.0)
+    z = p.add_variable("z", -inf, inf)
+    p.set_objective_coefficient(x, 1.0)
+    p.add_constraint([(x, 1.0), (z, -1.0)], lp.LESS_EQUAL, 1.0)
+    p.add_constraint([(z, 1.0)], lp.LESS_EQUAL, 2.0)
+    cases.append(("zero-cost", p, []))
+    # y's only row holds z too; z goes basic in its own row, y stays out.
+    p = lp.LpProblem("two_free")
+    z = p.add_variable("z", -inf, inf)
+    y = p.add_variable("y", -inf, inf)
+    x = p.add_variable("x", 0.0, 4.0)
+    p.set_objective_coefficient(z, 1.0)
+    p.set_objective_coefficient(y, 1.0)
+    p.add_constraint([(z, 1.0), (y, 1.0)], lp.LESS_EQUAL, 4.0)
+    p.add_constraint([(z, 1.0), (x, -1.0)], lp.LESS_EQUAL, 3.0)
+    p.add_constraint([(y, -1.0), (x, 1.0)], lp.LESS_EQUAL, 1.0)
+    cases.append(("two-free-columns", p, [z]))
+    # z (c < 0) is bound from both sides only by the equality row, and
+    # from above by the <= row, which its cost does not favour.
+    p = lp.LpProblem("equality")
+    z = p.add_variable("z", -inf, inf)
+    x = p.add_variable("x", 0.0, 5.0)
+    p.set_objective_coefficient(z, -1.0)
+    p.set_objective_coefficient(x, 3.0)
+    p.add_constraint([(z, 1.0), (x, -1.0)], lp.EQUAL, 2.0)
+    p.add_constraint([(z, 1.0)], lp.LESS_EQUAL, 6.0)
+    cases.append(("equality-row", p, [z]))
+    # z's one row of its own has an entry at PIVOT_TOL; its other row is
+    # shared with the free y, so it has no usable row.
+    p = lp.LpProblem("tiny_entry")
+    z = p.add_variable("z", -inf, inf)
+    y = p.add_variable("y", -inf, inf)
+    x = p.add_variable("x", 0.0, 2.0)
+    p.set_objective_coefficient(z, 1.0)
+    p.add_constraint([(z, lp.PIVOT_TOL)], lp.LESS_EQUAL, 1.0)
+    p.add_constraint([(z, 1.0), (y, 1.0)], lp.LESS_EQUAL, 3.0)
+    p.add_constraint([(y, 1.0), (x, 1.0)], lp.GREATER_EQUAL, 0.0)
+    cases.append(("tiny-entry", p, []))
+    # Every row bounds z from below, and its cost favours rising.
+    p = lp.LpProblem("unbounded")
+    z = p.add_variable("z", -inf, inf)
+    x = p.add_variable("x", 0.0, 1.0)
+    p.set_objective_coefficient(z, 1.0)
+    p.add_constraint([(z, 1.0), (x, -1.0)], lp.GREATER_EQUAL, -1.0)
+    p.add_constraint([(z, -2.0)], lp.LESS_EQUAL, 4.0)
+    cases.append(("unbounded", p, []))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(5), ids=[
+    "zero-cost", "two-free-columns", "equality-row", "tiny-entry",
+    "unbounded"])
+def test_crash_rules_on_hand_built_lps(case):
+    _, problem, crashed = _crash_lps()[case]
+    state = lp._Tableau(problem, problem.matrix())
+    assert _crash_columns(state).tolist() == crashed
+    solution = lp.solve(problem)
+    reference = oracle_solve(problem)
+    assert solution.status == reference.status
+    if reference.status == lp.OPTIMAL:
+        assert solution.objective == pytest.approx(reference.objective,
+                                                   abs=1e-9)
+    assert solution.status == (lp.UNBOUNDED if case == 4 else lp.OPTIMAL)
+
+
+# Cold-start iterations of the built-in plans, so that a lost crash shows as
+# a count.
+BUILTIN_COLD_PIVOTS = {("simple1", "proposed"): 24,
+                       ("simple1", "deterministic"): 17,
+                       ("simple2", "proposed"): 28,
+                       ("simple2", "deterministic"): 17,
+                       ("angpuang", "proposed"): 196,
+                       ("angpuang", "deterministic"): 146}
+
+
+@pytest.mark.parametrize("name,method", sorted(BUILTIN_COLD_PIVOTS))
+def test_builtin_cold_pivot_counts(name, method):
+    build = build_proposed if method == "proposed" else build_deterministic
+    solution = lp.solve(build(BUILTINS[name]())[0])
+    assert solution.start == lp.COLD
+    assert solution.iterations == BUILTIN_COLD_PIVOTS[name, method]
 
 
 def _singular_starts():

@@ -1,5 +1,6 @@
 import bisect
 import dataclasses
+import functools
 import itertools
 
 import numpy as np
@@ -349,6 +350,40 @@ def test_blocks_cannot_change_a_replication(physical, monkeypatch):
                                         physical=physical), scenario)
         assert report.release_profit[rep] == breakdown.release_profit
         assert report.transfer_cost[rep] == breakdown.transfer_cost
+        assert report.risk_cost[rep] == breakdown.risk_cost
+        assert report.total_profit[rep] == breakdown.total
+
+
+@functools.cache
+def _builtin_plan(name):
+    """A built-in scenario and its proposed plan, solved once per test run."""
+    scenario = resolve_scenario(f"builtin:{name}")
+    return scenario, solve_plan(scenario)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(name=st.sampled_from(["simple1", "simple2", "angpuang"]),
+       perturbation=st.integers(0, 2**32 - 1) | st.none(),
+       seed=st.integers(0, 2**32 - 1))
+def test_literal_replication_is_bitwise_the_batch(name, perturbation, seed):
+    # The literal recursion of one replication computes each volume with the
+    # float operations of the risk tables, so a replication scored on its own
+    # equals the batch's to the bit for any plan, not only for plans whose
+    # volumes round exactly along the recursion.
+    scenario, plan = _builtin_plan(name)
+    if perturbation is not None:
+        rng = np.random.default_rng(perturbation)
+        plan = dataclasses.replace(
+            plan,
+            releases=plan.releases * rng.uniform(0.5, 1.5, plan.releases.shape),
+            transfers=plan.transfers * rng.uniform(0.5, 1.5,
+                                                   plan.transfers.shape),
+            volumes=plan.volumes + rng.uniform(-2.0, 2.0, plan.volumes.shape))
+    reps = 8
+    report = run_monte_carlo(plan, scenario, reps=reps, seed=seed)
+    for rep in range(reps):
+        inflows = sample_inflows(scenario, seed=seed, rep=rep)
+        breakdown = score(plan, realize(plan, inflows, scenario), scenario)
         assert report.risk_cost[rep] == breakdown.risk_cost
         assert report.total_profit[rep] == breakdown.total
 
