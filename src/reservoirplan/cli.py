@@ -1,4 +1,4 @@
-"""Command-line front end: planning, evaluation, comparison, sweeps, LP debug.
+"""Command-line front end: planning, evaluation, comparison and sweeps.
 
 Every output file embeds the run manifest (the inputs that determine the run),
 so identical manifests yield bitwise-identical files; wall-clock duration is
@@ -591,22 +591,6 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def cmd_solve_lp(args) -> int:
-    try:
-        problem = lp.from_mps(Path(args.lp_file).read_text())
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
-    solution = lp.solve(problem)
-    print(f"status={solution.status}")
-    print(f"iterations={solution.iterations}")
-    if solution.is_optimal:
-        print(f"objective={solution.objective!r}")
-        for name, value in zip(problem.variable_names, solution.values):
-            if abs(value) > 1e-9:
-                print(f"{name}={value!r}")
-    return _STATUS_EXIT[solution.status]
-
-
 def _replications(text: str) -> int:
     try:
         reps = int(text)
@@ -643,7 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--method", choices=("proposed", "deterministic"),
                         default="proposed")
     p_plan.add_argument("--dump-lp", default=None,
-                        help="also dump the compiled LP in interchange text form")
+                        help="also write the compiled LP as MPS text")
     p_plan.set_defaults(func=cmd_plan)
 
     p_eval = sub.add_parser("evaluate", help="Monte Carlo evaluation of a plan")
@@ -661,10 +645,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--config", required=True, help="sweep config JSON")
     p_sweep.add_argument("--out", default=".")
     p_sweep.set_defaults(func=cmd_sweep)
-
-    p_lp = sub.add_parser("solve-lp", help="solve an LP interchange dump")
-    p_lp.add_argument("lp_file")
-    p_lp.set_defaults(func=cmd_solve_lp)
     return parser
 
 

@@ -1,4 +1,4 @@
-"""Bounded-variable linear programs: representation, embedded simplex, MPS I/O.
+"""Bounded-variable linear programs: representation, embedded simplex, MPS output.
 
 The solver is a two-phase primal simplex on the bounded-variable standard form
 with a dense tableau [A | I]: every row gets a slack whose bounds carry the
@@ -103,10 +103,6 @@ class LpProblem:
             self.objective.pop(index, None)
         else:
             self.objective[index] = float(coefficient)
-
-    def add_objective_coefficient(self, index: int, coefficient: float) -> None:
-        self.set_objective_coefficient(
-            index, self.objective.get(index, 0.0) + coefficient)
 
     def add_constraint(self, coefficients, relation: str, rhs: float) -> int:
         if relation not in RELATIONS:
@@ -713,7 +709,7 @@ def _dual_residuals(matrix: tuple[np.ndarray, ...], state: _Tableau,
 
 
 # ---------------------------------------------------------------------------
-# Fixed-column interchange text format (MPS subset)
+# MPS output (a fixed-column subset)
 # ---------------------------------------------------------------------------
 
 
@@ -763,139 +759,3 @@ def to_mps(problem: LpProblem) -> str:
     lines.append("ENDATA")
     return "\n".join(lines) + "\n"
 
-
-def from_mps(text: str) -> LpProblem:
-    """Parse the MPS subset emitted by `to_mps` (sections NAME, OBJSENSE, ROWS,
-    COLUMNS, RHS, BOUNDS, ENDATA). RANGES is rejected, not ignored. The
-    objective sense may follow `OBJSENSE` on its header line (free MPS) or
-    stand on the indented line below it, not both."""
-    problem = LpProblem()
-    section = None
-    row_relation: dict[str, str] = {}
-    objective_row = None
-    columns: dict[str, int] = {}
-    # Coefficients by row name, then by column index; the objective row too.
-    row_coefs: dict[str, dict[int, float]] = {}
-    rhs_values: dict[str, float] = {}
-    bounds: dict[tuple[str, str], float] = {}   # by (column, "lower"/"upper")
-    maximize = False
-    sense_line = None   # line that gave the objective sense
-
-    def fail(line_no: int, message: str) -> None:
-        raise ValueError(f"MPS parse error at line {line_no}: {message}")
-
-    def number(line_no: int, token: str) -> float:
-        try:
-            value = float(token)
-        except ValueError:
-            value = math.nan
-        if math.isnan(value):
-            fail(line_no, f"{token!r} is not a number")
-        return value
-
-    def set_sense(line_no: int, tokens: list[str]) -> None:
-        nonlocal maximize, sense_line
-        if len(tokens) != 1:
-            fail(line_no, "OBJSENSE takes one objective sense")
-        if sense_line is not None:
-            fail(line_no, f"objective sense already given at line {sense_line}")
-        if tokens[0].upper() not in ("MAX", "MAXIMIZE", "MIN", "MINIMIZE"):
-            fail(line_no, f"unknown objective sense {tokens[0]!r}")
-        maximize = tokens[0].upper().startswith("MAX")
-        sense_line = line_no
-
-    lines = text.splitlines()
-    for line_no, raw in enumerate(lines, start=1):
-        if not raw.strip() or raw.lstrip().startswith("*"):
-            continue
-        is_header = not raw[0].isspace()
-        tokens = raw.split()
-        if is_header:
-            section = tokens[0].upper()
-            if section == "NAME":
-                problem.name = tokens[1] if len(tokens) > 1 else "LP"
-            elif section == "ENDATA":
-                break
-            elif section == "RANGES":
-                fail(line_no, "RANGES section is not supported")
-            elif section == "OBJSENSE" and len(tokens) > 1:
-                set_sense(line_no, tokens[1:])
-            elif section not in ("OBJSENSE", "ROWS", "COLUMNS", "RHS", "BOUNDS"):
-                fail(line_no, f"unknown section {section!r}")
-            continue
-        if section == "OBJSENSE":
-            set_sense(line_no, tokens)
-        elif section == "ROWS":
-            if len(tokens) != 2:
-                fail(line_no, "ROWS entries must be a row kind and a name")
-            kind, name = tokens[0].upper(), tokens[1]
-            if name in row_coefs:
-                fail(line_no, f"row {name!r} declared twice")
-            if kind == "N":
-                if objective_row is not None:
-                    fail(line_no, f"second objective row {name!r}")
-                objective_row = name
-            elif kind in ("L", "G", "E"):
-                row_relation[name] = {"L": LESS_EQUAL, "G": GREATER_EQUAL,
-                                      "E": EQUAL}[kind]
-            else:
-                fail(line_no, f"unknown row kind {kind!r}")
-            row_coefs[name] = {}
-        elif section == "COLUMNS":
-            col = tokens[0]
-            if col not in columns:
-                columns[col] = problem.add_variable(col, 0.0, math.inf)
-            j = columns[col]
-            pairs = tokens[1:]
-            if len(pairs) % 2:
-                fail(line_no, "COLUMNS entries must be row/value pairs")
-            for row, value in zip(pairs[::2], pairs[1::2]):
-                if row not in row_coefs:
-                    fail(line_no, f"entry for unknown row {row!r}")
-                row_coefs[row][j] = (row_coefs[row].get(j, 0.0)
-                                     + number(line_no, value))
-        elif section == "RHS":
-            pairs = tokens[1:]
-            if len(pairs) % 2:
-                fail(line_no, "RHS entries must be row/value pairs")
-            for row, value in zip(pairs[::2], pairs[1::2]):
-                if row == objective_row:
-                    fail(line_no, "RHS on the objective row is not supported")
-                if row not in row_relation:
-                    fail(line_no, f"RHS for unknown row {row!r}")
-                if row in rhs_values:
-                    fail(line_no, f"second RHS entry for row {row!r}")
-                rhs_values[row] = number(line_no, value)
-        elif section == "BOUNDS":
-            kind = tokens[0].upper()
-            if kind not in ("UP", "LO", "FX", "FR", "MI", "PL"):
-                fail(line_no, f"unknown bound kind {kind!r}")
-            valued = kind in ("UP", "LO", "FX")
-            if len(tokens) != (4 if valued else 3):
-                fail(line_no, f"{kind} bound must name a bound set and a column"
-                     + (" and give a value" if valued else ""))
-            col = tokens[2]
-            if col not in columns:
-                fail(line_no, f"bound for unknown column {col!r}")
-            value = number(line_no, tokens[3]) if valued else None
-            sides = {"LO": {"lower": value}, "UP": {"upper": value},
-                     "MI": {"lower": -math.inf}, "PL": {"upper": math.inf},
-                     "FX": {"lower": value, "upper": value},
-                     "FR": {"lower": -math.inf, "upper": math.inf}}[kind]
-            for side, bound in sides.items():
-                if (col, side) in bounds:
-                    fail(line_no, f"{side} bound of column {col!r} set twice")
-                bounds[col, side] = bound
-        elif section is None:
-            fail(line_no, "data before any section header")
-
-    for (col, side), bound in bounds.items():
-        getattr(problem, side)[columns[col]] = bound
-    # The embedded representation always maximizes; flip a MIN objective.
-    sign = 1.0 if maximize else -1.0
-    for j, value in row_coefs.get(objective_row, {}).items():
-        problem.add_objective_coefficient(j, sign * value)
-    for row, relation in row_relation.items():
-        problem.add_constraint(row_coefs[row].items(), relation,
-                               rhs_values.get(row, 0.0))
-    return problem

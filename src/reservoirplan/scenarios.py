@@ -77,6 +77,16 @@ def _integer(value, where: str, field: str) -> int:
     return value
 
 
+def _number(value, where: str, field: str) -> float:
+    """A number field as a float, refused rather than coerced if it is a
+    bool, a string, null, an array or an object. Any JSON number passes,
+    an infinity included; `validate_scenario` judges its value."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ScenarioParseError(
+            f"{where}: {field!r} must be a number, got {value!r}")
+    return float(value)
+
+
 def _grid(raw, where: str) -> tuple[float, ...]:
     """A sweep grid: a JSON array of finite numbers. Strings, bools and other
     iterables are refused rather than coerced, and a bad value is named by
@@ -104,14 +114,24 @@ def _expand_ids(raw, all_ids: list[int], where: str) -> list[int]:
 
 def _parse_function(entry: dict, where: str) -> PwlFunction:
     breakpoints = _need(entry, "breakpoints", where)
+    shape = entry.get("shape", [])
+    if not isinstance(shape, list):
+        raise ScenarioParseError(
+            f"{where}: 'shape' must be a list of flags, got {shape!r}")
     try:
         return PwlFunction(
-            breakpoints=tuple((float(x), float(y)) for x, y in breakpoints),
-            left_slope=float(_need(entry, "left_slope", where)),
-            right_slope=float(_need(entry, "right_slope", where)),
-            shape=tuple(entry.get("shape", ())),
+            breakpoints=tuple((_number(x, where, "breakpoints"),
+                               _number(y, where, "breakpoints"))
+                              for x, y in breakpoints),
+            left_slope=_number(_need(entry, "left_slope", where), where,
+                               "left_slope"),
+            right_slope=_number(_need(entry, "right_slope", where), where,
+                                "right_slope"),
+            shape=tuple(shape),
             provenance=str(entry.get("provenance", "unspecified")),
         )
+    except ScenarioParseError:
+        raise
     except (TypeError, ValueError) as exc:
         raise ScenarioParseError(f"{where}: {exc}") from exc
 
@@ -124,15 +144,23 @@ def scenario_from_dict(doc: dict) -> Scenario:
                        "horizon")
     if horizon < 1:
         raise ScenarioParseError("top level: 'horizon' must be a positive integer")
+    physical_sim = doc.get("physical_sim", False)
+    if not isinstance(physical_sim, bool):
+        raise ScenarioParseError(
+            f"top level: 'physical_sim' must be true or false, "
+            f"got {physical_sim!r}")
 
     reservoirs = []
     for i, entry in enumerate(_need(doc, "reservoirs", "top level")):
         where = f"reservoirs[{i}]"
         reservoirs.append(ReservoirSpec(
             id=_integer(_need(entry, "id", where), where, "id"),
-            max_volume=float(_need(entry, "max_volume", where)),
-            initial_volume=float(_need(entry, "initial_volume", where)),
-            final_min_volume=float(_need(entry, "final_min_volume", where)),
+            max_volume=_number(_need(entry, "max_volume", where), where,
+                               "max_volume"),
+            initial_volume=_number(_need(entry, "initial_volume", where), where,
+                                   "initial_volume"),
+            final_min_volume=_number(_need(entry, "final_min_volume", where),
+                                     where, "final_min_volume"),
             provenance=str(entry.get("provenance", "unspecified")),
         ))
     ids = [r.id for r in reservoirs]
@@ -143,7 +171,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
         links.append(LinkSpec(
             source=_integer(_need(entry, "from", where), where, "from"),
             target=_integer(_need(entry, "to", where), where, "to"),
-            capacity=float(_need(entry, "capacity", where)),
+            capacity=_number(_need(entry, "capacity", where), where,
+                             "capacity"),
             provenance=str(entry.get("provenance", "unspecified")),
         ))
     link_pairs = [(l.source, l.target) for l in links]
@@ -181,9 +210,13 @@ def scenario_from_dict(doc: dict) -> Scenario:
         support = _need(entry, "support", where)
         try:
             dist = DiscreteDistribution(
-                support=tuple((float(v), float(p)) for v, p in support),
+                support=tuple((_number(v, where, "support"),
+                               _number(p, where, "support"))
+                              for v, p in support),
                 provenance=str(entry.get("provenance", "unspecified")),
             )
+        except ScenarioParseError:
+            raise
         except (TypeError, ValueError) as exc:
             raise ScenarioParseError(f"{where}: {exc}") from exc
         for n in _expand_ids(entry.get("reservoirs", "all"), ids, where):
@@ -191,19 +224,19 @@ def scenario_from_dict(doc: dict) -> Scenario:
                 inflow[(n, t)] = dist
 
     penalty_doc = doc.get("penalty", {})
-    if isinstance(penalty_doc, (int, float)):
-        penalty_doc = {"default": float(penalty_doc)}
+    if not isinstance(penalty_doc, dict):
+        penalty_doc = {"default": _number(penalty_doc, "top level", "penalty")}
     default = penalty_doc.get("default", "auto")
     if default == "auto":
         default_value = default_overflow_penalty(profit)
     else:
-        default_value = float(default)
+        default_value = _number(default, "penalty", "default")
     penalty = {(n, t): default_value for n in ids for t in periods}
     for i, entry in enumerate(penalty_doc.get("overrides", [])):
         where = f"penalty.overrides[{i}]"
         penalty[(_integer(_need(entry, "reservoir", where), where, "reservoir"),
                  _integer(_need(entry, "period", where), where, "period"))] = \
-            float(_need(entry, "value", where))
+            _number(_need(entry, "value", where), where, "value")
 
     return Scenario(
         name=str(doc.get("name", "scenario")),
@@ -215,7 +248,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         transfer_cost=cost,
         inflow=inflow,
         overflow_penalty=penalty,
-        physical_sim=bool(doc.get("physical_sim", False)),
+        physical_sim=physical_sim,
     )
 
 

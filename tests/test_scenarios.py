@@ -277,6 +277,86 @@ def test_integer_fields_are_not_truncated_or_coerced(field, edit, tmp_path):
         load_scenario(path)
 
 
+def _first_profit(doc):
+    return next(e for e in doc["functions"] if e["role"] == "profit")
+
+
+@pytest.mark.parametrize("where,field,edit", [
+    ("reservoirs[0]", "max_volume",
+     lambda doc: doc["reservoirs"][0].update(max_volume=True)),
+    ("reservoirs[1]", "initial_volume",
+     lambda doc: doc["reservoirs"][1].update(initial_volume=None)),
+    ("links[0]", "capacity", lambda doc: doc["links"][0].update(capacity="5")),
+    ("functions[0]", "breakpoints",
+     lambda doc: _first_profit(doc).update(breakpoints=[[0.0, 0.0], ["1", 1]])),
+    ("functions[0]", "left_slope",
+     lambda doc: _first_profit(doc).update(left_slope="1")),
+    ("functions[0]", "right_slope",
+     lambda doc: _first_profit(doc).update(right_slope=[0.0])),
+    ("distributions[0]", "support",
+     lambda doc: doc["distributions"][0].update(
+         support=[[0.0, "0.15"], [1.0, 0.45], [2.0, 0.4]])),
+    ("distributions[0]", "support",
+     lambda doc: doc["distributions"][0].update(support=[[{}, 1.0]])),
+    ("penalty.overrides[0]", "value",
+     lambda doc: doc["penalty"]["overrides"][0].update(value="5")),
+    ("penalty", "default", lambda doc: doc["penalty"].update(default=False)),
+    ("top level", "penalty", lambda doc: doc.update(penalty="5")),
+], ids=["max_volume_bool", "initial_volume_null", "capacity_string",
+        "breakpoint_string", "left_slope_string", "right_slope_list",
+        "probability_string", "support_value_object", "penalty_value_string",
+        "penalty_default_bool", "penalty_string"])
+def test_number_fields_are_not_coerced(where, field, edit, tmp_path):
+    # Each of these used to load: true as 1.0 and "5" as 5.0.
+    doc = scenario_to_dict(builtin_simple(1))
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ScenarioParseError, match=re.escape(
+            f"{path}: {where}: '{field}' must be a number, got ")):
+        load_scenario(path)
+
+
+def test_shape_must_be_a_list_of_flags():
+    # "concave" used to be split into the flags c, o, n, ...
+    doc = scenario_to_dict(builtin_simple(1))
+    _first_profit(doc)["shape"] = "concave"
+    with pytest.raises(ScenarioParseError, match=re.escape(
+            "functions[0]: 'shape' must be a list of flags, got 'concave'")):
+        scenario_from_dict(doc)
+
+
+_MISSING = object()
+
+
+@pytest.mark.parametrize("value,accepted", [
+    (True, True), (False, True), (_MISSING, True),
+    ("false", False), ("true", False), (0, False), (1, False), (None, False),
+], ids=["true", "false", "missing", "string_false", "string_true", "zero",
+        "one", "null"])
+def test_physical_sim_must_be_a_json_bool(value, accepted, tmp_path):
+    # "false" used to load as physical_sim=True.
+    doc = scenario_to_dict(builtin_simple(1))
+    if value is _MISSING:
+        del doc["physical_sim"]
+    else:
+        doc["physical_sim"] = value
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    if not accepted:
+        with pytest.raises(ScenarioParseError, match=re.escape(
+                f"{path}: top level: 'physical_sim' must be true or false, "
+                f"got {value!r}")):
+            load_scenario(path)
+        return
+    scenario = load_scenario(path)
+    assert scenario.physical_sim is (value is True)
+    saved = tmp_path / "saved.json"
+    save_scenario(scenario, saved)
+    assert json.loads(saved.read_text())["physical_sim"] is (value is True)
+    assert load_scenario(saved) == scenario
+
+
 def test_index_lists_refuse_bools():
     doc = scenario_to_dict(builtin_simple(1))
     doc["functions"][0]["reservoirs"] = [True]
