@@ -290,80 +290,40 @@ def cmd_plan(args) -> int:
     return EXIT_OK
 
 
-def _report_columns(report: simulation.SimulationReport) -> tuple:
-    """Per-replication columns in REPORT_HEADER order, after `rep`."""
-    return (report.release_profit, report.transfer_cost, report.risk_cost,
-            report.total_profit)
-
-
 def _report_rows(report: simulation.SimulationReport) -> list[tuple]:
     """One row per replication: its index, then each column's value."""
-    return list(zip(range(report.replications),
-                    *(column.tolist() for column in _report_columns(report))))
+    release, transfer = report.release_profit, report.transfer_cost
+    return [(rep, release, transfer, risk, total) for rep, (risk, total)
+            in enumerate(zip(report.risk_cost.tolist(),
+                             report.total_profit.tolist()))]
 
 
 def _summary_rows(report: simulation.SimulationReport) -> list[tuple]:
-    return [("mean",
-             float(report.release_profit.mean()),
-             float(report.transfer_cost.mean()),
+    """The mean and std rows; release and transfer are the plan's constants."""
+    return [("mean", report.release_profit, report.transfer_cost,
              report.mean_risk, report.mean_total),
-            ("std",
-             simulation._sample_std(report.release_profit),
-             simulation._sample_std(report.transfer_cost),
-             report.std_risk, report.std_total)]
+            ("std", 0.0, 0.0, report.std_risk, report.std_total)]
 
 
-def _dense_ranks(codes: np.ndarray, bound: int) -> tuple[np.ndarray, int]:
-    """Each code's rank among the distinct codes, and how many there are.
-
-    Every code is in 0..bound-1. A bound no larger than the number of codes
-    is ranked through a table of the codes present, without sorting.
-    """
-    if bound <= codes.size:
-        present = np.zeros(bound, bool)
-        present[codes] = True
-        ranks = np.cumsum(present) - 1
-        return ranks[codes], int(ranks[-1]) + 1
-    distinct, ranks = np.unique(codes, return_inverse=True)
-    return ranks, distinct.size
-
-
-def _row_codes(columns: Sequence[np.ndarray]) -> tuple[np.ndarray, int]:
-    """A code per row, equal for rows with the same bits in every column.
-
-    Codes run 0..count-1. Values are told apart by bit pattern, not by float
-    equality, because -0.0 == 0.0 yet the two print differently. The codes
-    are ranked again after each column is mixed in, so a mixed code stays
-    below the number of rows squared; a mixed-radix product of all the
-    columns at once could wrap int64.
-    """
-    codes, count = np.zeros(columns[0].size, np.intp), 1
-    for column in columns:
-        bits = column.view(np.int64)
-        if bits.min() == bits.max():
-            continue  # a constant column tells no rows apart
-        values, inverse = np.unique(bits, return_inverse=True)
-        codes, count = _dense_ranks(codes * values.size + inverse,
-                                    count * values.size)
-    return codes, count
-
-
-def _indexed_rows(columns: Sequence[np.ndarray]) -> np.ndarray:
-    """The bytes of the CSV lines `i,c0[i],c1[i],...` for every row i of the
-    float64 `columns`, as one uint8 array.
+def _indexed_rows(release: float, transfer: float,
+                  risk: np.ndarray) -> np.ndarray:
+    """The bytes of the CSV lines `i,release,transfer,risk[i],total[i]` for
+    every replication i, as one uint8 array, with total the release less the
+    transfer and the risk.
 
     Each value prints as `str` of its Python float, as `_csv_line` would
-    print it. Repeated rows are the norm (a replication's values depend on
-    finitely many discrete inflow draws), so each distinct row's text after
-    the index is formatted once. The rows are laid out in a padded matrix,
-    index digits first, and its padding dropped by one length mask.
+    print it. Only the risk varies, and it repeats (a replication's risk
+    depends on finitely many discrete inflow draws), so the text after the
+    index is formatted once per distinct risk. Risks are told apart by bit
+    pattern, not by float equality, because -0.0 == 0.0 yet the two print
+    differently. The rows are laid out in a padded matrix, index digits
+    first, and its padding dropped by one length mask.
     """
-    size = columns[0].size
-    codes, count = _row_codes(columns)
-    first = np.empty(count, np.intp)
-    first[codes] = np.arange(size)  # the rows of a code share their bits
-    suffixes = ["," + ",".join(map(str, row)) + "\n"
-                for row in zip(*(column[first].tolist() for column in columns))]
+    size = risk.size
+    distinct, codes = np.unique(risk.view(np.int64), return_inverse=True)
+    suffixes = [f",{release},{transfer},{value},{release - transfer - value}\n"
+                for value in distinct.view(np.float64).tolist()]
+    count = len(suffixes)
     lengths = np.fromiter(map(len, suffixes), np.intp, count)
     longest = int(lengths.max())
     table = np.zeros((count, longest), np.uint8)
@@ -393,7 +353,8 @@ def _indexed_rows(columns: Sequence[np.ndarray]) -> np.ndarray:
 def _write_report_csv(path: Path, manifest: RunManifest,
                       report: simulation.SimulationReport) -> None:
     """The evaluation table: one row per replication, then mean and std."""
-    rows = _indexed_rows(_report_columns(report))
+    rows = _indexed_rows(report.release_profit, report.transfer_cost,
+                         report.risk_cost)
     with path.open("wb") as file:
         file.write(_csv_head(manifest, REPORT_HEADER).encode())
         file.write(rows)

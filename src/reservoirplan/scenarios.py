@@ -79,12 +79,27 @@ def _integer(value, where: str, field: str) -> int:
 
 def _number(value, where: str, field: str) -> float:
     """A number field as a float, refused rather than coerced if it is a
-    bool, a string, null, an array or an object. Any JSON number passes,
-    an infinity included; `validate_scenario` judges its value."""
+    bool, a string, null, an array or an object, and refused if it is an
+    integer too large for a float. Any other JSON number passes, an infinity
+    included; `validate_scenario` judges its value."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ScenarioParseError(
             f"{where}: {field!r} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ScenarioParseError(
+            f"{where}: {field!r} must be a number, got {value!r}, which is "
+            f"too large for a float") from None
+
+
+def _string(value, where: str, field: str) -> str:
+    """A string field, refused rather than coerced if it is null, a number,
+    a bool, an array or an object."""
+    if not isinstance(value, str):
+        raise ScenarioParseError(
+            f"{where}: {field!r} must be a string, got {value!r}")
+    return value
 
 
 def _grid(raw, where: str) -> tuple[float, ...]:
@@ -128,7 +143,8 @@ def _parse_function(entry: dict, where: str) -> PwlFunction:
             right_slope=_number(_need(entry, "right_slope", where), where,
                                 "right_slope"),
             shape=tuple(shape),
-            provenance=str(entry.get("provenance", "unspecified")),
+            provenance=_string(entry.get("provenance", "unspecified"), where,
+                               "provenance"),
         )
     except ScenarioParseError:
         raise
@@ -161,7 +177,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
                                    "initial_volume"),
             final_min_volume=_number(_need(entry, "final_min_volume", where),
                                      where, "final_min_volume"),
-            provenance=str(entry.get("provenance", "unspecified")),
+            provenance=_string(entry.get("provenance", "unspecified"), where,
+                               "provenance"),
         ))
     ids = [r.id for r in reservoirs]
 
@@ -173,7 +190,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
             target=_integer(_need(entry, "to", where), where, "to"),
             capacity=_number(_need(entry, "capacity", where), where,
                              "capacity"),
-            provenance=str(entry.get("provenance", "unspecified")),
+            provenance=_string(entry.get("provenance", "unspecified"), where,
+                               "provenance"),
         ))
     link_pairs = [(l.source, l.target) for l in links]
 
@@ -213,7 +231,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
                 support=tuple((_number(v, where, "support"),
                                _number(p, where, "support"))
                               for v, p in support),
-                provenance=str(entry.get("provenance", "unspecified")),
+                provenance=_string(entry.get("provenance", "unspecified"),
+                                   where, "provenance"),
             )
         except ScenarioParseError:
             raise
@@ -239,7 +258,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
             _number(_need(entry, "value", where), where, "value")
 
     return Scenario(
-        name=str(doc.get("name", "scenario")),
+        name=_string(doc.get("name", "scenario"), "top level", "name"),
         horizon=horizon,
         reservoirs=tuple(reservoirs),
         links=tuple(links),
@@ -539,8 +558,10 @@ def load_sweep_config(path: str | Path) -> SweepConfig:
         raise ScenarioParseError(f"{path}: {exc}") from exc
     try:
         config = SweepConfig(
-            scenario=str(_need(doc, "scenario", "sweep config")),
-            parameter=str(_need(doc, "parameter", "sweep config")),
+            scenario=_string(_need(doc, "scenario", "sweep config"),
+                             "sweep config", "scenario"),
+            parameter=_string(_need(doc, "parameter", "sweep config"),
+                              "sweep config", "parameter"),
             grid=_grid(_need(doc, "grid", "sweep config"), "sweep config"),
             reps=_integer(doc.get("reps", 100), "sweep config", "reps"),
             seed=_integer(doc.get("seed", 0), "sweep config", "seed"),

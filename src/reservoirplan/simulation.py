@@ -3,6 +3,8 @@
 Replications are scored against the plan's declared targets: release profit is
 earned on the target release, transfer cost on the planned transfers, and a
 shortfall risk is charged whenever the realizable release falls below target.
+The plan is static, so release profit and transfer cost are constants of the
+plan, computed once; only the risk varies from replication to replication.
 Each (seed, replication, reservoir, period) draw comes from its own
 counter-based stream: the SplitMix64 chain seed -> rep -> reservoir -> period,
 each prefix hashed once per batch. The draw is the chain's top 53 bits, and
@@ -175,12 +177,12 @@ def _absorbed_volume(previous, target, inflow, net_link):
     return previous - target + inflow + net_link
 
 
-def _realize_batch(plan: Plan, inflows: np.ndarray, scenario: Scenario,
-                   physical: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized recursion over a batch of inflows (T, N, R); returns the
-    releases (T, N, R) and volumes (T+1, N, R). A literal-mode volume is
-    `_absorbed_volume`, the float operations of `_risk_tables`, so the two
-    agree bitwise."""
+def _realize_batch(plan: Plan, inflows: np.ndarray, scenario: Scenario
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized recursion over a batch of inflows (T, N, R) in the
+    scenario's mode; returns the releases (T, N, R) and volumes (T+1, N, R).
+    A literal-mode volume is `_absorbed_volume`, the float operations of
+    `_risk_tables`, so the two agree bitwise."""
     t_count, n_count, r_count = inflows.shape
     planned_prev, net_links = _planned_starts_and_net_links(plan, scenario)
     max_volumes = scenario.max_volumes()[:, None]
@@ -193,7 +195,7 @@ def _realize_batch(plan: Plan, inflows: np.ndarray, scenario: Scenario,
         # The volume deviation is applied as one term so a zero deviation
         # leaves the target release bitwise unchanged.
         g = plan.releases[t][:, None] + (volumes[t] - planned_prev[t][:, None])
-        if physical:
+        if scenario.physical_sim:
             g = np.maximum(g, 0.0)
             v = np.minimum(volumes[t] - g + inflows[t] + net_links[t][:, None],
                            max_volumes)
@@ -206,17 +208,15 @@ def _realize_batch(plan: Plan, inflows: np.ndarray, scenario: Scenario,
     return releases, volumes
 
 
-def realize(plan: Plan, inflows: np.ndarray, scenario: Scenario,
-            physical: bool | None = None) -> RealizedTrajectory:
+def realize(plan: Plan, inflows: np.ndarray,
+            scenario: Scenario) -> RealizedTrajectory:
     """Apply the realizable-release recursion literally: the realizable release
     absorbs the previous period's volume deviation and may go negative under
-    extreme deficits. `physical` floors releases at zero and spills above
-    capacity instead (defaults to the scenario's flag)."""
+    extreme deficits. A scenario with `physical_sim` floors releases at zero
+    and spills above capacity instead."""
     plan.check_dimensions(scenario)
-    if physical is None:
-        physical = scenario.physical_sim
     inflows = np.asarray(inflows, dtype=float)
-    releases, volumes = _realize_batch(plan, inflows[..., None], scenario, physical)
+    releases, volumes = _realize_batch(plan, inflows[..., None], scenario)
     return RealizedTrajectory(inflows=inflows, releases=releases[..., 0],
                               volumes=volumes[..., 0])
 
@@ -382,26 +382,40 @@ def exact_moments(plan: Plan, scenario: Scenario) -> ExactMoments:
 
 @dataclasses.dataclass
 class SimulationReport:
-    """Per-replication profit breakdowns plus aggregate statistics.
+    """A plan's profit breakdown over replications, and its aggregates.
 
-    `exact` holds the exact moments in literal mode and is None in physical
-    mode.
+    Release profit and transfer cost are the plan's constants; the risk cost
+    is the only per-replication array, and the total is derived from the
+    three. The aggregates are computed from `risk_cost` and `total_profit` at
+    construction. `exact` holds the exact moments in literal mode and is
+    None in physical mode.
     """
 
     seed: int
-    release_profit: np.ndarray   # (reps,)
-    transfer_cost: np.ndarray    # (reps,)
+    release_profit: float
+    transfer_cost: float
     risk_cost: np.ndarray        # (reps,)
-    total_profit: np.ndarray     # (reps,)
-    mean_total: float
-    std_total: float
-    mean_risk: float
-    std_risk: float
     exact: ExactMoments | None = None
+    mean_total: float = dataclasses.field(init=False)
+    std_total: float = dataclasses.field(init=False)
+    mean_risk: float = dataclasses.field(init=False)
+    std_risk: float = dataclasses.field(init=False)
+
+    def __post_init__(self):
+        total = self.total_profit
+        self.mean_total = float(total.mean())
+        self.std_total = _sample_std(total)
+        self.mean_risk = float(self.risk_cost.mean())
+        self.std_risk = _sample_std(self.risk_cost)
+
+    @property
+    def total_profit(self) -> np.ndarray:
+        """Total profit per replication, (reps,)."""
+        return self.release_profit - self.transfer_cost - self.risk_cost
 
     @property
     def replications(self) -> int:
-        return self.total_profit.size
+        return self.risk_cost.size
 
 
 def _sample_std(values: np.ndarray) -> float:
@@ -421,51 +435,35 @@ def _physical_risk(plan: Plan, scenario: Scenario, seed: int,
         rep_ids = np.arange(start, min(start + _BLOCK_REPS, reps),
                             dtype=np.uint64)
         inflows = _sample_batch(tables, seed, rep_ids)
-        realized_releases, _ = _realize_batch(plan, inflows, scenario,
-                                              physical=True)
+        realized_releases, _ = _realize_batch(plan, inflows, scenario)
         risk[start:start + rep_ids.size] = _risk_batch(plan, realized_releases,
                                                        scenario)
     return risk
 
 
 def run_monte_carlo(plan: Plan, scenario: Scenario, reps: int = 100,
-                    seed: int = 0, physical: bool | None = None) -> SimulationReport:
+                    seed: int = 0) -> SimulationReport:
     """Evaluate a plan over `reps` independently sampled inflow sequences.
 
     Bitwise deterministic in (plan, scenario, reps, seed): every draw comes
     from its own (seed, rep, n, t) stream, independent of execution order.
-    Literal mode gathers from the risk tables and also reports their exact
-    moments; physical mode runs the recursion.
+    The scenario's `physical_sim` picks the mode. Literal mode gathers from
+    the risk tables and also reports their exact moments; physical mode runs
+    the recursion.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
     plan.check_dimensions(scenario)
-    if physical is None:
-        physical = scenario.physical_sim
 
     release_profit = _plan_release_profit(plan, scenario)
     transfer_cost = _plan_transfer_cost(plan, scenario)
-    if physical:
+    if scenario.physical_sim:
         risk = _physical_risk(plan, scenario, seed, reps)
         exact = None
     else:
         tables = _risk_tables(plan, scenario)
         risk = _gathered_risk(tables, seed, reps)
         exact = _exact_moments(tables, release_profit, transfer_cost)
-
-    release = np.full(reps, release_profit)
-    transfer = np.full(reps, transfer_cost)
-    total = release - transfer - risk
-
-    return SimulationReport(
-        seed=seed,
-        release_profit=release,
-        transfer_cost=transfer,
-        risk_cost=risk,
-        total_profit=total,
-        mean_total=float(total.mean()),
-        std_total=_sample_std(total),
-        mean_risk=float(risk.mean()),
-        std_risk=_sample_std(risk),
-        exact=exact,
-    )
+    return SimulationReport(seed=seed, release_profit=release_profit,
+                            transfer_cost=transfer_cost, risk_cost=risk,
+                            exact=exact)

@@ -178,10 +178,9 @@ def test_evaluate_json_format(tmp_path):
         cli.load_plan_json(tmp_path / "plan.json"),
         resolve_scenario("builtin:simple1"), reps=10, seed=1)
     assert doc["per_replication"] == [
-        {"rep": rep, "release": release, "transfer": transfer, "risk": risk,
-         "total": total}
-        for rep, (release, transfer, risk, total) in enumerate(zip(
-            report.release_profit.tolist(), report.transfer_cost.tolist(),
+        {"rep": rep, "release": report.release_profit,
+         "transfer": report.transfer_cost, "risk": risk, "total": total}
+        for rep, (risk, total) in enumerate(zip(
             report.risk_cost.tolist(), report.total_profit.tolist()))]
     assert all(type(row[key]) is float for row in doc["per_replication"]
                for key in cli.REPORT_HEADER[1:])
@@ -198,7 +197,8 @@ def test_evaluation_files_round_trip_every_number(tmp_path):
     report = simulation.run_monte_carlo(
         cli.load_plan_json(plan_path), resolve_scenario("builtin:angpuang"),
         reps=300, seed=6)
-    expected = np.column_stack([report.release_profit, report.transfer_cost,
+    expected = np.column_stack([np.full(300, report.release_profit),
+                                np.full(300, report.transfer_cost),
                                 report.risk_cost, report.total_profit])
 
     lines = [line for line in
@@ -233,40 +233,50 @@ def test_csv_writes_floats_as_their_repr(tmp_path):
 
 def test_report_csv_rows_are_str_of_each_value(tmp_path):
     reps = 60
-    index = np.arange(reps)
-    constant = np.full(reps, 38.92499999999999)
-    # Repeats of a few values, 0.0 and -0.0 among them.
-    repeated = np.array([0.0, -0.0, 0.1 + 0.2, 1e16, -0.0, 1e-05])[index % 6]
-    distinct = np.random.default_rng(5).standard_normal(reps) * 1e3
-    total = constant - repeated - distinct
-    report = simulation.SimulationReport(
-        seed=0, release_profit=constant, transfer_cost=repeated,
-        risk_cost=distinct, total_profit=total,
-        mean_total=float(total.mean()), std_total=float(total.std()),
-        mean_risk=float(distinct.mean()), std_risk=float(distinct.std()))
+    release, transfer = 38.92499999999999, 0.1 + 0.2
+    # Repeats of a few values, 0.0 and -0.0 among them, then distinct values.
+    risk = np.concatenate([
+        np.array([0.0, -0.0, 1e16, -0.0, 1e-05, 0.0] * 5),
+        np.random.default_rng(5).standard_normal(reps - 30) * 1e3])
+    report = simulation.SimulationReport(seed=0, release_profit=release,
+                                         transfer_cost=transfer, risk_cost=risk)
     path = tmp_path / "evaluation.csv"
     cli._write_report_csv(path, cli.RunManifest(command="test", scenario="s"),
                           report)
     lines = [line for line in path.read_text().splitlines()
              if not line.startswith("#")]
-    float_rows = list(zip(range(reps), constant.tolist(), repeated.tolist(),
-                          distinct.tolist(), total.tolist()))
+    float_rows = [(rep, release, transfer, value, release - transfer - value)
+                  for rep, value in enumerate(risk.tolist())]
     assert lines[1:reps + 1] == [",".join(map(str, row)) for row in float_rows]
-    assert [line.split(",")[2] for line in lines[1:7]] == [
-        "0.0", "-0.0", "0.30000000000000004", "1e+16", "-0.0", "1e-05"]
-    assert lines[reps + 1:] == [",".join(map(str, row)) for row in (
-        ("mean", float(constant.mean()), float(repeated.mean()),
-         report.mean_risk, report.mean_total),
-        ("std", simulation._sample_std(constant),
-         simulation._sample_std(repeated), report.std_risk,
-         report.std_total))]
+    assert [line.split(",")[3] for line in lines[1:7]] == [
+        "0.0", "-0.0", "1e+16", "-0.0", "1e-05", "0.0"]
+    # The mean row gives the constants exactly, and the std row zero spread.
+    assert lines[reps + 1:] == [
+        f"mean,38.92499999999999,0.30000000000000004,{report.mean_risk},"
+        f"{report.mean_total}",
+        f"std,0.0,0.0,{report.std_risk},{report.std_total}"]
 
 
-def _per_row_reference(columns) -> bytes:
+def test_evaluate_mean_row_gives_the_exact_constants(tmp_path):
+    # The np.mean of 100 copies of the release profit 8.7 is
+    # 8.700000000000003, which this row used to print.
+    assert run_cli("plan", "--scenario", "builtin:simple1",
+                   "--method", "deterministic", "--out", str(tmp_path)) == 0
+    assert run_cli("evaluate", "--scenario", "builtin:simple1",
+                   "--plan", str(tmp_path / "plan.json"), "--reps", "100",
+                   "--out", str(tmp_path)) == 0
+    lines = (tmp_path / "evaluation.csv").read_text().splitlines()
+    mean, std = (line.split(",") for line in lines[-2:])
+    assert mean[:3] == ["mean", "8.7", "0.0"]
+    assert std[:3] == ["std", "0.0", "0.0"]
+    assert {line.split(",")[1] for line in lines[-102:-2]} == {"8.7"}
+
+
+def _per_row_reference(release, transfer, risk) -> bytes:
     """The replication lines as `_csv_line` writes one row at a time."""
-    rows = zip(*(column.tolist() for column in columns))
-    return "".join(",".join(map(str, (i, *row))) + "\n"
-                   for i, row in enumerate(rows)).encode()
+    rows = enumerate(zip(risk.tolist(), (release - transfer - risk).tolist()))
+    return "".join(",".join(map(str, (rep, release, transfer, value, total)))
+                   + "\n" for rep, (value, total) in rows).encode()
 
 
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
@@ -275,45 +285,27 @@ EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
 
 
 @st.composite
-def _report_columns(draw):
-    """Four float64 columns: each mostly repeats a few values (edge values
+def _risk_columns(draw):
+    """A float64 risk column that mostly repeats a few values (edge values
     among them), or else holds a distinct value per row."""
     size = draw(st.sampled_from([1, 2, 9, 10, 11, 99, 100, 101, 1000, 1001]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    columns = []
-    for _ in range(4):
-        if draw(st.integers(0, 3)):
-            pool = draw(st.lists(st.sampled_from(EDGE_FLOATS) | st.floats(),
-                                 min_size=1, max_size=6))
-            columns.append(np.array(pool)[rng.integers(len(pool), size=size)])
-        else:
-            columns.append(rng.standard_normal(size)
-                           * 10.0 ** rng.integers(-300, 300, size))
-    return columns
+    if draw(st.integers(0, 3)):
+        pool = draw(st.lists(st.sampled_from(EDGE_FLOATS) | st.floats(),
+                             min_size=1, max_size=6))
+        return np.array(pool)[rng.integers(len(pool), size=size)]
+    return rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(columns=_report_columns())
-@example(columns=[np.array([0.0, -0.0] * 6), np.full(12, 68.0),
-                  np.full(12, 5e-324), np.full(12, -1e308)])
-def test_indexed_rows_equal_the_per_row_text(columns):
-    assert cli._indexed_rows(columns).tobytes() == _per_row_reference(columns)
-
-
-def test_indexed_rows_survive_mixed_radix_wraparound():
-    # One column of 2**17 distinct values and three of 2**16: rows i and
-    # i + 2**16 differ only in the first column, yet their codes as one
-    # unreduced mixed-radix product, a * 2**48 + b * 2**32 + c * 2**16 + d,
-    # are equal modulo 2**64.
-    size, half = 2 ** 17, 2 ** 16
-    index = np.arange(size)
-    columns = [index * 0.5] + [(index % half) * 0.25 + j for j in (1, 2, 3)]
-    unreduced = np.zeros(size, np.int64)
-    for column in columns:
-        values, inverse = np.unique(column.view(np.int64), return_inverse=True)
-        unreduced = unreduced * values.size + inverse
-    assert unreduced[0] == unreduced[half]
-    assert cli._indexed_rows(columns).tobytes() == _per_row_reference(columns)
+@given(release=st.sampled_from(EDGE_FLOATS),
+       transfer=st.sampled_from(EDGE_FLOATS), risk=_risk_columns())
+@example(release=68.0, transfer=-0.0, risk=np.array([0.0, -0.0] * 6))
+@example(release=-0.0, transfer=0.0, risk=np.array([0.0, -0.0, 0.0]))
+def test_indexed_rows_equal_the_per_row_text(release, transfer, risk):
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli._indexed_rows(release, transfer, risk).tobytes() == \
+            _per_row_reference(release, transfer, risk)
 
 
 # Digests of evaluation.csv written before the table was assembled as bytes,
@@ -445,6 +437,9 @@ def _edit_support(doc, value):
                  "support values must be finite", id="infinite_value"),
     pytest.param(lambda doc: doc["links"][0].update(capacity=float("nan")),
                  "capacity must be positive, got nan", id="nan_capacity"),
+    pytest.param(lambda doc: doc["reservoirs"][0].update(max_volume=10 ** 400),
+                 "reservoirs[0]: 'max_volume' must be a number, got 1000",
+                 id="huge_integer"),
 ])
 def test_non_finite_scenario_numbers_are_usage_errors(command, edit, message,
                                                       tmp_path, capsys):

@@ -302,10 +302,12 @@ def _first_profit(doc):
      lambda doc: doc["penalty"]["overrides"][0].update(value="5")),
     ("penalty", "default", lambda doc: doc["penalty"].update(default=False)),
     ("top level", "penalty", lambda doc: doc.update(penalty="5")),
+    ("reservoirs[0]", "max_volume",
+     lambda doc: doc["reservoirs"][0].update(max_volume=10 ** 400)),
 ], ids=["max_volume_bool", "initial_volume_null", "capacity_string",
         "breakpoint_string", "left_slope_string", "right_slope_list",
         "probability_string", "support_value_object", "penalty_value_string",
-        "penalty_default_bool", "penalty_string"])
+        "penalty_default_bool", "penalty_string", "max_volume_huge_integer"])
 def test_number_fields_are_not_coerced(where, field, edit, tmp_path):
     # Each of these used to load: true as 1.0 and "5" as 5.0.
     doc = scenario_to_dict(builtin_simple(1))
@@ -315,6 +317,61 @@ def test_number_fields_are_not_coerced(where, field, edit, tmp_path):
     with pytest.raises(ScenarioParseError, match=re.escape(
             f"{path}: {where}: '{field}' must be a number, got ")):
         load_scenario(path)
+
+
+@pytest.mark.parametrize("where,field,edit", [
+    ("top level", "name", lambda doc: doc.update(name=None)),
+    ("top level", "name", lambda doc: doc.update(name=1)),
+    ("reservoirs[0]", "provenance",
+     lambda doc: doc["reservoirs"][0].update(provenance=["x"])),
+    ("links[1]", "provenance",
+     lambda doc: doc["links"][1].update(provenance=False)),
+    ("functions[0]", "provenance",
+     lambda doc: _first_profit(doc).update(provenance={"source": "paper"})),
+    ("distributions[0]", "provenance",
+     lambda doc: doc["distributions"][0].update(provenance=None)),
+], ids=["name_null", "name_number", "reservoir_provenance_list",
+        "link_provenance_bool", "function_provenance_object",
+        "distribution_provenance_null"])
+def test_string_fields_are_not_coerced(where, field, edit, tmp_path):
+    # Each of these used to load: null as 'None' and ["x"] as "['x']".
+    doc = scenario_to_dict(builtin_simple(1))
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ScenarioParseError, match=re.escape(
+            f"{path}: {where}: '{field}' must be a string, got ")):
+        load_scenario(path)
+
+
+def test_missing_string_fields_keep_their_defaults():
+    doc = scenario_to_dict(builtin_simple(1))
+    del doc["name"]
+    for entry in (doc["reservoirs"][0], doc["links"][0],
+                  doc["functions"][0], doc["distributions"][0]):
+        del entry["provenance"]
+    scenario = scenario_from_dict(doc)
+    assert scenario.name == "scenario"
+    assert scenario.reservoirs[0].provenance == "unspecified"
+    assert scenario.links[0].provenance == "unspecified"
+    assert scenario.release_profit[(1, 1)].provenance == "unspecified"
+    assert scenario.inflow[(1, 1)].provenance == "unspecified"
+
+
+@pytest.mark.parametrize("field,value", [
+    ("scenario", None), ("scenario", ["builtin:simple1"]),
+    ("parameter", 1.0), ("parameter", None),
+], ids=["scenario_null", "scenario_list", "parameter_number", "parameter_null"])
+def test_sweep_strings_are_not_coerced(field, value, tmp_path):
+    # A null parameter used to be reported as the unknown parameter 'None'.
+    doc = {"scenario": "builtin:simple1", "parameter": "risk-slope",
+           "grid": [1.0], field: value}
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ScenarioParseError, match=re.escape(
+            f"{path}: sweep config: '{field}' must be a string, "
+            f"got {value!r}")):
+        load_sweep_config(path)
 
 
 def test_shape_must_be_a_list_of_flags():

@@ -143,8 +143,9 @@ def test_physical_mode_caps_and_floors():
     plan = solve_plan(scenario)
     # Deep deficit: realized releases would go negative in literal mode.
     inflows = np.zeros_like(plan.predicted_inflows)
-    literal = realize(plan, inflows, scenario, physical=False)
-    physical = realize(plan, inflows, scenario, physical=True)
+    literal = realize(plan, inflows, scenario)
+    physical = realize(plan, inflows,
+                       dataclasses.replace(scenario, physical_sim=True))
     assert physical.releases.min() >= 0.0
     caps = scenario.max_volumes()
     assert np.all(physical.volumes[1:] <= caps[None, :] + 1e-9)
@@ -323,33 +324,29 @@ def test_changing_one_support_leaves_every_other_draw_unchanged():
         assert drawn == {value for value, _ in support}
 
 
-PER_REPLICATION = ("release_profit", "transfer_cost", "risk_cost",
-                   "total_profit")
+PER_REPLICATION = ("risk_cost", "total_profit")
 
 
 @pytest.mark.parametrize("physical", [False, True])
 def test_blocks_cannot_change_a_replication(physical, monkeypatch):
     scenario = builtin_angpuang()
     plan = solve_plan(scenario)
+    scenario = dataclasses.replace(scenario, physical_sim=physical)
     block = simulation._BLOCK_REPS
     reps = 2 * block + 5
-    report = run_monte_carlo(plan, scenario, reps=reps, seed=19,
-                             physical=physical)
-    longer = run_monte_carlo(plan, scenario, reps=3 * block - 7, seed=19,
-                             physical=physical)
+    report = run_monte_carlo(plan, scenario, reps=reps, seed=19)
+    longer = run_monte_carlo(plan, scenario, reps=3 * block - 7, seed=19)
     monkeypatch.setattr(simulation, "_BLOCK_REPS", 777)
-    reblocked = run_monte_carlo(plan, scenario, reps=reps, seed=19,
-                                physical=physical)
+    reblocked = run_monte_carlo(plan, scenario, reps=reps, seed=19)
     for field in PER_REPLICATION:
         values = getattr(report, field)
         assert np.array_equal(values, getattr(longer, field)[:reps])
         assert np.array_equal(values, getattr(reblocked, field))
     for rep in (0, block - 1, block, reps - 1):
         inflows = sample_inflows(scenario, seed=19, rep=rep)
-        breakdown = score(plan, realize(plan, inflows, scenario,
-                                        physical=physical), scenario)
-        assert report.release_profit[rep] == breakdown.release_profit
-        assert report.transfer_cost[rep] == breakdown.transfer_cost
+        breakdown = score(plan, realize(plan, inflows, scenario), scenario)
+        assert report.release_profit == breakdown.release_profit
+        assert report.transfer_cost == breakdown.transfer_cost
         assert report.risk_cost[rep] == breakdown.risk_cost
         assert report.total_profit[rep] == breakdown.total
 
