@@ -15,7 +15,7 @@ import json
 import math
 import sys
 import time
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from pathlib import Path
 
 import numpy as np
@@ -81,13 +81,9 @@ class RunManifest:
         path.write_text(json.dumps(record, indent=2) + "\n")
 
 
-def _csv_line(row: Sequence) -> str:
-    # str of a float (Python or numpy float64) is its shortest round-trip repr.
-    return ",".join(map(str, row))
-
-
 def _csv_lines(rows: Iterable[Sequence]) -> str:
-    return "".join(_csv_line(row) + "\n" for row in rows)
+    # str of a float (Python or numpy float64) is its shortest round-trip repr.
+    return "".join(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def _csv_head(manifest: RunManifest, header: list[str]) -> str:
@@ -290,58 +286,42 @@ def cmd_plan(args) -> int:
     return EXIT_OK
 
 
-def _report_rows(report: simulation.SimulationReport) -> list[tuple]:
-    """One row per replication: its index, then each column's value."""
-    release, transfer = report.release_profit, report.transfer_cost
-    return [(rep, release, transfer, risk, total) for rep, (risk, total)
-            in enumerate(zip(report.risk_cost.tolist(),
-                             report.total_profit.tolist()))]
+def _indexed_rows(prefix: str, risk: np.ndarray,
+                  row_text: Callable[[float], str]) -> np.ndarray:
+    """The ASCII bytes of `prefix`, the index i and `row_text(risk[i])` for
+    every replication i, as one uint8 array.
 
-
-def _summary_rows(report: simulation.SimulationReport) -> list[tuple]:
-    """The mean and std rows; release and transfer are the plan's constants."""
-    return [("mean", report.release_profit, report.transfer_cost,
-             report.mean_risk, report.mean_total),
-            ("std", 0.0, 0.0, report.std_risk, report.std_total)]
-
-
-def _indexed_rows(release: float, transfer: float,
-                  risk: np.ndarray) -> np.ndarray:
-    """The bytes of the CSV lines `i,release,transfer,risk[i],total[i]` for
-    every replication i, as one uint8 array, with total the release less the
-    transfer and the risk.
-
-    Each value prints as `str` of its Python float, as `_csv_line` would
-    print it. Only the risk varies, and it repeats (a replication's risk
-    depends on finitely many discrete inflow draws), so the text after the
-    index is formatted once per distinct risk. Risks are told apart by bit
-    pattern, not by float equality, because -0.0 == 0.0 yet the two print
-    differently. The rows are laid out in a padded matrix, index digits
-    first, and its padding dropped by one length mask.
+    Only the risk varies from row to row, and it repeats (a replication's
+    risk depends on finitely many discrete inflow draws), so `row_text` is
+    called once per distinct risk. Risks are told apart by bit pattern, not
+    by float equality, because -0.0 == 0.0 yet the two print differently.
+    The rows are laid out in a padded matrix, prefix and index digits first,
+    and its padding dropped by one length mask.
     """
     size = risk.size
     distinct, codes = np.unique(risk.view(np.int64), return_inverse=True)
-    suffixes = [f",{release},{transfer},{value},{release - transfer - value}\n"
-                for value in distinct.view(np.float64).tolist()]
-    count = len(suffixes)
-    lengths = np.fromiter(map(len, suffixes), np.intp, count)
+    texts = [row_text(value) for value in distinct.view(np.float64).tolist()]
+    lengths = np.fromiter(map(len, texts), np.intp, len(texts))
     longest = int(lengths.max())
-    table = np.zeros((count, longest), np.uint8)
+    table = np.zeros((len(texts), longest), np.uint8)
     table[np.arange(longest) < lengths[:, None]] = np.frombuffer(
-        "".join(suffixes).encode(), np.uint8)
+        "".join(texts).encode(), np.uint8)
 
+    lead = len(prefix)
     digits = len(str(size - 1))
-    matrix = np.empty((size, digits + longest), np.uint8)
+    matrix = np.empty((size, lead + digits + longest), np.uint8)
+    matrix[:, :lead] = np.frombuffer(prefix.encode(), np.uint8)
     row_lengths = np.take(lengths, codes)
+    row_lengths += lead
     start = 0
     for width in range(1, digits + 1):
         stop = min(10 ** width, size)
         # The narrowest unsigned type divides fastest.
         index = np.arange(start, stop, dtype=np.min_scalar_type(stop))
-        for column in range(width - 1, -1, -1):
+        for column in range(lead + width - 1, lead - 1, -1):
             matrix[start:stop, column] = index % 10 + ord("0")
             index //= 10
-        matrix[start:stop, width:width + longest] = np.take(
+        matrix[start:stop, lead + width:lead + width + longest] = np.take(
             table, codes[start:stop], axis=0)
         row_lengths[start:stop] += width
         start = stop
@@ -353,12 +333,43 @@ def _indexed_rows(release: float, transfer: float,
 def _write_report_csv(path: Path, manifest: RunManifest,
                       report: simulation.SimulationReport) -> None:
     """The evaluation table: one row per replication, then mean and std."""
-    rows = _indexed_rows(report.release_profit, report.transfer_cost,
-                         report.risk_cost)
+    release, transfer = report.release_profit, report.transfer_cost
+    rows = _indexed_rows("", report.risk_cost, lambda risk: (
+        f",{release},{transfer},{risk},{release - transfer - risk}\n"))
     with path.open("wb") as file:
         file.write(_csv_head(manifest, REPORT_HEADER).encode())
         file.write(rows)
-        file.write(_csv_lines(_summary_rows(report)).encode())
+        # Release and transfer are the plan's constants: no spread.
+        file.write(_csv_lines([
+            ("mean", release, transfer, report.mean_risk, report.mean_total),
+            ("std", 0.0, 0.0, report.std_risk, report.std_total)]).encode())
+
+
+def _write_report_json(path: Path, manifest: RunManifest,
+                       report: simulation.SimulationReport) -> None:
+    """The bytes `_write_json` would write for the evaluation, with one
+    `REPORT_HEADER` record per replication laid out as `json.dumps` does."""
+    release, transfer = report.release_profit, report.transfer_cost
+    key, *keys = map(json.dumps, REPORT_HEADER)
+
+    def record_tail(risk: float) -> str:
+        values = (release, transfer, risk, release - transfer - risk)
+        return "".join(f",\n      {name}: {json.dumps(value)}"
+                       for name, value in zip(keys, values)) + "\n    },\n"
+
+    rows = _indexed_rows(f"    {{\n      {key}: ", report.risk_cost,
+                         record_tail)
+    aggregates = ("mean_total", "std_total", "mean_risk", "std_risk")
+    document = {"manifest": manifest.embedded(),
+                "replications": report.replications, "per_replication": None,
+                "aggregates": {k: getattr(report, k) for k in aggregates}}
+    # A string value cannot hold this text unescaped, so only the key does.
+    head, _, tail = json.dumps(document, indent=2).rpartition(
+        '"per_replication": null')
+    with path.open("wb") as file:
+        file.write(f'{head}"per_replication": [\n'.encode())
+        file.write(rows[:-2])  # all but the last record's ",\n"
+        file.write(f"\n  ]{tail}\n".encode())
 
 
 def cmd_evaluate(args) -> int:
@@ -377,23 +388,10 @@ def cmd_evaluate(args) -> int:
 
     report = simulation.run_monte_carlo(plan, scenario, reps=args.reps,
                                         seed=args.seed)
-    if args.format == "json":
-        path = out_dir / "evaluation.json"
-        manifest.outputs = [str(path)]
-        _write_json(path, manifest, {
-            "replications": report.replications,
-            "per_replication": _records(REPORT_HEADER, _report_rows(report)),
-            "aggregates": {
-                "mean_total": report.mean_total,
-                "std_total": report.std_total,
-                "mean_risk": report.mean_risk,
-                "std_risk": report.std_risk,
-            },
-        })
-    else:
-        path = out_dir / "evaluation.csv"
-        manifest.outputs = [str(path)]
-        _write_report_csv(path, manifest, report)
+    path = out_dir / f"evaluation.{args.format}"
+    manifest.outputs = [str(path)]
+    write = _write_report_json if args.format == "json" else _write_report_csv
+    write(path, manifest, report)
     manifest.results = _exact_results(report, plan)
     manifest.duration_s = time.perf_counter() - started
     manifest.write(out_dir)

@@ -119,11 +119,25 @@ def _grid(raw, where: str) -> tuple[float, ...]:
     return tuple(grid)
 
 
-def _expand_ids(raw, all_ids: list[int], where: str) -> list[int]:
+def _target(value: int, all_ids: list[int], where: str, field: str,
+            what: str) -> int:
+    """An id an entry targets, refused unless it is one of `all_ids`, the
+    scenario's reservoir ids or periods."""
+    if value not in all_ids:
+        count = len(all_ids)
+        known = (f"1..{count}" if sorted(all_ids) == list(range(1, count + 1))
+                 else sorted(all_ids))
+        raise ScenarioParseError(
+            f"{where}: {field!r} has {value}, not a {what} {known}")
+    return value
+
+
+def _expand_ids(raw, all_ids: list[int], where: str, field: str,
+                what: str) -> list[int]:
     if raw == "all":
         return list(all_ids)
     if isinstance(raw, list) and all(map(_is_integer, raw)):
-        return list(raw)
+        return [_target(value, all_ids, where, field, what) for value in raw]
     raise ScenarioParseError(f"{where}: expected \"all\" or a list of integers")
 
 
@@ -194,6 +208,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
                                "provenance"),
         ))
     link_pairs = [(l.source, l.target) for l in links]
+    declared = set(link_pairs)
 
     periods = list(range(1, horizon + 1))
     profit: dict[tuple[int, int], PwlFunction] = {}
@@ -203,10 +218,12 @@ def scenario_from_dict(doc: dict) -> Scenario:
         where = f"functions[{i}]"
         role = _need(entry, "role", where)
         func = _parse_function(entry, where)
-        entry_periods = _expand_ids(entry.get("periods", "all"), periods, where)
+        entry_periods = _expand_ids(entry.get("periods", "all"), periods,
+                                    where, "periods", "period")
         if role in ("profit", "risk"):
             table = profit if role == "profit" else risk
-            for n in _expand_ids(entry.get("reservoirs", "all"), ids, where):
+            for n in _expand_ids(entry.get("reservoirs", "all"), ids, where,
+                                 "reservoirs", "reservoir id"):
                 for t in entry_periods:
                     table[(n, t)] = func
         elif role == "transfer-cost":
@@ -216,6 +233,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
             else:
                 pairs = [(_integer(a, where, "links"),
                           _integer(b, where, "links")) for a, b in raw_links]
+                for src, dst in pairs:
+                    if (src, dst) not in declared:
+                        raise ScenarioParseError(
+                            f"{where}: 'links' has [{src}, {dst}], not a link")
             for src, dst in pairs:
                 for t in entry_periods:
                     cost[(src, dst, t)] = func
@@ -238,8 +259,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
             raise
         except (TypeError, ValueError) as exc:
             raise ScenarioParseError(f"{where}: {exc}") from exc
-        for n in _expand_ids(entry.get("reservoirs", "all"), ids, where):
-            for t in _expand_ids(entry.get("periods", "all"), periods, where):
+        for n in _expand_ids(entry.get("reservoirs", "all"), ids, where,
+                             "reservoirs", "reservoir id"):
+            for t in _expand_ids(entry.get("periods", "all"), periods, where,
+                                 "periods", "period"):
                 inflow[(n, t)] = dist
 
     penalty_doc = doc.get("penalty", {})
@@ -253,8 +276,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
     penalty = {(n, t): default_value for n in ids for t in periods}
     for i, entry in enumerate(penalty_doc.get("overrides", [])):
         where = f"penalty.overrides[{i}]"
-        penalty[(_integer(_need(entry, "reservoir", where), where, "reservoir"),
-                 _integer(_need(entry, "period", where), where, "period"))] = \
+        n = _integer(_need(entry, "reservoir", where), where, "reservoir")
+        t = _integer(_need(entry, "period", where), where, "period")
+        penalty[(_target(n, ids, where, "reservoir", "reservoir id"),
+                 _target(t, periods, where, "period", "period"))] = \
             _number(_need(entry, "value", where), where, "value")
 
     return Scenario(

@@ -272,11 +272,10 @@ def test_evaluate_mean_row_gives_the_exact_constants(tmp_path):
     assert {line.split(",")[1] for line in lines[-102:-2]} == {"8.7"}
 
 
-def _per_row_reference(release, transfer, risk) -> bytes:
-    """The replication lines as `_csv_line` writes one row at a time."""
-    rows = enumerate(zip(risk.tolist(), (release - transfer - risk).tolist()))
-    return "".join(",".join(map(str, (rep, release, transfer, value, total)))
-                   + "\n" for rep, (value, total) in rows).encode()
+def _per_row_reference(prefix, risk, row_text) -> bytes:
+    """The rows of `_indexed_rows`, written one replication at a time."""
+    return "".join(prefix + str(rep) + row_text(value)
+                   for rep, value in enumerate(risk.tolist())).encode()
 
 
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
@@ -297,15 +296,62 @@ def _risk_columns(draw):
     return rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size)
 
 
+def _csv_row_text(release, transfer):
+    """The CSV text after a replication's index, as `_csv_lines` writes it."""
+    def row_text(risk):
+        return ",".join(map(str, ("", release, transfer, risk,
+                                  release - transfer - risk))) + "\n"
+    return row_text
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(release=st.sampled_from(EDGE_FLOATS),
-       transfer=st.sampled_from(EDGE_FLOATS), risk=_risk_columns())
-@example(release=68.0, transfer=-0.0, risk=np.array([0.0, -0.0] * 6))
-@example(release=-0.0, transfer=0.0, risk=np.array([0.0, -0.0, 0.0]))
-def test_indexed_rows_equal_the_per_row_text(release, transfer, risk):
+       transfer=st.sampled_from(EDGE_FLOATS), risk=_risk_columns(),
+       prefix=st.sampled_from(["", "x", '    {\n      "rep": ']))
+@example(release=68.0, transfer=-0.0, risk=np.array([0.0, -0.0] * 6),
+         prefix="")
+@example(release=-0.0, transfer=0.0, risk=np.array([0.0, -0.0, 0.0]),
+         prefix="")
+def test_indexed_rows_equal_the_per_row_text(release, transfer, risk, prefix):
+    row_text = _csv_row_text(release, transfer)
     with np.errstate(over="ignore", invalid="ignore"):
-        assert cli._indexed_rows(release, transfer, risk).tobytes() == \
-            _per_row_reference(release, transfer, risk)
+        assert cli._indexed_rows(prefix, risk, row_text).tobytes() == \
+            _per_row_reference(prefix, risk, row_text)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(release=st.sampled_from(EDGE_FLOATS),
+       transfer=st.sampled_from(EDGE_FLOATS), risk=_risk_columns(),
+       scenario=st.text() | st.just('x/"per_replication": null.json'))
+@example(release=-0.0, transfer=float("inf"),
+         risk=np.array([0.0, -0.0, float("inf"), float("nan"), 0.0]),
+         scenario='"per_replication": null')
+@example(release=1e308, transfer=-1e308, risk=np.array([-0.0]),
+         scenario="builtin:angpuang")
+def test_report_json_is_json_dumps_of_one_record_per_row(
+        release, transfer, risk, scenario, tmp_path_factory):
+    manifest = cli.RunManifest(command="evaluate", scenario=scenario, seed=7,
+                               reps=risk.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = simulation.SimulationReport(
+            seed=7, release_profit=release, transfer_cost=transfer,
+            risk_cost=risk)
+        totals = report.total_profit.tolist()
+    path = tmp_path_factory.getbasetemp() / "evaluation.json"
+    cli._write_report_json(path, manifest, report)
+    records = [dict(zip(cli.REPORT_HEADER, (rep, release, transfer, value,
+                                            total)))
+               for rep, (value, total) in enumerate(zip(risk.tolist(),
+                                                        totals))]
+    assert path.read_bytes() == (json.dumps({
+        "manifest": manifest.embedded(),
+        "replications": risk.size,
+        "per_replication": records,
+        "aggregates": {"mean_total": report.mean_total,
+                       "std_total": report.std_total,
+                       "mean_risk": report.mean_risk,
+                       "std_risk": report.std_risk},
+    }, indent=2) + "\n").encode()
 
 
 # Digests of evaluation.csv written before the table was assembled as bytes,
@@ -314,18 +360,37 @@ EVALUATION_SHA256 = {
     "literal": "e5d6fa42f65a2d3a114c5b47dcff83e6d8bd0806204b8489c0ee293f10b2b843",
     "physical": "a9645d3eec4d959057116c6e2917151dcec9726fad09b1687bd4ea2594ddb6f9",
 }
+# Digests of evaluation.json written when `json.dumps` laid out one dict per
+# replication.
+EVALUATION_JSON_SHA256 = {
+    "literal": "304dab997637d6d3b1c2c7793a935f8cea8b45c42238c737290fd6eb227dcfc5",
+    "physical": "de377f3f684e1578280d0206c45a413d66bc9bd9f20bdf5259c8bfed79b63ffb",
+}
 
 
-@pytest.mark.parametrize("mode", sorted(EVALUATION_SHA256))
-def test_evaluation_csv_bytes_are_unchanged(mode, tmp_path, monkeypatch):
-    # A relative --out keeps the embedded `# outputs=` line the same.
+def _evaluation_digest(fmt, mode, tmp_path, monkeypatch) -> str:
+    """The SHA-256 of a 20000-replication angpuang evaluation file."""
+    # A relative --out keeps the embedded `outputs` field the same.
     monkeypatch.chdir(tmp_path)
     flags = ["--physical-sim"] if mode == "physical" else []
     assert run_cli("evaluate", "--scenario", "builtin:angpuang",
                    "--plan", str(COMMITTED_PLAN), "--reps", "20000",
-                   "--seed", "7", *flags, "--out", "out") == 0
-    data = (tmp_path / "out" / "evaluation.csv").read_bytes()
-    assert hashlib.sha256(data).hexdigest() == EVALUATION_SHA256[mode]
+                   "--seed", "7", *flags, "--format", fmt,
+                   "--out", "out") == 0
+    data = (tmp_path / "out" / f"evaluation.{fmt}").read_bytes()
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("mode", sorted(EVALUATION_SHA256))
+def test_evaluation_csv_bytes_are_unchanged(mode, tmp_path, monkeypatch):
+    assert _evaluation_digest("csv", mode, tmp_path, monkeypatch) == \
+        EVALUATION_SHA256[mode]
+
+
+@pytest.mark.parametrize("mode", sorted(EVALUATION_JSON_SHA256))
+def test_evaluation_json_bytes_are_unchanged(mode, tmp_path, monkeypatch):
+    assert _evaluation_digest("json", mode, tmp_path, monkeypatch) == \
+        EVALUATION_JSON_SHA256[mode]
 
 
 def test_compare_direction_on_builtin_simple(tmp_path, capsys):

@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from reservoirplan import cli
 from reservoirplan.model import ScenarioValidationError, validate_scenario
 from reservoirplan.scenarios import (BUILTINS, ScenarioParseError, SweepConfig,
                                      builtin_angpuang, builtin_simple,
@@ -419,6 +420,53 @@ def test_index_lists_refuse_bools():
     doc["functions"][0]["reservoirs"] = [True]
     with pytest.raises(ScenarioParseError, match="list of integers"):
         scenario_from_dict(doc)
+
+
+def _add_function(doc, role, **target):
+    entry = next(e for e in doc["functions"] if e["role"] == role)
+    doc["functions"].append({**entry, **target})
+    return f"functions[{len(doc['functions']) - 1}]"
+
+
+def _add_distribution(doc, **target):
+    doc["distributions"].append({**doc["distributions"][0], **target})
+    return f"distributions[{len(doc['distributions']) - 1}]"
+
+
+def _add_override(doc, **target):
+    doc["penalty"]["overrides"].append({"reservoir": 1, "period": 1,
+                                        "value": 5.0, **target})
+    return f"penalty.overrides[{len(doc['penalty']['overrides']) - 1}]"
+
+
+@pytest.mark.parametrize("add,message", [
+    (lambda doc: _add_function(doc, "risk", reservoirs=[99]),
+     "'reservoirs' has 99, not a reservoir id 1..2"),
+    (lambda doc: _add_function(doc, "profit", periods=[7]),
+     "'periods' has 7, not a period 1..3"),
+    (lambda doc: _add_function(doc, "transfer-cost", links=[[1, 1]]),
+     "'links' has [1, 1], not a link"),
+    (lambda doc: _add_distribution(doc, periods=[0]),
+     "'periods' has 0, not a period 1..3"),
+    (lambda doc: _add_override(doc, reservoir=9, period=9),
+     "'reservoir' has 9, not a reservoir id 1..2"),
+    (lambda doc: _add_override(doc, period=4),
+     "'period' has 4, not a period 1..3"),
+], ids=["risk_reservoir", "profit_period", "transfer_cost_link",
+        "distribution_period", "penalty_reservoir", "penalty_period"])
+def test_entries_outside_the_network_are_refused(add, message, tmp_path,
+                                                 capsys):
+    # Each of these used to be dropped: the file loaded and `plan` exited 0.
+    doc = scenario_to_dict(builtin_simple(1))
+    where = add(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ScenarioParseError, match=re.escape(
+            f"{path}: {where}: {message}")):
+        load_scenario(path)
+    assert cli.main(["plan", "--scenario", str(path),
+                     "--out", str(tmp_path / "out")]) == 1
+    assert f"{where}: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field,value", [

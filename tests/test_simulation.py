@@ -193,16 +193,6 @@ def test_monte_carlo_mean_risk_matches_closed_form():
     assert abs(report.mean_risk - expected) <= max(3 * stderr, 1e-9)
 
 
-def test_accounting_identity():
-    scenario = builtin_simple(2)
-    plan = solve_plan(scenario)
-    report = run_monte_carlo(plan, scenario, reps=200, seed=8)
-    np.testing.assert_allclose(
-        report.total_profit,
-        report.release_profit - report.transfer_cost - report.risk_cost,
-        atol=1e-12)
-
-
 def test_reps_must_be_positive():
     scenario = builtin_simple(1)
     plan = solve_plan(scenario)
