@@ -167,7 +167,9 @@ def _parse_function(entry: dict, where: str) -> PwlFunction:
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
-    """Build a scenario from the documented JSON structure (no validation)."""
+    """Build a scenario from the documented JSON structure. Entries must
+    target declared reservoirs, periods and links; `validate_scenario`
+    judges the rest."""
     if not isinstance(doc, dict):
         raise ScenarioParseError("top level: expected a JSON object")
     horizon = _integer(_need(doc, "horizon", "top level"), "top level",
