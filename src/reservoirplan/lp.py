@@ -1,5 +1,8 @@
 """Bounded-variable linear programs: representation, embedded simplex, MPS output.
 
+An `LpProblem` keeps its rows as flat column and value lists plus each row's entry
+count, relation and rhs. The solver reads them through `matrix()`; `constraints` is a per-row view.
+
 The solver is a two-phase primal simplex on the bounded-variable standard form
 with a dense tableau [A | I]: every row gets a slack whose bounds carry the
 relation, and a basis pivoted into the all-slack one starts the search: a
@@ -33,6 +36,7 @@ or ArithmeticError is raised.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -68,7 +72,7 @@ class Constraint:
 
 
 class LpProblem:
-    """Maximization problem over bounded variables with sparse linear constraints."""
+    """Maximization problem over bounded variables; rows stored as the module docstring says."""
 
     def __init__(self, name: str = "lp"):
         self.name = name
@@ -76,7 +80,11 @@ class LpProblem:
         self.lower: list[float] = []
         self.upper: list[float] = []
         self.objective: dict[int, float] = {}
-        self.constraints: list[Constraint] = []
+        self._cols: list[int] = []
+        self._values: list[float] = []
+        self._sizes: list[int] = []
+        self._relations: list[str] = []
+        self._rhs: list[float] = []
 
     @property
     def num_variables(self) -> int:
@@ -84,7 +92,14 @@ class LpProblem:
 
     @property
     def num_constraints(self) -> int:
-        return len(self.constraints)
+        return len(self._rhs)
+
+    @property
+    def constraints(self) -> tuple[Constraint, ...]:
+        """Each row, its relation as given; built on every read."""
+        entries = zip(self._cols, self._values)
+        return tuple(Constraint(tuple(itertools.islice(entries, size)), relation, rhs)
+                     for size, relation, rhs in zip(self._sizes, self._relations, self._rhs))
 
     def add_variable(self, name: str, lower: float = 0.0,
                      upper: float = math.inf) -> int:
@@ -96,8 +111,9 @@ class LpProblem:
         return len(self.variable_names) - 1
 
     def set_objective_coefficient(self, index: int, coefficient: float) -> None:
-        self._check_index(index)
-        if not np.isfinite(coefficient):
+        if not 0 <= index < len(self.variable_names):
+            raise IndexError(f"variable index {index} out of range")
+        if not math.isfinite(coefficient):
             raise ValueError("objective coefficients must be finite")
         if coefficient == 0.0:
             self.objective.pop(index, None)
@@ -107,44 +123,40 @@ class LpProblem:
     def add_constraint(self, coefficients, relation: str, rhs: float) -> int:
         if relation not in RELATIONS:
             raise ValueError(f"relation must be one of {RELATIONS}, got {relation!r}")
-        if not np.isfinite(rhs):
+        if not math.isfinite(rhs):
             raise ValueError("constraint rhs must be finite")
-        pairs = []
+        n, cols, values = len(self.variable_names), [], []
         for index, coef in coefficients:
-            self._check_index(index)
-            if not np.isfinite(coef):
+            if not 0 <= index < n:
+                raise IndexError(f"variable index {index} out of range")
+            if not math.isfinite(coef):
                 raise ValueError("constraint coefficients must be finite")
             if coef != 0.0:
-                pairs.append((int(index), float(coef)))
-        self.constraints.append(Constraint(tuple(pairs), relation, float(rhs)))
-        return len(self.constraints) - 1
+                cols.append(int(index))
+                values.append(float(coef))
+        self._cols += cols
+        self._values += values
+        self._sizes.append(len(cols))
+        self._relations.append(relation)
+        self._rhs.append(float(rhs))
+        return len(self._rhs) - 1
 
     def matrix(self) -> tuple[np.ndarray, ...]:
         """(rows, cols, values, row_lower, row_upper): the constraints as
         row_lower <= A x <= row_upper, with A as COO triplets in constraint
         order whose repeated (row, col) pairs sum. Only an equality row has
         both bounds finite."""
-        coefficients = [pair for con in self.constraints for pair in con.coefficients]
-        pairs = np.array(coefficients, dtype=float).reshape(-1, 2)
-        sizes = [len(con.coefficients) for con in self.constraints]
-        rhs = np.array([con.rhs for con in self.constraints], dtype=float)
-        relation = np.array([con.relation for con in self.constraints], dtype=str)
-        return (np.repeat(np.arange(len(sizes)), sizes), pairs[:, 0].astype(np.intp),
-                pairs[:, 1], np.where(relation == LESS_EQUAL, -math.inf, rhs),
+        rhs = np.array(self._rhs, dtype=float)
+        relation = np.array(self._relations, dtype=str)
+        return (np.repeat(np.arange(rhs.size), self._sizes),
+                np.array(self._cols, dtype=np.intp), np.array(self._values, dtype=float),
+                np.where(relation == LESS_EQUAL, -math.inf, rhs),
                 np.where(relation == GREATER_EQUAL, math.inf, rhs))
 
     def objective_vector(self) -> np.ndarray:
         c = np.zeros(self.num_variables)
-        for idx, coef in self.objective.items():
-            c[idx] = coef
+        c[list(self.objective)] = list(self.objective.values())
         return c
-
-    def objective_value(self, x: np.ndarray) -> float:
-        return float(np.dot(self.objective_vector(), x))
-
-    def _check_index(self, index: int) -> None:
-        if not (0 <= index < self.num_variables):
-            raise IndexError(f"variable index {index} out of range")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -205,8 +217,7 @@ def _rhs(row_lower: np.ndarray, row_upper: np.ndarray) -> np.ndarray:
 class _Tableau:
     def __init__(self, problem: LpProblem, matrix: tuple[np.ndarray, ...],
                  start: Basis | None = None):
-        n = problem.num_variables
-        m = problem.num_constraints
+        n, m = problem.num_variables, problem.num_constraints
         self.n_structural = n
         self.m = m
         self.total = n + m
@@ -603,18 +614,15 @@ def solve(problem: LpProblem, max_iterations: int | None = None,
     start from the crash basis, and names the reason in
     `LpSolution.start`, if the basis does not fit the problem, if it is
     singular, or if the warm solve ends in anything but a verified optimum."""
-    lower = np.array(problem.lower)
-    upper = np.array(problem.upper)
-    if np.any(lower > upper + FEAS_TOL):
+    if np.any(np.array(problem.lower) > np.array(problem.upper) + FEAS_TOL):
         return LpSolution(status=INFEASIBLE)
 
+    total = problem.num_variables + problem.num_constraints
     if max_iterations is None:
-        max_iterations = 50 * (problem.num_variables + problem.num_constraints)
-
+        max_iterations = 50 * total
     matrix = problem.matrix()
     if start is None:
         return _solve_from(problem, matrix, max_iterations, None)
-    total = problem.num_variables + problem.num_constraints
     columns = start.columns
     if (columns.shape != (problem.num_constraints,)
             or np.shape(start.at_upper) != (total,)
@@ -667,7 +675,7 @@ def _solve_from(problem: LpProblem, matrix: tuple[np.ndarray, ...],
     if violation > FEAS_TOL:
         raise ArithmeticError(
             f"simplex optimum violates a bound or constraint by {violation:.3g}")
-    objective = problem.objective_value(values)
+    objective = float(c[:state.n_structural] @ values)
     wrong_sign, gap = _dual_residuals(matrix, state, c)
     if wrong_sign > OPT_TOL:
         raise ArithmeticError(

@@ -36,14 +36,10 @@ class ShapeReport:
     ok: bool
     violations: tuple[tuple[str, int], ...] = ()
 
-    def first_violation(self) -> tuple[str, int] | None:
-        return self.violations[0] if self.violations else None
-
     def message(self) -> str:
         if self.ok:
             return "shape verified"
-        parts = [f"not {flag} at segment {idx}" for flag, idx in self.violations]
-        return "; ".join(parts)
+        return "; ".join(f"not {flag} at segment {idx}" for flag, idx in self.violations)
 
 
 def _check_slopes(slopes: np.ndarray, required: Iterable[str]) -> ShapeReport:
@@ -256,7 +252,3 @@ def hinge(slope: float) -> PwlFunction:
     if slope < 0:
         raise ValueError("hinge needs slope >= 0")
     return PwlFunction(((0.0, 0.0),), 0.0, float(slope), (CONVEX, NONDECREASING))
-
-
-def zero() -> PwlFunction:
-    return PwlFunction(((0.0, 0.0),), 0.0, 0.0, (CONVEX, CONCAVE, NONDECREASING))

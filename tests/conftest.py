@@ -8,6 +8,12 @@ from reservoirplan.model import (DiscreteDistribution, LinkSpec, Plan,
 from reservoirplan.pwl import PwlFunction, capped_linear, hinge, linear
 
 
+def zero() -> PwlFunction:
+    """The zero function, declared convex, concave and nondecreasing."""
+    return PwlFunction(((0.0, 0.0),), 0.0, 0.0,
+                       ("convex", "concave", "nondecreasing"))
+
+
 def random_distribution(rng, point_mass=False, max_points=4,
                         max_value=6.0) -> DiscreteDistribution:
     if point_mass:

@@ -3,13 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import random_scenario
+from conftest import random_scenario, zero
 from reservoirplan import lp
 from reservoirplan.formulation import (build_deterministic, build_proposed,
                                        extract_plan, plan_violations)
 from reservoirplan.model import (DiscreteDistribution, LinkSpec, ReservoirSpec,
                                  Scenario, ScenarioValidationError)
-from reservoirplan.pwl import capped_linear, hinge, linear, zero
+from reservoirplan.pwl import capped_linear, hinge, linear
 from reservoirplan.scenarios import (builtin_angpuang, builtin_simple,
                                      sweep_scenario)
 

@@ -1,5 +1,7 @@
 import copy
+import hashlib
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -301,6 +303,200 @@ def test_constraint_violation_is_the_largest_gap(constraint, point, expected):
     if constraint is not None:
         p.add_constraint(*constraint)
     assert lp.constraint_violation(p, np.array(point)) == expected
+
+
+def _two_variable_problem():
+    p = lp.LpProblem("checks")
+    p.add_variable("x", 0.0, 4.0)
+    p.add_variable("y", -1.0, 1.0)
+    p.add_constraint([(0, 1.0), (1, 2.0)], lp.LESS_EQUAL, 3.0)
+    return p
+
+
+@pytest.mark.parametrize("coefficients, relation, rhs, error, message", [
+    ([(0, 1.0)], "<", 1.0, ValueError,
+     "relation must be one of ('<=', '=', '>='), got '<'"),
+    ([(0, 1.0)], lp.LESS_EQUAL, math.nan, ValueError,
+     "constraint rhs must be finite"),
+    ([(0, 1.0)], lp.GREATER_EQUAL, math.inf, ValueError,
+     "constraint rhs must be finite"),
+    ([(0, 1.0)], lp.EQUAL, -math.inf, ValueError,
+     "constraint rhs must be finite"),
+    ([(0, 1.0), (1, math.nan)], lp.LESS_EQUAL, 1.0, ValueError,
+     "constraint coefficients must be finite"),
+    ([(0, 1.0), (1, -math.inf)], lp.LESS_EQUAL, 1.0, ValueError,
+     "constraint coefficients must be finite"),
+    ([(0, 1.0), (-1, 1.0)], lp.LESS_EQUAL, 1.0, IndexError,
+     "variable index -1 out of range"),
+    ([(0, 1.0), (2, 1.0)], lp.LESS_EQUAL, 1.0, IndexError,
+     "variable index 2 out of range"),
+], ids=["relation", "nan_rhs", "inf_rhs", "minus_inf_rhs", "nan_coefficient",
+        "inf_coefficient", "index_minus_one", "index_num_variables"])
+def test_add_constraint_rejects_bad_input_and_leaves_the_problem_as_it_was(
+        coefficients, relation, rhs, error, message):
+    p = _two_variable_problem()
+    before = p.matrix()
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        p.add_constraint(coefficients, relation, rhs)
+    assert p.num_constraints == 1
+    assert len(p.constraints) == 1
+    for kept, array in zip(before, p.matrix()):
+        assert np.array_equal(kept, array)
+
+
+def test_add_variable_and_objective_reject_bad_input():
+    p = _two_variable_problem()
+    for lower, upper in ((math.nan, 1.0), (0.0, math.nan)):
+        with pytest.raises(ValueError, match=r"^variable z: bounds must not be NaN$"):
+            p.add_variable("z", lower, upper)
+    assert p.num_variables == 2
+    for coefficient in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError,
+                           match=r"^objective coefficients must be finite$"):
+            p.set_objective_coefficient(0, coefficient)
+    for index in (-1, 2):
+        with pytest.raises(IndexError, match=rf"^variable index {index} out of range$"):
+            p.set_objective_coefficient(index, 1.0)
+    assert p.objective == {}
+
+
+def test_add_constraint_drops_zeros_and_takes_numpy_scalars():
+    p = _two_variable_problem()
+    row = p.add_constraint([(np.int64(1), np.float64(0.0)), (np.int32(0), np.float32(0.5)),
+                            (1, -0.0), (np.intp(1), np.int64(3))],
+                           lp.GREATER_EQUAL, np.float64(-2.0))
+    assert row == 1
+    assert p.constraints[1] == lp.Constraint(((0, 0.5), (1, 3.0)), lp.GREATER_EQUAL, -2.0)
+    assert all(type(value) is float for _, value in p.constraints[1].coefficients)
+    assert all(type(index) is int for index, _ in p.constraints[1].coefficients)
+    assert type(p.constraints[1].rhs) is float
+    empty = p.add_constraint([(0, 0.0)], lp.EQUAL, 0.0)
+    assert empty == 2 and p.constraints[2].coefficients == ()
+    rows, cols, values, row_lower, row_upper = p.matrix()
+    assert rows.tolist() == [0, 0, 1, 1]
+    assert cols.tolist() == [0, 1, 0, 1]
+    assert values.tolist() == [1.0, 2.0, 0.5, 3.0]
+    assert row_lower.tolist() == [-math.inf, -2.0, 0.0]
+    assert row_upper.tolist() == [3.0, math.inf, 0.0]
+
+
+def _lp_digest(problem):
+    """SHA-256 of everything the solver reads of an LP: the `matrix()`
+    arrays, the bounds and the objective (each with its dtype), and the
+    variable names."""
+    digest = hashlib.sha256()
+    for array in (*problem.matrix(), np.array(problem.lower),
+                  np.array(problem.upper), problem.objective_vector()):
+        digest.update(array.dtype.str.encode())
+        digest.update(np.ascontiguousarray(array).tobytes())
+    digest.update("\n".join(problem.variable_names).encode())
+    return digest.hexdigest()
+
+
+def _planning_lps():
+    """(label, method, LP): the built-ins, six random scenarios and one
+    angpuang sweep variant per sweep parameter, each with both methods."""
+    scenarios = [(name, BUILTINS[name]()) for name in ("simple1", "simple2", "angpuang")]
+    rng = np.random.default_rng(2020)
+    scenarios += [(f"random{i}", random_scenario(rng)) for i in range(6)]
+    base = BUILTINS["angpuang"]()
+    scenarios += [(parameter, sweep_scenario(base, parameter, value))
+                  for parameter, value in [("transfer-cost-slope", 1.5),
+                                           ("risk-slope", 5.0),
+                                           ("profit-slope", 0.5),
+                                           ("initial-volume-fraction", 0.75)]]
+    for label, scenario in scenarios:
+        for method, build in (("proposed", build_proposed),
+                              ("deterministic", build_deterministic)):
+            yield label, method, build(scenario)[0]
+
+
+# Recorded when each row was still stored as a Constraint object.
+PLANNING_LP_DIGESTS = {
+    ("simple1", "proposed"):
+        "f38356fadd7f3ffca23db9b61527da4e525cb95570b1b97816c923cc37ba9216",
+    ("simple1", "deterministic"):
+        "3c78d12c48dfad8d5395662faaaf4aaf9b6785e6dfcdc84b737950da391b720d",
+    ("simple2", "proposed"):
+        "13d7c82511d5453a708a4104ba17d2afcdac7c5beb0688d085fda9afa07f3459",
+    ("simple2", "deterministic"):
+        "5c9befcd46b9ce183f2e817b028e76ac3c0d94aea452f809e83ff4b91ed0e458",
+    ("angpuang", "proposed"):
+        "3920874167d7e1ab0c97cd54a3d7b5fb23a9af7d09267917f03b05e7245622bc",
+    ("angpuang", "deterministic"):
+        "10432670a30b1e8a7ae42cbd0b4b49f8849dbd3960ca57e9ec71d767628c951d",
+    ("random0", "proposed"):
+        "2736712d419184fdf18e95b3f12f75c70ffd23f3a6ca84a685ea0d80dd74854c",
+    ("random0", "deterministic"):
+        "1157534a2eb0499dd9a0fe21394d8971c3d20c55a753cc04883f5cbd2999197d",
+    ("random1", "proposed"):
+        "72d13c01eba65654c9c8262b8fb950ee7658a634769ef08cca92d1b3ebd9f6df",
+    ("random1", "deterministic"):
+        "da5a4144392b1d168938b22655cd7d87fa28a779e9ffd82ee8bec12d5bb60af3",
+    ("random2", "proposed"):
+        "b9105396b996f72203b47b177b56a30e89c9f0ee373b059778b1711d65a21648",
+    ("random2", "deterministic"):
+        "0aaa9cf6f76f5145825695d024470fe366b0cfc429de35448f1d43545e96e00b",
+    ("random3", "proposed"):
+        "dc92e694201c6fda38469f6d69efe9ebf7cf9ec344d7ce235895703615e7288d",
+    ("random3", "deterministic"):
+        "51d34eda67141f2158e8cd240dba24d6bbae43b05b7b4ee26dcf84d4e98e47d6",
+    ("random4", "proposed"):
+        "8e0b54159a2d603d914d1c8198c4b0d7b0d4341ff8d0bb3cb56b325ce0bf55ba",
+    ("random4", "deterministic"):
+        "62a9f5844067c4c1d13d285196467f997fa31d346ed2f587e902bee58f25d501",
+    ("random5", "proposed"):
+        "6a19a821262c25b36b9a7bdbfe25bde2f86555a3b75e67fa7b38709a8e262e22",
+    ("random5", "deterministic"):
+        "d41aed7f31d39a5ad821d0159aacae94c734fbcbd5e0ea873a1925eaa1d07fe8",
+    ("transfer-cost-slope", "proposed"):
+        "0a51270fa95ab72380a101ac1207b099df7cd930bfae644f80e8c8614b5aca13",
+    ("transfer-cost-slope", "deterministic"):
+        "350b8c02b668c929af57e60ebf7c358dd527504721df57016dfad445936a4771",
+    ("risk-slope", "proposed"):
+        "d8d91971de49d0d00ded808f3e44cbedbdb0db8a232e7d2c13effccb409e3e83",
+    ("risk-slope", "deterministic"):
+        "10432670a30b1e8a7ae42cbd0b4b49f8849dbd3960ca57e9ec71d767628c951d",
+    ("profit-slope", "proposed"):
+        "691d7b3bb1013daa269cae4848382b1b0d0dbd6a724d3081dcaf0adb0db03bf2",
+    ("profit-slope", "deterministic"):
+        "0b975f90bfcc6eda05235019d68bfef0ac69b8b124e991ba1c7e33fb5539ecf1",
+    ("initial-volume-fraction", "proposed"):
+        "c972cb7a8a22037e04b458050a083867969ed99b5141f3e8b8aa2120c8bedbe0",
+    ("initial-volume-fraction", "deterministic"):
+        "998e837baeea475d9e9735de7424177ab29cc302dfc09dcab3f576e515a70b0b",
+}
+
+
+def test_planning_lps_are_bitwise_those_recorded():
+    digests = {(label, method): _lp_digest(problem)
+               for label, method, problem in _planning_lps()}
+    assert digests == PLANNING_LP_DIGESTS
+
+
+def test_constraints_view_rebuilds_matrix():
+    # The per-row view and `matrix()` must describe the same rows: A summed
+    # over repeated entries, and row bounds decoded from each relation here.
+    for label, method, p in _planning_lps():
+        m, n = p.num_constraints, p.num_variables
+        view = p.constraints
+        assert len(view) == m
+        a = np.zeros((m, n))
+        row_lower, row_upper = np.full(m, -math.inf), np.full(m, math.inf)
+        for i, con in enumerate(view):
+            for j, coef in con.coefficients:
+                a[i, j] += coef
+            if con.relation != lp.LESS_EQUAL:
+                row_lower[i] = con.rhs
+            if con.relation != lp.GREATER_EQUAL:
+                row_upper[i] = con.rhs
+        rows, cols, values, lower, upper = p.matrix()
+        dense = np.zeros((m, n))
+        np.add.at(dense, (rows, cols), values)
+        assert np.array_equal(dense, a), (label, method)
+        assert np.array_equal(lower, row_lower), (label, method)
+        assert np.array_equal(upper, row_upper), (label, method)
+        assert sum(len(con.coefficients) for con in view) == values.size
 
 
 def test_objective_scaling_invariance():

@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import zero
 from reservoirplan.pwl import (CONCAVE, CONVEX, NONDECREASING, VALID_FLAGS,
                                PwlFunction, ShapeReport, _check_slopes,
-                               capped_linear, hinge, linear, zero)
+                               capped_linear, hinge, linear)
 
 
 def test_evaluate_capped_linear_past_cap():
@@ -50,7 +51,7 @@ def test_verify_shape_decreasing_slopes_reject_convex_at_segment_1():
     f = PwlFunction(((0.0, 0.0),), 2.0, 1.0)
     report = f.verify_shape([CONVEX])
     assert not report.ok
-    assert report.first_violation() == (CONVEX, 1)
+    assert report.violations[0] == (CONVEX, 1)
 
 
 def test_verify_shape_hinge_slopes_accept_convex_nondecreasing():
@@ -62,7 +63,7 @@ def test_verify_shape_negative_slope_rejects_nondecreasing():
     f = PwlFunction(((0.0, 0.0),), -1.0, 2.0)
     report = f.verify_shape([NONDECREASING])
     assert not report.ok
-    assert report.first_violation() == (NONDECREASING, 0)
+    assert report.violations[0] == (NONDECREASING, 0)
 
 
 def test_declared_shape_is_verified_at_construction():
