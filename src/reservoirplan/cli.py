@@ -3,9 +3,10 @@
 Every output file embeds the run manifest (the inputs that determine the run),
 so identical manifests yield bitwise-identical files; wall-clock duration is
 recorded only in the separate manifest.json, keeping the data files
-reproducible. Exit codes: 0 optimal, 1 usage/IO error, 2 infeasible,
-3 unbounded, 4 iteration limit, 5 numerical failure (the solver broke down or
-its optimum failed the feasibility check).
+reproducible. Every file is read and written as UTF-8, with LF line ends,
+whatever the platform and its locale. Exit codes: 0 optimal, 1 usage/IO
+error, 2 infeasible, 3 unbounded, 4 iteration limit, 5 numerical failure (the
+solver broke down or its optimum failed the feasibility check).
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import json
 import math
 import sys
 import time
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from pathlib import Path
 
 import numpy as np
@@ -78,7 +79,7 @@ class RunManifest:
         record.update(self.results)
         record["duration_s"] = self.duration_s
         path = out_dir / "manifest.json"
-        path.write_text(json.dumps(record, indent=2) + "\n")
+        path.write_bytes((json.dumps(record, indent=2) + "\n").encode())
 
 
 def _csv_lines(rows: Iterable[Sequence]) -> str:
@@ -95,7 +96,6 @@ def _csv_head(manifest: RunManifest, header: list[str]) -> str:
 
 def _write_csv(path: Path, manifest: RunManifest, header: list[str],
                rows: Sequence[Sequence]) -> None:
-    # Data files are UTF-8 with LF line ends, whatever the platform's locale.
     path.write_bytes((_csv_head(manifest, header) + _csv_lines(rows)).encode())
 
 
@@ -106,7 +106,7 @@ def _records(header: list[str], rows: Sequence[Sequence]) -> list[dict]:
 
 def _write_json(path: Path, manifest: RunManifest, payload: dict) -> None:
     document = {"manifest": manifest.embedded(), **payload}
-    path.write_text(json.dumps(document, indent=2) + "\n")
+    path.write_bytes((json.dumps(document, indent=2) + "\n").encode())
 
 
 def _fail(message: str, manifest: RunManifest | None = None) -> int:
@@ -193,9 +193,13 @@ def load_plan_json(path: str | Path) -> Plan:
     horizon or reservoir count that is not a positive integer, an
     out-of-range or non-integer index, a plan value or objective that is not
     a finite number, a repeated (t, n) or (t, from, to) entry and a missing
-    (t, n) release entry.
+    (t, n) release entry, and names the file when it is not UTF-8 text.
     """
-    doc = json.loads(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    doc = json.loads(text)
     for field in ("horizon", "reservoirs", "objective", "transfers",
                   "releases"):
         if field not in doc:
@@ -270,7 +274,7 @@ def cmd_plan(args) -> int:
 
     problem, vm, solution = _solve_method(scenario, args.method)
     if args.dump_lp:
-        Path(args.dump_lp).write_text(lp.to_mps(problem))
+        Path(args.dump_lp).write_bytes(lp.to_mps(problem).encode())
     if not solution.is_optimal:
         print(f"manifest: {json.dumps(manifest.embedded())}", file=sys.stderr)
         print(f"error: solver returned {solution.status} "
@@ -287,58 +291,73 @@ def cmd_plan(args) -> int:
 
 
 def _indexed_rows(prefix: str, risk: np.ndarray,
-                  row_text: Callable[[float], str]) -> np.ndarray:
+                  row_text: Callable[[float], str]) -> Iterator[np.ndarray]:
     """The ASCII bytes of `prefix`, the index i and `row_text(risk[i])` for
-    every replication i, as one uint8 array.
+    every replication i, as one uint8 array per block of
+    `simulation._BLOCK_REPS` replications, so the table is never held whole.
 
     Only the risk varies from row to row, and it repeats (a replication's
     risk depends on finitely many discrete inflow draws), so `row_text` is
-    called once per distinct risk. Risks are told apart by bit pattern, not
-    by float equality, because -0.0 == 0.0 yet the two print differently.
-    The rows are laid out in a padded matrix, prefix and index digits first,
-    and its padding dropped by one length mask.
+    called once per distinct risk of the whole run: each block looks its
+    distinct risks up in a dict of the texts made so far. Risks are told
+    apart by bit pattern, not by float equality, because -0.0 == 0.0 yet the
+    two print differently. A block's rows are laid out in a padded matrix,
+    prefix and index digits first, and its padding dropped by one length
+    mask.
     """
-    size = risk.size
-    distinct, codes = np.unique(risk.view(np.int64), return_inverse=True)
-    texts = [row_text(value) for value in distinct.view(np.float64).tolist()]
-    lengths = np.fromiter(map(len, texts), np.intp, len(texts))
-    longest = int(lengths.max())
-    table = np.zeros((len(texts), longest), np.uint8)
-    table[np.arange(longest) < lengths[:, None]] = np.frombuffer(
-        "".join(texts).encode(), np.uint8)
+    lead = np.frombuffer(prefix.encode(), np.uint8)
+    texts: dict[int, bytes] = {}  # bit pattern -> row text, for the whole run
+    for begin in range(0, risk.size, simulation._BLOCK_REPS):
+        end = min(begin + simulation._BLOCK_REPS, risk.size)
+        distinct, codes = np.unique(risk[begin:end].view(np.int64),
+                                    return_inverse=True)
+        block_texts = []
+        for key, value in zip(distinct.tolist(),
+                              distinct.view(np.float64).tolist()):
+            text = texts.get(key)
+            if text is None:
+                text = texts[key] = row_text(value).encode()
+            block_texts.append(text)
+        lengths = np.fromiter(map(len, block_texts), np.intp, len(block_texts))
+        longest = int(lengths.max())
+        table = np.zeros((len(block_texts), longest), np.uint8)
+        table[np.arange(longest) < lengths[:, None]] = np.frombuffer(
+            b"".join(block_texts), np.uint8)
 
-    lead = len(prefix)
-    digits = len(str(size - 1))
-    matrix = np.empty((size, lead + digits + longest), np.uint8)
-    matrix[:, :lead] = np.frombuffer(prefix.encode(), np.uint8)
-    row_lengths = np.take(lengths, codes)
-    row_lengths += lead
-    start = 0
-    for width in range(1, digits + 1):
-        stop = min(10 ** width, size)
-        # The narrowest unsigned type divides fastest.
-        index = np.arange(start, stop, dtype=np.min_scalar_type(stop))
-        for column in range(lead + width - 1, lead - 1, -1):
-            matrix[start:stop, column] = index % 10 + ord("0")
-            index //= 10
-        matrix[start:stop, lead + width:lead + width + longest] = np.take(
-            table, codes[start:stop], axis=0)
-        row_lengths[start:stop] += width
-        start = stop
-    # keep[n] marks the first n bytes of a matrix row.
-    keep = np.arange(matrix.shape[1] + 1)[:, None] > np.arange(matrix.shape[1])
-    return matrix[np.take(keep, row_lengths, axis=0)]
+        digits = len(str(end - 1))
+        matrix = np.empty((end - begin, lead.size + digits + longest),
+                          np.uint8)
+        matrix[:, :lead.size] = lead
+        row_lengths = np.take(lengths, codes)
+        row_lengths += lead.size
+        start = begin
+        for width in range(len(str(begin)), digits + 1):
+            stop = min(10 ** width, end)
+            rows = slice(start - begin, stop - begin)
+            # The narrowest unsigned type divides fastest.
+            index = np.arange(start, stop, dtype=np.min_scalar_type(stop))
+            for column in range(lead.size + width - 1, lead.size - 1, -1):
+                matrix[rows, column] = index % 10 + ord("0")
+                index //= 10
+            matrix[rows, lead.size + width:lead.size + width + longest] = \
+                np.take(table, codes[rows], axis=0)
+            row_lengths[rows] += width
+            start = stop
+        # keep[n] marks the first n bytes of a matrix row.
+        keep = np.arange(matrix.shape[1] + 1)[:, None] > \
+            np.arange(matrix.shape[1])
+        yield matrix[np.take(keep, row_lengths, axis=0)]
 
 
 def _write_report_csv(path: Path, manifest: RunManifest,
                       report: simulation.SimulationReport) -> None:
     """The evaluation table: one row per replication, then mean and std."""
     release, transfer = report.release_profit, report.transfer_cost
-    rows = _indexed_rows("", report.risk_cost, lambda risk: (
+    blocks = _indexed_rows("", report.risk_cost, lambda risk: (
         f",{release},{transfer},{risk},{release - transfer - risk}\n"))
     with path.open("wb") as file:
         file.write(_csv_head(manifest, REPORT_HEADER).encode())
-        file.write(rows)
+        file.writelines(blocks)
         # Release and transfer are the plan's constants: no spread.
         file.write(_csv_lines([
             ("mean", release, transfer, report.mean_risk, report.mean_total),
@@ -357,8 +376,8 @@ def _write_report_json(path: Path, manifest: RunManifest,
         return "".join(f",\n      {name}: {json.dumps(value)}"
                        for name, value in zip(keys, values)) + "\n    },\n"
 
-    rows = _indexed_rows(f"    {{\n      {key}: ", report.risk_cost,
-                         record_tail)
+    blocks = _indexed_rows(f"    {{\n      {key}: ", report.risk_cost,
+                           record_tail)
     aggregates = ("mean_total", "std_total", "mean_risk", "std_risk")
     document = {"manifest": manifest.embedded(),
                 "replications": report.replications, "per_replication": None,
@@ -368,7 +387,12 @@ def _write_report_json(path: Path, manifest: RunManifest,
         '"per_replication": null')
     with path.open("wb") as file:
         file.write(f'{head}"per_replication": [\n'.encode())
-        file.write(rows[:-2])  # all but the last record's ",\n"
+        # Each block is written once the next exists, so the last is known.
+        held = next(blocks)
+        for block in blocks:
+            file.write(held)
+            held = block
+        file.write(held[:-2])  # all but the last record's ",\n"
         file.write(f"\n  ]{tail}\n".encode())
 
 

@@ -359,8 +359,8 @@ def load_scenario(path: str | Path) -> Scenario:
     """Parse and validate a scenario file; validation failures are forwarded."""
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioParseError(f"{path}: {exc}") from exc
     try:
         doc = json.loads(text)
@@ -380,7 +380,8 @@ def load_scenario(path: str | Path) -> Scenario:
 
 
 def save_scenario(scenario: Scenario, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(scenario_to_dict(scenario), indent=2) + "\n")
+    Path(path).write_bytes(
+        (json.dumps(scenario_to_dict(scenario), indent=2) + "\n").encode())
 
 
 # ---------------------------------------------------------------------------
@@ -580,8 +581,8 @@ class SweepConfig:
 def load_sweep_config(path: str | Path) -> SweepConfig:
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ScenarioParseError(f"{path}: {exc}") from exc
     try:
         config = SweepConfig(

@@ -1,6 +1,11 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -304,32 +309,58 @@ def _csv_row_text(release, transfer):
     return row_text
 
 
+# Block sizes whose edges fall on the index width changes 9|10, 99|100 and
+# 999|1000, and the default one.
+BLOCK_SIZES = [1, 3, 7, simulation._BLOCK_REPS]
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(release=st.sampled_from(EDGE_FLOATS),
        transfer=st.sampled_from(EDGE_FLOATS), risk=_risk_columns(),
-       prefix=st.sampled_from(["", "x", '    {\n      "rep": ']))
+       prefix=st.sampled_from(["", "x", '    {\n      "rep": ']),
+       block=st.sampled_from(BLOCK_SIZES))
 @example(release=68.0, transfer=-0.0, risk=np.array([0.0, -0.0] * 6),
-         prefix="")
+         prefix="", block=simulation._BLOCK_REPS)
 @example(release=-0.0, transfer=0.0, risk=np.array([0.0, -0.0, 0.0]),
-         prefix="")
-def test_indexed_rows_equal_the_per_row_text(release, transfer, risk, prefix):
+         prefix="", block=1)
+# A later block brings a new risk whose row text is longer than any before.
+@example(release=1.0, transfer=0.0,
+         risk=np.array([2.0] * 12 + [0.1 + 0.2, 2.0, -0.0]), prefix="x",
+         block=7)
+def test_indexed_rows_equal_the_per_row_text(release, transfer, risk, prefix,
+                                             block):
     row_text = _csv_row_text(release, transfer)
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert cli._indexed_rows(prefix, risk, row_text).tobytes() == \
-            _per_row_reference(prefix, risk, row_text)
+    called = []
+
+    def counted_row_text(value):
+        called.append(value)
+        return row_text(value)
+
+    with np.errstate(over="ignore", invalid="ignore"), \
+            mock.patch.object(simulation, "_BLOCK_REPS", block):
+        blocks = list(cli._indexed_rows(prefix, risk, counted_row_text))
+        assert b"".join(blocks) == _per_row_reference(prefix, risk, row_text)
+    assert len(blocks) == -(-risk.size // block)
+    # One call per distinct bit pattern of the whole run, -0.0 apart from 0.0.
+    assert np.array_equal(np.sort(np.array(called).view(np.int64)),
+                          np.unique(risk.view(np.int64)))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(release=st.sampled_from(EDGE_FLOATS),
        transfer=st.sampled_from(EDGE_FLOATS), risk=_risk_columns(),
-       scenario=st.text() | st.just('x/"per_replication": null.json'))
+       scenario=st.text() | st.just('x/"per_replication": null.json'),
+       block=st.sampled_from(BLOCK_SIZES))
 @example(release=-0.0, transfer=float("inf"),
          risk=np.array([0.0, -0.0, float("inf"), float("nan"), 0.0]),
-         scenario='"per_replication": null')
+         scenario='"per_replication": null', block=simulation._BLOCK_REPS)
 @example(release=1e308, transfer=-1e308, risk=np.array([-0.0]),
-         scenario="builtin:angpuang")
+         scenario="builtin:angpuang", block=simulation._BLOCK_REPS)
+# The last block holds a single record.
+@example(release=1.0, transfer=0.5, risk=np.array([0.0, 1e-05] * 5),
+         scenario="builtin:angpuang", block=3)
 def test_report_json_is_json_dumps_of_one_record_per_row(
-        release, transfer, risk, scenario, tmp_path_factory):
+        release, transfer, risk, scenario, block, tmp_path_factory):
     manifest = cli.RunManifest(command="evaluate", scenario=scenario, seed=7,
                                reps=risk.size)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -338,7 +369,8 @@ def test_report_json_is_json_dumps_of_one_record_per_row(
             risk_cost=risk)
         totals = report.total_profit.tolist()
     path = tmp_path_factory.getbasetemp() / "evaluation.json"
-    cli._write_report_json(path, manifest, report)
+    with mock.patch.object(simulation, "_BLOCK_REPS", block):
+        cli._write_report_json(path, manifest, report)
     records = [dict(zip(cli.REPORT_HEADER, (rep, release, transfer, value,
                                             total)))
                for rep, (value, total) in enumerate(zip(risk.tolist(),
@@ -352,6 +384,35 @@ def test_report_json_is_json_dumps_of_one_record_per_row(
                        "mean_risk": report.mean_risk,
                        "std_risk": report.std_risk},
     }, indent=2) + "\n").encode()
+
+
+def _traced_peak(write, path, report) -> int:
+    """The bytes `write` allocates at its peak above what it starts with."""
+    manifest = cli.RunManifest(command="evaluate", scenario="s", seed=0,
+                               reps=report.replications)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        write(path, manifest, report)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - start
+
+
+@pytest.mark.parametrize("write", [cli._write_report_csv,
+                                   cli._write_report_json],
+                         ids=["csv", "json"])
+def test_report_writers_memory_does_not_grow_with_reps(write, tmp_path):
+    values = np.random.default_rng(3).standard_normal(45) * 1e3
+    peaks = []
+    for reps in (25000, 200000):
+        risk = values[np.random.default_rng(reps).integers(45, size=reps)]
+        report = simulation.SimulationReport(
+            seed=0, release_profit=38.92499999999999, transfer_cost=0.1 + 0.2,
+            risk_cost=risk)
+        peaks.append(_traced_peak(write, tmp_path / f"{reps}.out", report))
+    assert abs(peaks[1] - peaks[0]) < 2 ** 20, peaks
 
 
 # Digests of evaluation.csv written before the table was assembled as bytes,
@@ -484,6 +545,69 @@ def test_malformed_input_file_is_usage_error(command, name, edit, tmp_path,
     assert code == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert f"error: {path}:" in err
+
+
+@pytest.mark.parametrize("command", ["plan", "sweep", "evaluate"])
+def test_input_file_not_utf8_is_usage_error(command, tmp_path, capsys):
+    doc = scenario_to_dict(builtin_simple(1))
+    doc["name"] = "Caf\u00e9"
+    path = tmp_path / "latin1.json"
+    path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("latin-1"))
+    args = ["--scenario", str(path)]
+    if command == "sweep":
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({"scenario": str(path), "grid": [1.0],
+                                      "parameter": "risk-slope", "reps": 10}))
+        args = ["--config", str(config)]
+    elif command == "evaluate":
+        plan = json.loads(COMMITTED_PLAN.read_text())
+        plan["note"] = "Caf\u00e9"
+        path.write_bytes(
+            json.dumps(plan, ensure_ascii=False).encode("latin-1"))
+        args = ["--scenario", "builtin:angpuang", "--plan", str(path)]
+    assert run_cli(command, *args, "--out", str(tmp_path / "out")) == \
+        cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"error: {path}: 'utf-8' codec can't decode" in err
+    assert "Traceback" not in err
+
+
+def test_files_are_utf8_whatever_the_locale(tmp_path):
+    doc = scenario_to_dict(builtin_simple(1))
+    doc["name"] = "Ang Puang \u2013 \u0e17\u0e14\u0e2a\u0e2d\u0e1a"
+    scenario = tmp_path / "scenario.json"
+    scenario.write_bytes(json.dumps(doc, ensure_ascii=False).encode())
+    src = str(Path(cli.__file__).resolve().parents[1])
+    files = []
+    for encoding, locale in [
+            ("utf-8", {"PYTHONUTF8": "1"}),
+            ("ascii", {"LC_ALL": "C", "PYTHONUTF8": "0",
+                       "PYTHONCOERCECLOCALE": "0"})]:
+        cwd = tmp_path / encoding
+        cwd.mkdir()
+        env = {**os.environ, **locale,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        # A relative --out keeps the embedded `outputs` field the same.
+        result = subprocess.run(
+            [sys.executable, "-c", "import codecs, locale, sys\n"
+             "from reservoirplan.cli import main\n"
+             "print(codecs.lookup(locale.getpreferredencoding(False)).name,"
+             " file=sys.stderr)\n"
+             "sys.exit(main(sys.argv[1:]))",
+             "plan", "--scenario", str(scenario), "--out", "out",
+             "--dump-lp", "out/lp.mps"],
+            cwd=cwd, env=env, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        # The locale's encoding is the one the run was set up with.
+        assert result.stderr.split()[0] == encoding, result.stderr
+        files.append({path.name: path.read_bytes()
+                      for path in (cwd / "out").iterdir()
+                      if path.name != "manifest.json"})
+    assert files[0] == files[1]
+    assert sorted(files[0]) == ["lp.mps", "plan.json", "plan_releases.csv",
+                                "plan_transfers.csv"]
+    assert doc["name"].encode() in files[0]["lp.mps"]
 
 
 def _edit_support(doc, value):
