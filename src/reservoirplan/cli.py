@@ -4,8 +4,10 @@ Every output file embeds the run manifest (the inputs that determine the run),
 so identical manifests yield bitwise-identical files; wall-clock duration is
 recorded only in the separate manifest.json, keeping the data files
 reproducible. Every file is read and written as UTF-8, with LF line ends,
-whatever the platform and its locale. Exit codes: 0 optimal, 1 usage/IO
-error, 2 infeasible, 3 unbounded, 4 iteration limit, 5 numerical failure (the
+whatever the platform and its locale. The plan file format is owned here:
+`_write_plan_files` writes it and `load_plan_json` reads it with the scenario
+module's reader and field helpers. Exit codes: 0 optimal, 1 usage/IO error,
+2 infeasible, 3 unbounded, 4 iteration limit, 5 numerical failure (the
 solver broke down or its optimum failed the feasibility check).
 """
 from __future__ import annotations
@@ -23,8 +25,9 @@ import numpy as np
 
 from . import formulation, lp, simulation
 from .model import Plan, Scenario, ScenarioValidationError, validate_scenario
-from .scenarios import (ScenarioParseError, expand_sweep, finite_number,
-                        load_sweep_config, resolve_scenario)
+from .scenarios import (ScenarioParseError, _integer, _load, _need, _number,
+                        _objects, expand_sweep, load_sweep_config,
+                        resolve_scenario)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -144,93 +147,65 @@ def _solve_method(scenario: Scenario, method: str,
     return problem, vm, solution
 
 
-def _is_index(value, size) -> bool:
-    """Whether a JSON value is an integer in 1..size."""
-    return isinstance(value, int) and not isinstance(value, bool) and \
-        1 <= value <= size
-
-
-def _plan_number(path, what: str, value) -> float:
-    number = finite_number(value)
-    if number is None:
-        raise ValueError(f"{path}: {what} must be a finite number, "
-                         f"got {value!r}")
-    return number
-
-
-def _plan_entries(path, kind: str, entries: list, fields: tuple[str, ...],
+def _plan_entries(doc: dict, key: str, kind: str, fields: tuple[str, ...],
                   sizes: tuple[int, ...],
                   numbers: tuple[str, ...]) -> dict[tuple[int, ...], tuple]:
-    """The `numbers` fields of plan entries, keyed by the entries' zero-based
-    `fields` indices.
+    """The `numbers` fields of the plan entries `doc[key]`, keyed by the
+    entries' zero-based `fields` indices.
 
     Rejects a missing field, an index that is not an integer in 1..size, a
     value that is not a finite number and a repeated key, naming the entry.
     """
     keyed = {}
-    for entry in entries:
-        for field in (*fields, *numbers):
-            if field not in entry:
-                raise ValueError(f"{path}: {kind} entry {entry}: "
-                                 f"missing {field!r}")
-        for field, size in zip(fields, sizes):
-            if not _is_index(entry[field], size):
-                raise ValueError(f"{path}: {kind} entry {entry}: {field!r} "
-                                 f"must be an integer in 1..{size}")
-        key = tuple(entry[field] - 1 for field in fields)
-        if key in keyed:
-            raise ValueError(f"{path}: duplicate {kind} entry {entry}")
-        keyed[key] = tuple(
-            _plan_number(path, f"{kind} entry {entry}: {field!r}", entry[field])
-            for field in numbers)
+    for entry in _objects(doc, key, "top level", required=True):
+        where = f"{kind} entry {entry}"
+        index = tuple(_integer(_need(entry, field, where), where, field, size)
+                      - 1 for field, size in zip(fields, sizes))
+        if index in keyed:
+            raise ScenarioParseError(f"duplicate {kind} entry {entry}")
+        keyed[index] = tuple(_number(_need(entry, field, where), where, field,
+                                     finite=True) for field in numbers)
     return keyed
+
+
+def _plan_from_dict(doc: dict) -> Plan:
+    where = "top level"
+    t_count, n_count = (_integer(_need(doc, field, where), where, field,
+                                 math.inf)
+                        for field in ("horizon", "reservoirs"))
+    objective = _number(_need(doc, "objective", where), where, "objective",
+                        finite=True)
+    transfers = np.zeros((t_count, n_count, n_count))
+    for index, (q,) in _plan_entries(doc, "transfers", "transfer",
+                                     ("t", "from", "to"),
+                                     (t_count, n_count, n_count),
+                                     ("q",)).items():
+        transfers[index] = q
+    releases = np.zeros((t_count, n_count))
+    predicted = np.zeros((t_count, n_count))
+    volumes = np.zeros((t_count, n_count))
+    release_entries = _plan_entries(doc, "releases", "release", ("t", "n"),
+                                    (t_count, n_count), ("g", "x", "v"))
+    for index, (g, x, v) in release_entries.items():
+        releases[index], predicted[index], volumes[index] = g, x, v
+    missing = set(np.ndindex(t_count, n_count)) - release_entries.keys()
+    if missing:
+        t, n = min(missing)
+        raise ScenarioParseError(f"no release entry for t={t + 1}, n={n + 1}")
+    return Plan(transfers=transfers, releases=releases,
+                predicted_inflows=predicted, volumes=volumes,
+                objective=objective)
 
 
 def load_plan_json(path: str | Path) -> Plan:
     """Read a plan written by `plan`/`compare` back into arrays.
 
-    Raises ValueError, naming the field or entry, for a missing field, a
-    horizon or reservoir count that is not a positive integer, an
-    out-of-range or non-integer index, a plan value or objective that is not
-    a finite number, a repeated (t, n) or (t, from, to) entry and a missing
-    (t, n) release entry, and names the file when it is not UTF-8 text.
+    Raises ScenarioParseError, naming the file and the field or entry, for
+    an unreadable file, a missing field, a horizon or reservoir count that
+    is not a positive integer, an index that is not an integer in range, a
+    value that is not a finite number, and a repeated or missing entry.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    doc = json.loads(text)
-    for field in ("horizon", "reservoirs", "objective", "transfers",
-                  "releases"):
-        if field not in doc:
-            raise ValueError(f"{path}: missing {field!r}")
-    for field in ("horizon", "reservoirs"):
-        if not _is_index(doc[field], math.inf):
-            raise ValueError(f"{path}: {field!r} must be a positive integer, "
-                             f"got {doc[field]!r}")
-    objective = _plan_number(path, "'objective'", doc["objective"])
-    t_count, n_count = doc["horizon"], doc["reservoirs"]
-    transfers = np.zeros((t_count, n_count, n_count))
-    for key, (q,) in _plan_entries(path, "transfer", doc["transfers"],
-                                   ("t", "from", "to"),
-                                   (t_count, n_count, n_count),
-                                   ("q",)).items():
-        transfers[key] = q
-    releases = np.zeros((t_count, n_count))
-    predicted = np.zeros((t_count, n_count))
-    volumes = np.zeros((t_count, n_count))
-    release_entries = _plan_entries(path, "release", doc["releases"],
-                                    ("t", "n"), (t_count, n_count),
-                                    ("g", "x", "v"))
-    for key, (g, x, v) in release_entries.items():
-        releases[key], predicted[key], volumes[key] = g, x, v
-    missing = set(np.ndindex(t_count, n_count)) - release_entries.keys()
-    if missing:
-        t, n = min(missing)
-        raise ValueError(f"{path}: no release entry for t={t + 1}, n={n + 1}")
-    return Plan(transfers=transfers, releases=releases,
-                predicted_inflows=predicted, volumes=volumes,
-                objective=objective)
+    return _load(path, _plan_from_dict)
 
 
 def _write_plan_files(plan: Plan, scenario: Scenario, manifest: RunManifest,
@@ -406,9 +381,8 @@ def cmd_evaluate(args) -> int:
         scenario = _load_scenario_arg(args, manifest)
         plan = load_plan_json(args.plan)
         plan.check_dimensions(scenario)
-    except (ScenarioParseError, ScenarioValidationError, ValueError,
-            TypeError, OSError, KeyError) as exc:
-        return _fail(f"{exc}", manifest)
+    except ValueError as exc:
+        return _fail(str(exc), manifest)
 
     report = simulation.run_monte_carlo(plan, scenario, reps=args.reps,
                                         seed=args.seed)

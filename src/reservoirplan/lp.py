@@ -194,10 +194,12 @@ class LpSolution:
         return self.status == OPTIMAL
 
 
-def constraint_violation(problem: LpProblem, x: np.ndarray) -> float:
-    """Largest bound or constraint violation of a point (0 means feasible)."""
+def constraint_violation(problem: LpProblem, x: np.ndarray,
+                         matrix: tuple[np.ndarray, ...] | None = None) -> float:
+    """Largest bound or constraint violation of a point (0 means feasible);
+    `matrix` is `problem.matrix()`, built here if not given."""
     x = np.asarray(x, dtype=float)
-    rows, cols, values, row_lower, row_upper = problem.matrix()
+    rows, cols, values, row_lower, row_upper = matrix or problem.matrix()
     lhs = np.bincount(rows, values * x[cols], problem.num_constraints)
     gaps = (np.array(problem.lower) - x, x - np.array(problem.upper),
             row_lower - lhs, lhs - row_upper)
@@ -273,12 +275,7 @@ class _Tableau:
         n, m = self.n_structural, self.m
         rows, cols, values = matrix[:3]
         free = (self.lower[:n] == -math.inf) & (self.upper[:n] == math.inf)
-        # The distinct (row, free column) pairs with a nonzero summed entry.
-        keep = free[cols]
-        keys = rows[keep] * n + cols[keep]
-        keys = np.sort(keys[self.tab[rows[keep], cols[keep]] != 0.0])
-        keys = keys[np.diff(keys, prepend=-1) != 0]
-        rows_f, cols_f = keys // n, keys % n
+        rows_f, cols_f = self._nonzeros(rows, cols, free[cols])
         c = problem.objective_vector()
         pick = (np.bincount(rows_f, minlength=m)[rows_f] == 1) & (c[cols_f] != 0.0)
         rows_f, cols_f = rows_f[pick], cols_f[pick]
@@ -299,6 +296,18 @@ class _Tableau:
         columns = np.arange(n, n + m)
         columns[rows_f[first]] = cols_f[first]
         return columns
+
+    def _nonzeros(self, rows: np.ndarray, cols: np.ndarray, keep: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct (row, column) pairs, sorted, of the triplets `keep`
+        selects whose summed entry is nonzero. Deduplicated by hand: np.unique
+        of integers imports numpy.ma, over 1 MB of resident memory."""
+        n = self.n_structural
+        rows, cols = rows[keep], cols[keep]
+        nonzero = self.tab[rows, cols] != 0.0
+        keys = np.sort(rows[nonzero] * n + cols[nonzero])
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        return keys // n, keys % n
 
     def _install(self, columns: np.ndarray, matrix: tuple[np.ndarray, ...]) -> None:
         """Turn the all-slack tableau into B^-1 [A | I] for the basis B whose
@@ -325,16 +334,9 @@ class _Tableau:
         structural = columns[columns < n]
         pending = np.zeros(n, dtype=bool)
         pending[structural] = True
-        # The nonzeros of A[Q, S], repeated triplets summed by the tableau.
+        # The nonzeros of A[Q, S].
         rows, cols = matrix[0], matrix[1]
-        keep = open_rows[rows] & pending[cols]
-        rows, cols = rows[keep], cols[keep]
-        nonzero = self.tab[rows, cols] != 0.0
-        keys = np.sort(rows[nonzero] * n + cols[nonzero])
-        # Sorted and deduplicated by hand: np.unique of integers imports
-        # numpy.ma, over 1 MB of resident memory.
-        keys = keys[np.diff(keys, prepend=-1) != 0]
-        rows, cols = keys // n, keys % n
+        rows, cols = self._nonzeros(rows, cols, open_rows[rows] & pending[cols])
         while True:
             keep = open_rows[rows] & pending[cols]
             rows, cols = rows[keep], cols[keep]
@@ -671,7 +673,7 @@ def _solve_from(problem: LpProblem, matrix: tuple[np.ndarray, ...],
                           ray=ray[:state.n_structural])
 
     values = state.x[:state.n_structural].copy()
-    violation = constraint_violation(problem, values)
+    violation = constraint_violation(problem, values, matrix)
     if violation > FEAS_TOL:
         raise ArithmeticError(
             f"simplex optimum violates a bound or constraint by {violation:.3g}")

@@ -6,6 +6,10 @@ documented in the repository README. Function and distribution entries may
 target explicit index lists or "all" and are applied in order, later entries
 overriding earlier ones, which keeps hand-written files compact.
 
+`_load` reads every input file (scenario and sweep-config files here, plan
+files in `cli`) for a parser built from the field helpers below; any fault
+becomes a ScenarioParseError naming the file and, where it can, the field.
+
 The built-in scenarios model networks whose parameters are only partially
 documented: exactly documented values carry provenance="paper" while values
 this package had to estimate carry provenance="reconstructed", and the tags
@@ -45,7 +49,7 @@ def default_overflow_penalty(profits: Mapping[Any, PwlFunction]) -> float:
 
 def _need(mapping: dict, key: str, where: str):
     if key not in mapping:
-        raise ScenarioParseError(f"{where}: missing key {key!r}")
+        raise ScenarioParseError(f"{where}: missing {key!r}")
     return mapping[key]
 
 
@@ -54,43 +58,36 @@ def _is_integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def finite_number(value) -> float | None:
-    """A JSON number as a float, or None if it is not a finite number: a
-    string, a bool, null, an array, an object, NaN, an infinity or an integer
-    too large for a float."""
+def _integer(value, where: str, field: str, size: float | None = None) -> int:
+    """An integer field, refused rather than truncated or coerced if it is
+    a float, a bool, a string or anything else; with `size`, also refused
+    outside 1..size (an infinite size asks for a positive integer)."""
+    if not _is_integer(value) or size is not None and not 1 <= value <= size:
+        what = ("an integer" if size is None else "a positive integer"
+                if size == math.inf else f"an integer in 1..{size}")
+        raise ScenarioParseError(
+            f"{where}: {field!r} must be {what}, got {value!r}")
+    return value
+
+
+def _number(value, where: str, field: str, finite: bool = False) -> float:
+    """A number field as a float, refused rather than coerced if it is a
+    bool, a string, null, an array or an object, and refused if it is an
+    integer too large for a float. Any other JSON number passes, an infinity
+    included unless `finite`, and `validate_scenario` judges its value. An
+    array element such as grid[2] is named bare, a field quoted."""
+    name = field if field.endswith("]") else repr(field)
+    what = "a finite number" if finite else "a number"
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
             number = float(value)
         except OverflowError:
-            return None
-        if math.isfinite(number):
+            raise ScenarioParseError(
+                f"{where}: {name} must be {what}, got {value!r}, which is "
+                f"too large for a float") from None
+        if not finite or math.isfinite(number):
             return number
-    return None
-
-
-def _integer(value, where: str, field: str) -> int:
-    """An integer field, refused rather than truncated or coerced if it is
-    a float, a bool, a string or anything else."""
-    if not _is_integer(value):
-        raise ScenarioParseError(
-            f"{where}: {field!r} must be an integer, got {value!r}")
-    return value
-
-
-def _number(value, where: str, field: str) -> float:
-    """A number field as a float, refused rather than coerced if it is a
-    bool, a string, null, an array or an object, and refused if it is an
-    integer too large for a float. Any other JSON number passes, an infinity
-    included; `validate_scenario` judges its value."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ScenarioParseError(
-            f"{where}: {field!r} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ScenarioParseError(
-            f"{where}: {field!r} must be a number, got {value!r}, which is "
-            f"too large for a float") from None
+    raise ScenarioParseError(f"{where}: {name} must be {what}, got {value!r}")
 
 
 def _string(value, where: str, field: str) -> str:
@@ -102,6 +99,33 @@ def _string(value, where: str, field: str) -> str:
     return value
 
 
+def _objects(doc: dict, key: str, where: str, required: bool = False
+             ) -> list[dict]:
+    """The array of objects `doc[key]`, or [] if it is absent and not
+    `required`; any other shape is refused, naming the field."""
+    raw = _need(doc, key, where) if required else doc.get(key, [])
+    if not isinstance(raw, list):
+        raise ScenarioParseError(
+            f"{where}: {key!r} must be an array of objects, got {raw!r}")
+    for i, entry in enumerate(raw):
+        if not isinstance(entry, dict):
+            raise ScenarioParseError(
+                f"{where}: {key!r} must be an array of objects, but entry "
+                f"{i} is {entry!r}")
+    return raw
+
+
+def _pairs(raw, where: str, field: str, parse: Callable) -> tuple:
+    """An array of two-element arrays whose elements `parse` reads; any
+    other shape is refused, naming the field."""
+    if not isinstance(raw, list) or not all(
+            isinstance(pair, list) and len(pair) == 2 for pair in raw):
+        raise ScenarioParseError(
+            f"{where}: {field!r} must be an array of pairs, got {raw!r}")
+    return tuple((parse(a, where, field), parse(b, where, field))
+                 for a, b in raw)
+
+
 def _grid(raw, where: str) -> tuple[float, ...]:
     """A sweep grid: a JSON array of finite numbers. Strings, bools and other
     iterables are refused rather than coerced, and a bad value is named by
@@ -109,14 +133,8 @@ def _grid(raw, where: str) -> tuple[float, ...]:
     if not isinstance(raw, list):
         raise ScenarioParseError(
             f"{where}: 'grid' must be an array of numbers, got {raw!r}")
-    grid = []
-    for i, value in enumerate(raw):
-        number = finite_number(value)
-        if number is None:
-            raise ScenarioParseError(
-                f"{where}: grid[{i}] must be a finite number, got {value!r}")
-        grid.append(number)
-    return tuple(grid)
+    return tuple(_number(value, where, f"grid[{i}]", finite=True)
+                 for i, value in enumerate(raw))
 
 
 def _target(value: int, all_ids: list[int], where: str, field: str,
@@ -138,20 +156,19 @@ def _expand_ids(raw, all_ids: list[int], where: str, field: str,
         return list(all_ids)
     if isinstance(raw, list) and all(map(_is_integer, raw)):
         return [_target(value, all_ids, where, field, what) for value in raw]
-    raise ScenarioParseError(f"{where}: expected \"all\" or a list of integers")
+    raise ScenarioParseError(f"{where}: {field!r} must be \"all\" or a list "
+                             f"of integers, got {raw!r}")
 
 
 def _parse_function(entry: dict, where: str) -> PwlFunction:
-    breakpoints = _need(entry, "breakpoints", where)
     shape = entry.get("shape", [])
     if not isinstance(shape, list):
         raise ScenarioParseError(
             f"{where}: 'shape' must be a list of flags, got {shape!r}")
     try:
         return PwlFunction(
-            breakpoints=tuple((_number(x, where, "breakpoints"),
-                               _number(y, where, "breakpoints"))
-                              for x, y in breakpoints),
+            breakpoints=_pairs(_need(entry, "breakpoints", where), where,
+                               "breakpoints", _number),
             left_slope=_number(_need(entry, "left_slope", where), where,
                                "left_slope"),
             right_slope=_number(_need(entry, "right_slope", where), where,
@@ -183,7 +200,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
             f"got {physical_sim!r}")
 
     reservoirs = []
-    for i, entry in enumerate(_need(doc, "reservoirs", "top level")):
+    for i, entry in enumerate(_objects(doc, "reservoirs", "top level",
+                                       required=True)):
         where = f"reservoirs[{i}]"
         reservoirs.append(ReservoirSpec(
             id=_integer(_need(entry, "id", where), where, "id"),
@@ -199,7 +217,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     ids = [r.id for r in reservoirs]
 
     links = []
-    for i, entry in enumerate(doc.get("links", [])):
+    for i, entry in enumerate(_objects(doc, "links", "top level")):
         where = f"links[{i}]"
         links.append(LinkSpec(
             source=_integer(_need(entry, "from", where), where, "from"),
@@ -216,7 +234,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     profit: dict[tuple[int, int], PwlFunction] = {}
     risk: dict[tuple[int, int], PwlFunction] = {}
     cost: dict[tuple[int, int, int], PwlFunction] = {}
-    for i, entry in enumerate(doc.get("functions", [])):
+    for i, entry in enumerate(_objects(doc, "functions", "top level")):
         where = f"functions[{i}]"
         role = _need(entry, "role", where)
         func = _parse_function(entry, where)
@@ -233,8 +251,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
             if raw_links == "all":
                 pairs = list(link_pairs)
             else:
-                pairs = [(_integer(a, where, "links"),
-                          _integer(b, where, "links")) for a, b in raw_links]
+                pairs = _pairs(raw_links, where, "links", _integer)
                 for src, dst in pairs:
                     if (src, dst) not in declared:
                         raise ScenarioParseError(
@@ -246,14 +263,12 @@ def scenario_from_dict(doc: dict) -> Scenario:
             raise ScenarioParseError(f"{where}: unknown role {role!r}")
 
     inflow: dict[tuple[int, int], DiscreteDistribution] = {}
-    for i, entry in enumerate(doc.get("distributions", [])):
+    for i, entry in enumerate(_objects(doc, "distributions", "top level")):
         where = f"distributions[{i}]"
-        support = _need(entry, "support", where)
         try:
             dist = DiscreteDistribution(
-                support=tuple((_number(v, where, "support"),
-                               _number(p, where, "support"))
-                              for v, p in support),
+                support=_pairs(_need(entry, "support", where), where,
+                               "support", _number),
                 provenance=_string(entry.get("provenance", "unspecified"),
                                    where, "provenance"),
             )
@@ -276,7 +291,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     else:
         default_value = _number(default, "penalty", "default")
     penalty = {(n, t): default_value for n in ids for t in periods}
-    for i, entry in enumerate(penalty_doc.get("overrides", [])):
+    for i, entry in enumerate(_objects(penalty_doc, "overrides", "penalty")):
         where = f"penalty.overrides[{i}]"
         n = _integer(_need(entry, "reservoir", where), where, "reservoir")
         t = _integer(_need(entry, "period", where), where, "period")
@@ -355,24 +370,28 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     }
 
 
-def load_scenario(path: str | Path) -> Scenario:
-    """Parse and validate a scenario file; validation failures are forwarded."""
+def _load(path: str | Path, parse: Callable[[dict], Any]):
+    """`parse` of the JSON object in the UTF-8 file at `path`. Any fault
+    raises ScenarioParseError naming the file; a JSON syntax error also
+    gives its line and column."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ScenarioParseError(f"{path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(doc, dict):
+            raise ScenarioParseError("top level: expected a JSON object")
+        return parse(doc)
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from exc
-    try:
-        scenario = scenario_from_dict(doc)
-    except (TypeError, ValueError, AttributeError) as exc:
+    except (OSError, TypeError, ValueError) as exc:
         # ScenarioParseError is a ValueError too; rewrapping names the file.
         raise ScenarioParseError(f"{path}: {exc}") from exc
+
+
+def load_scenario(path: str | Path) -> Scenario:
+    """Parse and validate a scenario file; validation failures are forwarded."""
+    scenario = _load(path, scenario_from_dict)
     report = validate_scenario(scenario)
     if not report.ok:
         raise ScenarioValidationError(report)
@@ -578,28 +597,23 @@ class SweepConfig:
         return out
 
 
-def load_sweep_config(path: str | Path) -> SweepConfig:
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ScenarioParseError(f"{path}: {exc}") from exc
-    try:
-        config = SweepConfig(
-            scenario=_string(_need(doc, "scenario", "sweep config"),
-                             "sweep config", "scenario"),
-            parameter=_string(_need(doc, "parameter", "sweep config"),
-                              "sweep config", "parameter"),
-            grid=_grid(_need(doc, "grid", "sweep config"), "sweep config"),
-            reps=_integer(doc.get("reps", 100), "sweep config", "reps"),
-            seed=_integer(doc.get("seed", 0), "sweep config", "seed"),
-        )
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise ScenarioParseError(f"{path}: {exc}") from exc
+def _sweep_config(doc: dict) -> SweepConfig:
+    where = "sweep config"
+    config = SweepConfig(
+        scenario=_string(_need(doc, "scenario", where), where, "scenario"),
+        parameter=_string(_need(doc, "parameter", where), where, "parameter"),
+        grid=_grid(_need(doc, "grid", where), where),
+        reps=_integer(doc.get("reps", 100), where, "reps"),
+        seed=_integer(doc.get("seed", 0), where, "seed"),
+    )
     problems = config.violations()
     if problems:
-        raise ScenarioParseError("sweep config: " + "; ".join(problems))
+        raise ScenarioParseError(f"{where}: " + "; ".join(problems))
     return config
+
+
+def load_sweep_config(path: str | Path) -> SweepConfig:
+    return _load(path, _sweep_config)
 
 
 def _with_slope(func: PwlFunction, slope: float) -> PwlFunction:

@@ -502,7 +502,8 @@ def test_compare_reproducible_bitwise(tmp_path):
 @pytest.mark.parametrize("command", ["plan", "compare"])
 def test_solver_breakdown_is_numerical_failure(command, tmp_path, capsys,
                                                monkeypatch):
-    monkeypatch.setattr(lp, "constraint_violation", lambda problem, x: 1.0)
+    monkeypatch.setattr(lp, "constraint_violation",
+                        lambda problem, x, matrix=None: 1.0)
     code = run_cli(command, "--scenario", "builtin:simple1",
                    "--out", str(tmp_path))
     assert code == cli.EXIT_NUMERICAL == 5
@@ -714,6 +715,62 @@ def test_evaluate_rejects_malformed_plan(edit, message, tmp_path, capsys):
     assert "error: " in err and message in err
     assert "Traceback" not in err
     assert not (tmp_path / "out" / "evaluation.csv").exists()
+
+
+def _plan_text(**fields):
+    return json.dumps({**json.loads(COMMITTED_PLAN.read_text()), **fields})
+
+
+def _scenario_text(edit):
+    doc = scenario_to_dict(builtin_simple(1))
+    edit(doc)
+    return json.dumps(doc)
+
+
+_SWEEP_TEXT = ('{"scenario": "builtin:simple1", "parameter": "risk-slope", '
+               '"grid": [1.0]')
+
+
+@pytest.mark.parametrize("command,text,message", [
+    pytest.param("evaluate", '{"horizon": ',
+                 "invalid JSON at line 1, column 13: Expecting value",
+                 id="plan_truncated"),
+    pytest.param("evaluate", _plan_text(transfers=5),
+                 "top level: 'transfers' must be an array of objects, got 5",
+                 id="plan_transfers_number"),
+    pytest.param("evaluate", _plan_text(releases=[5]),
+                 "top level: 'releases' must be an array of objects, but "
+                 "entry 0 is 5", id="plan_release_number"),
+    pytest.param("plan", _scenario_text(lambda doc: doc.update(reservoirs=5)),
+                 "top level: 'reservoirs' must be an array of objects, got 5",
+                 id="scenario_reservoirs_number"),
+    pytest.param("plan", _scenario_text(
+                     lambda doc: doc.update(reservoirs=[5])),
+                 "top level: 'reservoirs' must be an array of objects, but "
+                 "entry 0 is 5", id="scenario_reservoir_number"),
+    pytest.param("plan", _scenario_text(
+                     lambda doc: doc["functions"][0].update(periods="x")),
+                 "functions[0]: 'periods' must be \"all\" or a list of "
+                 "integers, got 'x'", id="scenario_periods_string"),
+    pytest.param("sweep", _SWEEP_TEXT,
+                 f"invalid JSON at line 1, column {len(_SWEEP_TEXT) + 1}: "
+                 "Expecting ',' delimiter", id="sweep_truncated"),
+])
+def test_input_file_faults_name_the_file_and_field(command, text, message,
+                                                   tmp_path, capsys):
+    # At the parent the plan faults printed no file name and the shape faults
+    # printed "'int' object is not iterable" or the like, naming no field.
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    args = {"evaluate": ["--scenario", "builtin:angpuang", "--plan", str(path),
+                         "--reps", "10"],
+            "plan": ["--scenario", str(path)],
+            "sweep": ["--config", str(path)]}[command]
+    assert run_cli(command, *args, "--out", str(tmp_path / "out")) == \
+        cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == f"error: {path}: {message}"
+    assert "Traceback" not in err
 
 
 EXAMPLE_SWEEP = Path(__file__).resolve().parents[1] / "scenarios" / \

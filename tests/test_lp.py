@@ -567,7 +567,8 @@ def test_optimal_status_requires_a_feasible_point(monkeypatch):
     p = lp.LpProblem()
     x = p.add_variable("x", 0.0, 5.0)
     p.set_objective_coefficient(x, 1.0)
-    monkeypatch.setattr(lp, "constraint_violation", lambda problem, x: 1e-3)
+    monkeypatch.setattr(lp, "constraint_violation",
+                        lambda problem, x, matrix=None: 1e-3)
     with pytest.raises(ArithmeticError, match="violates"):
         lp.solve(p)
 
