@@ -6,9 +6,15 @@ recorded only in the separate manifest.json, keeping the data files
 reproducible. Every file is read and written as UTF-8, with LF line ends,
 whatever the platform and its locale. The plan file format is owned here:
 `_write_plan_files` writes it and `load_plan_json` reads it with the scenario
-module's reader and field helpers. Exit codes: 0 optimal, 1 usage/IO error,
-2 infeasible, 3 unbounded, 4 iteration limit, 5 numerical failure (the
-solver broke down or its optimum failed the feasibility check).
+module's reader and field helpers.
+
+Each `cmd_*` loads its inputs, computes, writes its data files and returns
+its summary line, raising on any fault. `main` alone makes `--out`, times the
+command, writes manifest.json, prints the summary and turns a fault into an
+exit code: 0 optimal, 1 usage/IO error, 2 infeasible, 3 unbounded,
+4 iteration limit, 5 numerical failure (the solver broke down or its optimum
+failed the feasibility check). Every failure prints the same two lines on
+stderr, `manifest: {...}` and then `error: ...`, and writes no manifest.json.
 """
 from __future__ import annotations
 
@@ -41,7 +47,6 @@ TRANSFER_HEADER = ["t", "from", "to", "q"]
 REPORT_HEADER = ["rep", "release", "transfer", "risk", "total"]
 
 _STATUS_EXIT = {
-    lp.OPTIMAL: EXIT_OK,
     lp.INFEASIBLE: EXIT_INFEASIBLE,
     lp.UNBOUNDED: EXIT_UNBOUNDED,
     lp.ITERATION_LIMIT: EXIT_ITERATION_LIMIT,
@@ -53,7 +58,7 @@ class RunManifest:
     """Inputs that determine a run, recorded verbatim into every output."""
 
     command: str
-    scenario: str
+    scenario: str | None = None
     method: str | None = None
     seed: int | None = None
     reps: int | None = None
@@ -112,13 +117,6 @@ def _write_json(path: Path, manifest: RunManifest, payload: dict) -> None:
     path.write_bytes((json.dumps(document, indent=2) + "\n").encode())
 
 
-def _fail(message: str, manifest: RunManifest | None = None) -> int:
-    if manifest is not None:
-        print(f"manifest: {json.dumps(manifest.embedded())}", file=sys.stderr)
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
-
-
 def _load_scenario_arg(args, manifest: RunManifest) -> Scenario:
     """The validated scenario of `--scenario`; one that `--big-f` or
     `--physical-sim` changed is validated again."""
@@ -145,6 +143,22 @@ def _solve_method(scenario: Scenario, method: str,
     problem, vm = builder(scenario)
     solution = lp.solve(problem, start=start)
     return problem, vm, solution
+
+
+class _SolveFailure(Exception):
+    def __init__(self, message: str, status: str):
+        super().__init__(message)
+        self.status = status
+
+
+def _require_optimal(solution: lp.LpSolution, scenario: Scenario,
+                     method: str) -> None:
+    """Raise _SolveFailure, naming the scenario and the method, unless the
+    solve ended optimal."""
+    if not solution.is_optimal:
+        raise _SolveFailure(
+            f"{scenario.name}: {method} solve returned {solution.status} "
+            f"after {solution.iterations} iterations", solution.status)
 
 
 def _plan_entries(doc: dict, key: str, kind: str, fields: tuple[str, ...],
@@ -197,15 +211,22 @@ def _plan_from_dict(doc: dict) -> Plan:
                 objective=objective)
 
 
-def load_plan_json(path: str | Path) -> Plan:
-    """Read a plan written by `plan`/`compare` back into arrays.
+def load_plan_json(path: str | Path, scenario: Scenario | None = None) -> Plan:
+    """Read a plan written by `plan`/`compare` back into arrays, and check
+    that it fits `scenario` if one is given.
 
     Raises ScenarioParseError, naming the file and the field or entry, for
     an unreadable file, a missing field, a horizon or reservoir count that
     is not a positive integer, an index that is not an integer in range, a
-    value that is not a finite number, and a repeated or missing entry.
+    value that is not a finite number, a repeated or missing entry, and a
+    plan that `Plan.check_dimensions` refuses.
     """
-    return _load(path, _plan_from_dict)
+    def parse(doc: dict) -> Plan:
+        plan = _plan_from_dict(doc)
+        if scenario is not None:
+            plan.check_dimensions(scenario)
+        return plan
+    return _load(path, parse)
 
 
 def _write_plan_files(plan: Plan, scenario: Scenario, manifest: RunManifest,
@@ -236,33 +257,16 @@ def _write_plan_files(plan: Plan, scenario: Scenario, manifest: RunManifest,
     })
 
 
-def cmd_plan(args) -> int:
-    started = time.perf_counter()
-    manifest = RunManifest(command="plan", scenario=args.scenario,
-                           method=args.method)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        scenario = _load_scenario_arg(args, manifest)
-    except (ScenarioParseError, ScenarioValidationError) as exc:
-        return _fail(str(exc), manifest)
-
+def cmd_plan(args, manifest: RunManifest, out_dir: Path) -> str:
+    scenario = _load_scenario_arg(args, manifest)
     problem, vm, solution = _solve_method(scenario, args.method)
     if args.dump_lp:
         Path(args.dump_lp).write_bytes(lp.to_mps(problem).encode())
-    if not solution.is_optimal:
-        print(f"manifest: {json.dumps(manifest.embedded())}", file=sys.stderr)
-        print(f"error: solver returned {solution.status} "
-              f"after {solution.iterations} iterations", file=sys.stderr)
-        return _STATUS_EXIT[solution.status]
-
+    _require_optimal(solution, scenario, args.method)
     plan = formulation.extract_plan(solution, vm, scenario)
     _write_plan_files(plan, scenario, manifest, out_dir)
-    manifest.duration_s = time.perf_counter() - started
-    manifest.write(out_dir)
-    print(f"status=optimal objective={plan.objective!r} "
-          f"iterations={solution.iterations}")
-    return EXIT_OK
+    return (f"status=optimal objective={plan.objective!r} "
+            f"iterations={solution.iterations}")
 
 
 def _indexed_rows(prefix: str, risk: np.ndarray,
@@ -371,19 +375,9 @@ def _write_report_json(path: Path, manifest: RunManifest,
         file.write(f"\n  ]{tail}\n".encode())
 
 
-def cmd_evaluate(args) -> int:
-    started = time.perf_counter()
-    manifest = RunManifest(command="evaluate", scenario=args.scenario,
-                           seed=args.seed, reps=args.reps)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        scenario = _load_scenario_arg(args, manifest)
-        plan = load_plan_json(args.plan)
-        plan.check_dimensions(scenario)
-    except ValueError as exc:
-        return _fail(str(exc), manifest)
-
+def cmd_evaluate(args, manifest: RunManifest, out_dir: Path) -> str:
+    scenario = _load_scenario_arg(args, manifest)
+    plan = load_plan_json(args.plan, scenario)
     report = simulation.run_monte_carlo(plan, scenario, reps=args.reps,
                                         seed=args.seed)
     path = out_dir / f"evaluation.{args.format}"
@@ -391,16 +385,13 @@ def cmd_evaluate(args) -> int:
     write = _write_report_json if args.format == "json" else _write_report_csv
     write(path, manifest, report)
     manifest.results = _exact_results(report, plan)
-    manifest.duration_s = time.perf_counter() - started
-    manifest.write(out_dir)
     if report.exact is None:
         exact = "exact=none (physical mode has no closed form)"
     else:
         exact = (f"exact_mean_total={report.exact.mean_total!r} "
                  f"exact_std_total={report.exact.std_total!r}")
-    print(f"mean_total={report.mean_total!r} std_total={report.std_total!r} "
-          f"mean_risk={report.mean_risk!r} {exact}")
-    return EXIT_OK
+    return (f"mean_total={report.mean_total!r} std_total={report.std_total!r} "
+            f"mean_risk={report.mean_risk!r} {exact}")
 
 
 def _exact_results(report: simulation.SimulationReport, plan: Plan) -> dict:
@@ -442,8 +433,7 @@ def compare_methods(scenario: Scenario, reps: int, seed: int,
     for method in ("proposed", "deterministic"):
         start = bases.get(method) if bases is not None else None
         _, vm, solution = _solve_method(scenario, method, start)
-        if not solution.is_optimal:
-            raise _SolveFailure(method, solution.status)
+        _require_optimal(solution, scenario, method)
         if bases is not None:
             bases[method] = solution.basis
         plan = formulation.extract_plan(solution, vm, scenario)
@@ -453,30 +443,10 @@ def compare_methods(scenario: Scenario, reps: int, seed: int,
     return reports["proposed"], reports["deterministic"], plans
 
 
-class _SolveFailure(Exception):
-    def __init__(self, method: str, status: str):
-        super().__init__(f"{method} solve returned {status}")
-        self.status = status
-
-
-def cmd_compare(args) -> int:
-    started = time.perf_counter()
-    manifest = RunManifest(command="compare", scenario=args.scenario,
-                           seed=args.seed, reps=args.reps)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        scenario = _load_scenario_arg(args, manifest)
-    except (ScenarioParseError, ScenarioValidationError) as exc:
-        return _fail(str(exc), manifest)
-
-    try:
-        proposed, deterministic, plans = compare_methods(
-            scenario, args.reps, args.seed)
-    except _SolveFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _STATUS_EXIT[exc.status]
-
+def cmd_compare(args, manifest: RunManifest, out_dir: Path) -> str:
+    scenario = _load_scenario_arg(args, manifest)
+    proposed, deterministic, plans = compare_methods(scenario, args.reps,
+                                                     args.seed)
     diff = proposed.total_profit - deterministic.total_profit
     mean_diff = float(diff.mean())
     se_diff = (simulation._sample_std(diff) / np.sqrt(diff.size)
@@ -500,39 +470,26 @@ def cmd_compare(args) -> int:
         plan_manifest = dataclasses.replace(manifest, method=method)
         _write_plan_files(plan, scenario, plan_manifest, out_dir,
                           prefix=f"plan_{method}")
-    manifest.duration_s = time.perf_counter() - started
-    manifest.write(out_dir)
-    print(f"proposed_mean={proposed.mean_total!r} "
-          f"deterministic_mean={deterministic.mean_total!r} "
-          f"paired_diff={mean_diff!r} se={float(se_diff)!r}")
-    return EXIT_OK
+    return (f"proposed_mean={proposed.mean_total!r} "
+            f"deterministic_mean={deterministic.mean_total!r} "
+            f"paired_diff={mean_diff!r} se={float(se_diff)!r}")
 
 
-def cmd_sweep(args) -> int:
-    started = time.perf_counter()
-    try:
-        config = load_sweep_config(args.config)
-        variants = expand_sweep(config)
-    except (ScenarioParseError, ScenarioValidationError, ValueError) as exc:
-        return _fail(str(exc))
-    manifest = RunManifest(command="sweep", scenario=config.scenario,
-                           seed=config.seed, reps=config.reps,
-                           tolerance_overrides={"parameter": config.parameter,
-                                                "grid": list(config.grid)})
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_sweep(args, manifest: RunManifest, out_dir: Path) -> str:
+    config = load_sweep_config(args.config)
+    manifest.scenario, manifest.seed, manifest.reps = (
+        config.scenario, config.seed, config.reps)
+    manifest.tolerance_overrides = {"parameter": config.parameter,
+                                    "grid": list(config.grid)}
+    variants = expand_sweep(config)
 
     # Grid points share the LP's shape, so each solve starts from the basis
     # the previous point's solve of the same method ended at.
     bases: dict[str, lp.Basis] = {}
     rows = []
     for value, scenario in zip(config.grid, variants):
-        try:
-            proposed, deterministic, _ = compare_methods(
-                scenario, config.reps, config.seed, bases)
-        except _SolveFailure as exc:
-            print(f"error: grid value {value:g}: {exc}", file=sys.stderr)
-            return _STATUS_EXIT[exc.status]
+        proposed, deterministic, _ = compare_methods(
+            scenario, config.reps, config.seed, bases)
         rows.append([float(value), "proposed",
                      proposed.mean_total, proposed.std_total])
         rows.append([float(value), "deterministic",
@@ -542,10 +499,7 @@ def cmd_sweep(args) -> int:
     manifest.outputs = [str(path)]
     _write_csv(path, manifest, ["value", "method", "mean_total", "std_total"],
                rows)
-    manifest.duration_s = time.perf_counter() - started
-    manifest.write(out_dir)
-    print(f"wrote {path} ({len(rows)} rows)")
-    return EXIT_OK
+    return f"wrote {path} ({len(rows)} rows)"
 
 
 def _replications(text: str) -> int:
@@ -611,17 +565,33 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    # sweep fills in its scenario, seed and replications from its config.
+    manifest = RunManifest(command=args.subcommand,
+                           scenario=getattr(args, "scenario", None),
+                           method=getattr(args, "method", None),
+                           seed=getattr(args, "seed", None),
+                           reps=getattr(args, "reps", None))
+    out_dir = Path(args.out)
+    started = time.perf_counter()
     try:
-        return args.func(args)
-    except (ScenarioParseError, ScenarioValidationError) as exc:
-        return _fail(str(exc))
-    except OSError as exc:
-        # An --out that cannot be made or an output that cannot be written;
-        # each command reports its unreadable inputs itself.
-        return _fail(str(exc))
+        out_dir.mkdir(parents=True, exist_ok=True)
+        summary = args.func(args, manifest, out_dir)
+    except _SolveFailure as exc:
+        code, error = _STATUS_EXIT[exc.status], exc
+    except (ScenarioParseError, ScenarioValidationError, OSError) as exc:
+        # An unreadable or invalid input, or an --out that cannot be made or
+        # an output that cannot be written.
+        code, error = EXIT_USAGE, exc
     except ArithmeticError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        code, error = EXIT_NUMERICAL, exc
+    else:
+        manifest.duration_s = time.perf_counter() - started
+        manifest.write(out_dir)
+        print(summary)
+        return EXIT_OK
+    print(f"manifest: {json.dumps(manifest.embedded())}", file=sys.stderr)
+    print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -161,8 +161,11 @@ class ValidationReport:
 
 
 class ScenarioValidationError(ValueError):
-    def __init__(self, report: ValidationReport):
-        super().__init__(report.summary())
+    """A scenario that fails validation; `source`, if given, names its file."""
+
+    def __init__(self, report: ValidationReport, source: object = None):
+        summary = report.summary()
+        super().__init__(summary if source is None else f"{source}: {summary}")
         self.report = report
 
 
@@ -308,7 +311,8 @@ class Plan:
         stray = np.argwhere((self.transfers != 0) & unlinked)
         if stray.size:
             period, source, target = stray[0]
+            amount = float(self.transfers[period, source, target])
             raise ValueError(
-                f"plan.transfers moves {self.transfers[tuple(stray[0])]!r} "
+                f"plan.transfers moves {amount!r} "
                 f"from {source + 1} to {target + 1} in period {period + 1}, "
                 f"but {source + 1}->{target + 1} is not a scenario link")

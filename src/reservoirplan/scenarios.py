@@ -390,11 +390,12 @@ def _load(path: str | Path, parse: Callable[[dict], Any]):
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    """Parse and validate a scenario file; validation failures are forwarded."""
+    """Parse and validate a scenario file; a validation failure raises
+    ScenarioValidationError naming the file."""
     scenario = _load(path, scenario_from_dict)
     report = validate_scenario(scenario)
     if not report.ok:
-        raise ScenarioValidationError(report)
+        raise ScenarioValidationError(report, path)
     return scenario
 
 

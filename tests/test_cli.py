@@ -499,17 +499,32 @@ def test_compare_reproducible_bitwise(tmp_path):
     assert strip(out_a / "compare.csv") == strip(out_b / "compare.csv")
 
 
-@pytest.mark.parametrize("command", ["plan", "compare"])
+def _failure_line(command, err, out_dir):
+    """The error line of a failed run, after checking that the run ended
+    with its manifest line and one error line and wrote no manifest.json."""
+    *_, manifest_line, error_line = err.splitlines()
+    prefix = "manifest: "
+    assert manifest_line.startswith(prefix), err
+    assert json.loads(manifest_line[len(prefix):])["command"] == command
+    assert error_line.startswith("error: "), err
+    assert "Traceback" not in err
+    assert not (out_dir / "manifest.json").exists()
+    return error_line
+
+
+@pytest.mark.parametrize("command", ["plan", "compare", "sweep"])
 def test_solver_breakdown_is_numerical_failure(command, tmp_path, capsys,
                                                monkeypatch):
     monkeypatch.setattr(lp, "constraint_violation",
                         lambda problem, x, matrix=None: 1.0)
-    code = run_cli(command, "--scenario", "builtin:simple1",
-                   "--out", str(tmp_path))
+    code = run_cli(command, *COMMAND_INPUTS[command], "--out", str(tmp_path))
     assert code == cli.EXIT_NUMERICAL == 5
-    err = capsys.readouterr().err
-    assert "error: simplex optimum violates" in err
-    assert "Traceback" not in err
+    error = _failure_line(command, capsys.readouterr().err, tmp_path)
+    assert error.startswith("error: simplex optimum violates")
+
+
+SOLVED_SCENARIO = {"plan": "simple1", "compare": "simple1",
+                   "sweep": "angpuang[transfer-cost-slope=0.25]"}
 
 
 @pytest.mark.parametrize("command", ["plan", "compare", "sweep"])
@@ -520,9 +535,10 @@ def test_solver_status_sets_the_exit_code(command, status, code, tmp_path,
     monkeypatch.setattr(lp, "solve", lambda problem, **_: lp.LpSolution(status))
     assert run_cli(command, *COMMAND_INPUTS[command],
                    "--out", str(tmp_path)) == code
-    err = capsys.readouterr().err
-    assert "error: " in err
-    assert "Traceback" not in err
+    error = _failure_line(command, capsys.readouterr().err, tmp_path)
+    # The error names the scenario (a sweep's grid point) and the method.
+    assert error == (f"error: {SOLVED_SCENARIO[command]}: proposed solve "
+                     f"returned {status} after 0 iterations")
 
 
 @pytest.mark.parametrize("command,name,edit", [
@@ -727,6 +743,12 @@ def _scenario_text(edit):
     return json.dumps(doc)
 
 
+def _unlinked_plan_text():
+    doc = json.loads(COMMITTED_PLAN.read_text())
+    doc["transfers"].append({"t": 1, "from": 1, "to": 4, "q": 1.0})
+    return json.dumps(doc)
+
+
 _SWEEP_TEXT = ('{"scenario": "builtin:simple1", "parameter": "risk-slope", '
                '"grid": [1.0]')
 
@@ -752,6 +774,13 @@ _SWEEP_TEXT = ('{"scenario": "builtin:simple1", "parameter": "risk-slope", '
                      lambda doc: doc["functions"][0].update(periods="x")),
                  "functions[0]: 'periods' must be \"all\" or a list of "
                  "integers, got 'x'", id="scenario_periods_string"),
+    pytest.param("plan", _scenario_text(
+                     lambda doc: _edit_support(doc, [[0.0, 0.5], [1.0, 0.4]])),
+                 "reservoir 1, period 2: distribution sums to 0.9",
+                 id="scenario_fails_validation"),
+    pytest.param("evaluate", _unlinked_plan_text(),
+                 "plan.transfers moves 1.0 from 1 to 4 in period 1, but "
+                 "1->4 is not a scenario link", id="plan_does_not_fit"),
     pytest.param("sweep", _SWEEP_TEXT,
                  f"invalid JSON at line 1, column {len(_SWEEP_TEXT) + 1}: "
                  "Expecting ',' delimiter", id="sweep_truncated"),
@@ -768,9 +797,8 @@ def test_input_file_faults_name_the_file_and_field(command, text, message,
             "sweep": ["--config", str(path)]}[command]
     assert run_cli(command, *args, "--out", str(tmp_path / "out")) == \
         cli.EXIT_USAGE
-    err = capsys.readouterr().err
-    assert err.splitlines()[-1] == f"error: {path}: {message}"
-    assert "Traceback" not in err
+    assert _failure_line(command, capsys.readouterr().err,
+                         tmp_path / "out") == f"error: {path}: {message}"
 
 
 EXAMPLE_SWEEP = Path(__file__).resolve().parents[1] / "scenarios" / \
