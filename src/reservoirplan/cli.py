@@ -141,7 +141,10 @@ def _solve_method(scenario: Scenario, method: str,
     builder = (formulation.build_proposed if method == "proposed"
                else formulation.build_deterministic)
     problem, vm = builder(scenario)
-    solution = lp.solve(problem, start=start)
+    try:
+        solution = lp.solve(problem, start=start)
+    except ArithmeticError as exc:
+        raise ArithmeticError(f"{scenario.name}: {method} solve: {exc}") from exc
     return problem, vm, solution
 
 

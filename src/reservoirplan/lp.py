@@ -20,18 +20,24 @@ one level. Phase 1 minimizes the total bound violation of that
 basis (a basic variable may start outside its bounds); phase 2 maximizes the
 objective from the feasible basis it leaves. Both phases run the same loop;
 there are no artificial variables. Nonbasic variables rest at a finite bound
-(free ones at zero) and may flip bounds without a basis change. The tableau is
-stored dense, but the planning LPs are only a few percent nonzero, so each
-iteration touches only nonzeros: the pivot updates the rows where the entering
-column is nonzero and the columns where the pivot row is nonzero, and the
-phase-2 reduced-cost row over the same columns; a move of the entering
-variable updates the basic values over the nonzeros of its column, and the
-ratio test reads only those rows. Reduced costs and basic values are
+(free ones at zero) and may flip bounds without a basis change. Each column
+has a direction: +1 if it may only rise, -1 if it may only fall, 0 if it may
+do neither (or both: a free nonbasic column, scored by the absolute value of
+its reduced cost). The entering column is then one argmax of the reduced
+costs times the directions. The tableau is stored dense, but the planning
+LPs are only a few percent nonzero, so each iteration touches only nonzeros:
+the pivot updates the rows where the entering column is nonzero and the
+columns where the pivot row is nonzero, and in phase 2 the reduced-cost row
+over the same columns; a move of the entering variable updates the basic
+values over the nonzeros of its column, and the ratio test reads only those
+rows. Reduced costs and basic values are
 recomputed from scratch at the start of each phase, every REFRESH_EVERY
-iterations and before optimality is declared; phase 1 reprices every
-iteration, since its cost follows the set of violated rows. An optimal point
-must pass a primal check and a dual certificate taken from the original rows,
-or ArithmeticError is raised.
+iterations and before optimality is declared. Phase 1 reprices every
+iteration, since its cost follows the set of violated rows: the cost is kept
+per row of the basis (+1 below the lower bound, -1 above the upper bound),
+and its pivots leave the reduced costs alone. An optimal point must pass a
+primal check and a dual certificate taken from the original rows, or
+ArithmeticError is raised.
 """
 from __future__ import annotations
 
@@ -250,6 +256,14 @@ class _Tableau:
         self.reduced = np.zeros(n + m)
         self.can_rise = np.zeros(n + m, dtype=bool)
         self.can_fall = np.zeros(n + m, dtype=bool)
+        # +1 on a column that may only rise, -1 on one that may only fall, 0
+        # on one that may do neither or both; `free` lists those that may
+        # move both ways (free variables resting at zero). Kept by `classify`.
+        self.direction = np.zeros(n + m)
+        self.free = np.zeros(0, dtype=np.intp)
+        # Whether `pivot` keeps the reduced costs up to date: only phase 2
+        # does, since phase 1 reprices every iteration.
+        self.pricing = False
         self._entering = None   # (column, its nonzero rows) from `entering`
         if start is None:
             self._install(self._crash(problem, matrix), matrix)
@@ -429,58 +443,84 @@ class _Tableau:
     def classify(self, cols: np.ndarray | int) -> None:
         """Update whether each of `cols` (an index array, or one index) may
         enter the basis moving up (a nonbasic, unfixed variable not at its
-        upper bound) or moving down (one not at its lower bound). A free
-        variable may do both."""
+        upper bound) or moving down (one not at its lower bound), and its
+        `direction`. A free variable may do both. One index is classified
+        with scalar comparisons, the same ones the array path makes."""
+        if isinstance(cols, int):
+            x = self.x.item(cols)
+            at_lower = x <= self.lower.item(cols) + FEAS_TOL
+            at_upper = not at_lower and x >= self.upper.item(cols) - FEAS_TOL
+            movable = not self.is_basic.item(cols) and self.not_fixed.item(cols)
+            rise, fall = movable and not at_upper, movable and not at_lower
+            was_free = self.can_rise.item(cols) and self.can_fall.item(cols)
+            self.can_rise[cols] = rise
+            self.can_fall[cols] = fall
+            self.direction[cols] = rise - fall
+            if was_free != (rise and fall):
+                self.free = np.flatnonzero(self.can_rise & self.can_fall)
+            return
         x = self.x[cols]
         at_lower = x <= self.lower[cols] + FEAS_TOL
         at_upper = (x >= self.upper[cols] - FEAS_TOL) & ~at_lower
         movable = ~self.is_basic[cols] & self.not_fixed[cols]
-        self.can_rise[cols] = movable & ~at_upper
-        self.can_fall[cols] = movable & ~at_lower
+        rise, fall = movable & ~at_upper, movable & ~at_lower
+        self.can_rise[cols] = rise
+        self.can_fall[cols] = fall
+        self.direction[cols] = rise.astype(float) - fall
+        self.free = np.flatnonzero(self.can_rise & self.can_fall)
 
     def infeasibility_cost(self) -> np.ndarray:
-        """Phase-1 cost: +1 on a basic variable below its lower bound and -1 on
-        one above its upper bound (each by more than FEAS_TOL), 0 elsewhere.
-        Maximizing it reduces the total bound violation."""
+        """Phase-1 cost of each row's basic variable: +1 if it is below its
+        lower bound and -1 if above its upper bound (each by more than
+        FEAS_TOL), else 0. Maximizing it reduces the total bound violation."""
         basic_x = self.x[self.basis]
         below = basic_x < self.lower[self.basis] - FEAS_TOL
         above = basic_x > self.upper[self.basis] + FEAS_TOL
-        c = np.zeros(self.total)
-        c[self.basis] = below.astype(float) - above
-        return c
+        return below.astype(float) - above
 
-    def entering(self, col: int) -> np.ndarray:
-        """The rows where column `col` is nonzero, kept for a `pivot` on it."""
-        rows = np.flatnonzero(self.tab[:, col])
+    def entering(self, col: int) -> tuple[np.ndarray, np.ndarray]:
+        """The rows where column `col` is nonzero and its entries there; the
+        rows are kept for a `pivot` on it."""
+        column = self.tab[:, col]
+        rows = column.nonzero()[0]
         self._entering = (col, rows)
-        return rows
+        return rows, column[rows]
 
     def pivot(self, row: int, col: int) -> None:
-        """Make `col` basic in `row`, updating the tableau and the reduced
-        costs over the nonzeros of the entering column and the pivot row.
-        The column's rows come from `entering` if it was last called on
-        `col`; dividing the pivot row keeps its entry nonzero."""
-        pivot = self.tab[row, col]
-        self.tab[row] /= pivot
+        """Make `col` basic in `row`, updating the tableau over the nonzeros
+        of the entering column and the pivot row, and in phase 2 (`pricing`)
+        the reduced costs over the same columns. The column's rows come from
+        `entering` if it was last called on `col`; dividing the pivot row
+        keeps its entry nonzero."""
+        tab, total = self.tab, self.total
+        pivot = tab[row, col]
+        pivot_row = tab[row]
+        pivot_row /= pivot
         self.tab_b[row] /= pivot
         # Rank-1 update restricted to the nonzeros of the pivot column and
-        # row; every skipped entry would subtract an exact zero.
+        # row; every skipped entry would subtract an exact zero. It goes
+        # through flat indices into a view of the (C-ordered) tableau, taken
+        # here: a view kept on the tableau would not follow a copy of it.
         if self._entering is not None and self._entering[0] == col:
             rows = self._entering[1]
         else:
-            rows = np.flatnonzero(self.tab[:, col])
+            rows = tab[:, col].nonzero()[0]
         self._entering = None
         rows = rows[rows != row]
-        cols = np.flatnonzero(self.tab[row])
-        factors = self.tab[rows, col]
-        self.tab[rows[:, None], cols] -= factors[:, None] * self.tab[row, cols]
+        cols = pivot_row.nonzero()[0]
+        values = pivot_row[cols]
+        flat = tab.reshape(-1)
+        starts = rows * total
+        factors = flat[starts + col]
+        flat[starts[:, None] + cols] -= factors[:, None] * values
         self.tab_b[rows] -= factors * self.tab_b[row]
-        self.reduced[cols] -= self.reduced[col] * self.tab[row, cols]
-        self.reduced[col] = 0.0
+        if self.pricing:
+            self.reduced[cols] -= self.reduced[col] * values
+            self.reduced[col] = 0.0
         # Snap the entering column to a unit vector to avoid residue buildup;
         # it is zero outside `rows` already.
-        self.tab[rows, col] = 0.0
-        self.tab[row, col] = 1.0
+        flat[starts + col] = 0.0
+        tab[row, col] = 1.0
         leaving = self.basis[row]
         self.is_basic[leaving] = False
         self.is_basic[col] = True
@@ -490,9 +530,10 @@ class _Tableau:
 def _run_simplex(state: _Tableau, objective: np.ndarray | None,
                  iterations_left: int) -> tuple[str, int, np.ndarray | None]:
     """Iterate to optimality of max c'x. Phase 1 passes objective=None: c is
-    then the infeasibility cost, repriced every iteration, and a violated basic
-    variable blocks only on reaching the bound it violates. Phase 2 keeps its
-    reduced costs up to date through the pivots, and both phases move the
+    then the infeasibility cost of each row, repriced every iteration, and a
+    violated basic variable blocks only on reaching the bound it violates.
+    Phase 2 keeps its reduced costs up to date through the pivots (`pricing`
+    tells `pivot` which phase it is in), and both phases move the
     basic values along the entering column. Reduced costs and basic values
     are recomputed from scratch at the start, every REFRESH_EVERY iterations
     and before optimality is declared. Returns (status, iterations, ray)."""
@@ -502,6 +543,7 @@ def _run_simplex(state: _Tableau, objective: np.ndarray | None,
     degenerate_streak = 0
     bland = False
     lower, upper, x = state.lower, state.upper, state.x
+    state.pricing = objective is not None
     stale = REFRESH_EVERY
 
     while True:
@@ -512,15 +554,20 @@ def _run_simplex(state: _Tableau, objective: np.ndarray | None,
                 state.price(objective)
             stale = 0
         if objective is None:
-            c = state.infeasibility_cost()
-            state.price(c)
+            # The phase-1 cost is zero off the basis, so this is c - c_B tab
+            # on every nonbasic column up to the sign of a zero.
+            cost = state.infeasibility_cost()
+            costed = cost.nonzero()[0]
+            state.reduced = -(cost[costed] @ state.tab[costed])
         reduced = state.reduced
 
         # A candidate improves the objective by more than OPT_TOL per unit in
-        # a direction its bounds allow; its score is that improvement.
-        score = np.maximum(np.where(state.can_rise, reduced, -math.inf),
-                           np.where(state.can_fall, -reduced, -math.inf))
-        col = int(np.argmax(score > OPT_TOL if bland else score))
+        # a direction its bounds allow; its score is that improvement. Any
+        # other column scores a zero, which never exceeds OPT_TOL.
+        score = reduced * state.direction
+        if state.free.size:
+            score[state.free] = np.abs(reduced[state.free])
+        col = int((score > OPT_TOL).argmax() if bland else score.argmax())
         if not score[col] > OPT_TOL:
             if fresh:
                 return OPTIMAL, iterations, None
@@ -534,31 +581,34 @@ def _run_simplex(state: _Tableau, objective: np.ndarray | None,
         stale += 1
 
         # Over the nonzeros of the entering column: basic values move by
-        # -step * w as the entering variable moves by step.
-        rows = state.entering(col)
-        w = direction * state.tab[rows, col]
+        # -step * w as the entering variable moves by step. A basic value
+        # blocks at the bound it moves towards, if |w| exceeds PIVOT_TOL.
+        rows, column = state.entering(col)
+        w = direction * column
+        size = np.abs(w)
         basic = state.basis[rows]
         basic_x = x[basic]
+        gap = np.where(w > 0, basic_x - lower[basic], upper[basic] - basic_x)
+        np.maximum(gap, 0.0, out=gap)
         ratios = np.full(rows.size, math.inf)
-        pos = w > PIVOT_TOL
-        neg = w < -PIVOT_TOL
-        ratios[pos] = np.maximum(basic_x[pos] - lower[basic[pos]], 0.0) / w[pos]
-        ratios[neg] = np.maximum(upper[basic[neg]] - basic_x[neg], 0.0) / (-w[neg])
+        np.divide(gap, size, out=ratios, where=size > PIVOT_TOL)
         if objective is None:
-            # The violated rows are the costed ones; sign is +1 below the
-            # lower bound and -1 above the upper bound.
-            costed = np.flatnonzero(c[basic])
-            sign = c[basic[costed]]
-            approach = -sign * w[costed]
-            gap = np.where(sign > 0, lower[basic[costed]] - basic_x[costed],
-                           basic_x[costed] - upper[basic[costed]])
-            blocks = approach > PIVOT_TOL
-            ratios[costed] = math.inf
-            ratios[costed[blocks]] = gap[blocks] / approach[blocks]
-        step_basic = float(np.min(ratios, initial=math.inf))
+            # On a violated row (sign +1 below the lower bound, -1 above the
+            # upper bound) the basic value blocks only on reaching the bound
+            # it violates.
+            sign = cost[rows]
+            violated = sign.nonzero()[0]
+            sign = sign[violated]
+            approach = -sign * w[violated]
+            gap = np.where(sign > 0, lower[basic[violated]] - basic_x[violated],
+                           basic_x[violated] - upper[basic[violated]])
+            blocked = np.full(violated.size, math.inf)
+            np.divide(gap, approach, out=blocked, where=approach > PIVOT_TOL)
+            ratios[violated] = blocked
+        step_basic = float(ratios.min(initial=math.inf))
 
         span = upper[col] - lower[col]
-        step_own = span if np.isfinite(span) else math.inf
+        step_own = span if math.isfinite(span) else math.inf
         step = min(step_basic, step_own)
 
         if math.isinf(step):
@@ -576,22 +626,22 @@ def _run_simplex(state: _Tableau, objective: np.ndarray | None,
             bland = False
             continue
 
-        tied = np.flatnonzero(ratios <= step + 1e-9)
+        tied = (ratios <= step + 1e-9).nonzero()[0]
         if bland:
-            pick = int(tied[np.argmin(basic[tied])])
+            pick = int(tied[basic[tied].argmin()])
         else:
-            pick = int(tied[np.argmax(np.abs(w[tied]))])
+            pick = int(tied[size[tied].argmax()])
 
-        leaving = basic[pick]
-        if objective is None and c[leaving]:
+        leaving = int(basic[pick])
+        if objective is None and cost[rows[pick]]:
             # A violated variable leaves at the bound it violated.
-            leaving_to_upper = c[leaving] < 0
+            leaving_to_upper = cost[rows[pick]] < 0
         else:
             leaving_to_upper = w[pick] < 0
         x[col] += direction * step
         x[leaving] = upper[leaving] if leaving_to_upper else lower[leaving]
         state.pivot(int(rows[pick]), col)
-        state.classify(int(leaving))
+        state.classify(leaving)
         state.classify(col)
 
         if step <= PIVOT_TOL:

@@ -110,6 +110,11 @@ class Scenario:
     inflow: Mapping[tuple[int, int], DiscreteDistribution]
     overflow_penalty: Mapping[tuple[int, int], float]
     physical_sim: bool = False
+    # What `validate_scenario` found, once it has looked. A scenario is not
+    # changed after it is made, and one made from it by dataclasses.replace
+    # starts without a report, so it is validated afresh.
+    _report: ValidationReport | None = dataclasses.field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def num_reservoirs(self) -> int:
@@ -161,10 +166,14 @@ class ValidationReport:
 
 
 class ScenarioValidationError(ValueError):
-    """A scenario that fails validation; `source`, if given, names its file."""
+    """A scenario that fails validation; `source`, if given, names its file.
+    The message is one line: the first violation and how many more there
+    are; `report` keeps them all."""
 
     def __init__(self, report: ValidationReport, source: object = None):
-        summary = report.summary()
+        first, *rest = report.violations or (report.summary(),)
+        summary = (f"{first} (and {len(rest)} more violations)" if rest
+                   else str(first))
         super().__init__(summary if source is None else f"{source}: {summary}")
         self.report = report
 
@@ -187,7 +196,15 @@ def _risk_zero_on_nonpositive(f: PwlFunction) -> bool:
 
 
 def validate_scenario(scenario: Scenario) -> ValidationReport:
-    """Check every type invariant; collects all violations, never aborts mid-scan."""
+    """Check every type invariant; collects all violations, never aborts
+    mid-scan. The report is kept on the scenario, so each scenario is
+    checked once however many callers ask."""
+    if scenario._report is None:
+        scenario._report = _check_scenario(scenario)
+    return scenario._report
+
+
+def _check_scenario(scenario: Scenario) -> ValidationReport:
     out: list[Violation] = []
 
     def bad(location: str, message: str) -> None:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -42,23 +43,24 @@ class ShapeReport:
         return "; ".join(f"not {flag} at segment {idx}" for flag, idx in self.violations)
 
 
-def _check_slopes(slopes: np.ndarray, required: Iterable[str]) -> ShapeReport:
+def _check_slopes(slopes: Sequence[float], required: Iterable[str]) -> ShapeReport:
+    """The first segment at which `slopes` breaks each of the `required` flags."""
+    steps = [b - a for a, b in zip(slopes, slopes[1:])]
     violations: list[tuple[str, int]] = []
     for flag in required:
         if flag not in VALID_FLAGS:
             raise ValueError(f"unknown shape flag {flag!r}")
         if flag == CONVEX:
-            bad = np.nonzero(np.diff(slopes) < -SLOPE_TOL)[0]
-            if bad.size:
-                violations.append((CONVEX, int(bad[0]) + 1))
+            bad = next((i + 1 for i, step in enumerate(steps)
+                        if step < -SLOPE_TOL), None)
         elif flag == CONCAVE:
-            bad = np.nonzero(np.diff(slopes) > SLOPE_TOL)[0]
-            if bad.size:
-                violations.append((CONCAVE, int(bad[0]) + 1))
+            bad = next((i + 1 for i, step in enumerate(steps)
+                        if step > SLOPE_TOL), None)
         else:
-            bad = np.nonzero(slopes < -SLOPE_TOL)[0]
-            if bad.size:
-                violations.append((NONDECREASING, int(bad[0])))
+            bad = next((i for i, slope in enumerate(slopes)
+                        if slope < -SLOPE_TOL), None)
+        if bad is not None:
+            violations.append((flag, bad))
     return ShapeReport(ok=not violations, violations=tuple(violations))
 
 
@@ -91,20 +93,25 @@ class PwlFunction:
         if not pts:
             raise ValueError("PwlFunction needs at least one breakpoint")
         xs = [p[0] for p in pts]
-        if any(not np.isfinite(v) for p in pts for v in p):
+        ys = [p[1] for p in pts]
+        if not all(map(math.isfinite, xs + ys)):
             raise ValueError("breakpoints must be finite")
         if any(b - a <= 0 for a, b in zip(xs, xs[1:])):
             raise ValueError("breakpoint arguments must be strictly increasing")
-        if not (np.isfinite(self.left_slope) and np.isfinite(self.right_slope)):
+        if not (math.isfinite(self.left_slope)
+                and math.isfinite(self.right_slope)):
             raise ValueError("extension slopes must be finite")
+        left, right = float(self.left_slope), float(self.right_slope)
         object.__setattr__(self, "breakpoints", pts)
-        object.__setattr__(self, "left_slope", float(self.left_slope))
-        object.__setattr__(self, "right_slope", float(self.right_slope))
+        object.__setattr__(self, "left_slope", left)
+        object.__setattr__(self, "right_slope", right)
         object.__setattr__(self, "shape", tuple(self.shape))
-        xs, ys = (np.array([p[column] for p in pts]) for column in (0, 1))
-        interior = np.diff(ys) / np.diff(xs) if len(pts) > 1 else np.empty(0)
-        slopes = np.concatenate(([self.left_slope], interior, [self.right_slope]))
+        # Python floats do the arithmetic np.diff and array division would,
+        # without a numpy call per two-element array.
+        slopes = [left] + [(y1 - y0) / (x1 - x0) for x0, x1, y0, y1
+                           in zip(xs, xs[1:], ys, ys[1:])] + [right]
         for name, values in (("_xs", xs), ("_ys", ys), ("_slopes", slopes)):
+            values = np.array(values)
             values.flags.writeable = False
             object.__setattr__(self, name, values)
         object.__setattr__(self, "_shape", _check_slopes(slopes, VALID_FLAGS))

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reservoirplan import cli, lp, simulation
+from reservoirplan import cli, lp, model, simulation
 from reservoirplan.scenarios import (builtin_simple, resolve_scenario,
-                                    scenario_to_dict)
+                                    save_scenario, scenario_to_dict)
 
 
 def run_cli(*args):
@@ -512,6 +512,11 @@ def _failure_line(command, err, out_dir):
     return error_line
 
 
+# The scenario of each command's first solve; a sweep's is its first grid point.
+SOLVED_SCENARIO = {"plan": "simple1", "compare": "simple1",
+                   "sweep": "angpuang[transfer-cost-slope=0.25]"}
+
+
 @pytest.mark.parametrize("command", ["plan", "compare", "sweep"])
 def test_solver_breakdown_is_numerical_failure(command, tmp_path, capsys,
                                                monkeypatch):
@@ -520,11 +525,9 @@ def test_solver_breakdown_is_numerical_failure(command, tmp_path, capsys,
     code = run_cli(command, *COMMAND_INPUTS[command], "--out", str(tmp_path))
     assert code == cli.EXIT_NUMERICAL == 5
     error = _failure_line(command, capsys.readouterr().err, tmp_path)
-    assert error.startswith("error: simplex optimum violates")
-
-
-SOLVED_SCENARIO = {"plan": "simple1", "compare": "simple1",
-                   "sweep": "angpuang[transfer-cost-slope=0.25]"}
+    # The error names the scenario and the method that broke down.
+    assert error == (f"error: {SOLVED_SCENARIO[command]}: proposed solve: "
+                     f"simplex optimum violates a bound or constraint by 1")
 
 
 @pytest.mark.parametrize("command", ["plan", "compare", "sweep"])
@@ -1028,3 +1031,42 @@ def test_big_f_override_recorded_in_manifest(tmp_path):
     assert manifest["big_f"] == 5000.0
     lines = (tmp_path / "plan_releases.csv").read_text().splitlines()
     assert any("big_f=5000.0" in l for l in lines if l.startswith("#"))
+
+
+def test_several_violations_make_one_error_line(tmp_path, capsys):
+    # --big-f nan makes every overflow penalty of simple1's 3 x 2 grid
+    # invalid; the error names the first and counts the others.
+    assert run_cli("plan", "--scenario", "builtin:simple1", "--big-f", "nan",
+                   "--out", str(tmp_path)) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 2
+    assert _failure_line("plan", err, tmp_path) == (
+        "error: reservoir 1, period 1: overflow penalty must be positive, "
+        "got nan (and 5 more violations)")
+
+
+def test_each_scenario_is_validated_once(tmp_path, monkeypatch):
+    checked = []
+    check = model._check_scenario
+
+    def counting_check(scenario):
+        checked.append(scenario.name)
+        return check(scenario)
+
+    monkeypatch.setattr(model, "_check_scenario", counting_check)
+    path = tmp_path / "simple1.json"
+    save_scenario(builtin_simple(1), path)
+    assert run_cli("plan", "--scenario", str(path), "--out",
+                   str(tmp_path / "plan")) == 0
+    assert checked == ["simple1"]
+    # A scenario changed by an override is a new one, validated afresh.
+    checked.clear()
+    assert run_cli("plan", "--scenario", str(path), "--big-f", "500",
+                   "--out", str(tmp_path / "big_f")) == 0
+    assert checked == ["simple1", "simple1"]
+    checked.clear()
+    assert run_cli("sweep", *COMMAND_INPUTS["sweep"], "--out",
+                   str(tmp_path / "sweep")) == 0
+    grid = json.loads(EXAMPLE_SWEEP.read_text())["grid"]
+    assert checked == ["angpuang"] + [
+        f"angpuang[transfer-cost-slope={value:g}]" for value in grid]

@@ -205,7 +205,7 @@ def test_violated_slack_basis_in_every_direction():
     # At x = y = w = 0 each slack starts outside its bounds: above for the
     # >= row and the first equality, below for the <= row and the second.
     state = lp._Tableau(p, p.matrix())
-    assert state.infeasibility_cost()[state.basis].tolist() == [-1, 1, -1, 1]
+    assert state.infeasibility_cost().tolist() == [-1, 1, -1, 1]
     s = lp.solve(p)
     o = oracle_solve(p)
     assert s.status == o.status == lp.OPTIMAL
@@ -983,6 +983,74 @@ def test_builtin_cold_pivot_counts(name, method):
     solution = lp.solve(build(BUILTINS[name]())[0])
     assert solution.start == lp.COLD
     assert solution.iterations == BUILTIN_COLD_PIVOTS[name, method]
+
+
+# Cold-start iterations of the benchmark's synthetic networks (seed, proposed,
+# deterministic), so that a changed entering or leaving choice shows as a
+# count.
+NETWORK_COLD_PIVOTS = [(0, 299, 209), (1, 291, 205), (2, 328, 228),
+                       (3, 312, 184), (4, 298, 218), (5, 324, 221),
+                       (6, 299, 198), (7, 303, 221), (8, 318, 229),
+                       (9, 281, 225)]
+
+
+@pytest.mark.parametrize("seed,proposed,deterministic", NETWORK_COLD_PIVOTS)
+def test_network_cold_pivot_counts(monkeypatch, seed, proposed, deterministic):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
+                                    / "perfbench"))
+    from network import synthetic_network
+    scenario = synthetic_network(seed)
+    for build, expected in ((build_proposed, proposed),
+                            (build_deterministic, deterministic)):
+        solution = lp.solve(build(scenario)[0])
+        assert (solution.status, solution.start) == (lp.OPTIMAL, lp.COLD)
+        assert solution.iterations == expected
+
+
+def _check_directions(state):
+    """`direction` and `free` agree with `can_rise` and `can_fall`, and these
+    with a classification of every column from scratch."""
+    movable = ~state.is_basic & (state.upper - state.lower > lp.PIVOT_TOL)
+    at_lower = state.x <= state.lower + lp.FEAS_TOL
+    at_upper = (state.x >= state.upper - lp.FEAS_TOL) & ~at_lower
+    rise, fall = movable & ~at_upper, movable & ~at_lower
+    assert np.array_equal(state.can_rise, rise)
+    assert np.array_equal(state.can_fall, fall)
+    assert np.array_equal(state.direction, rise.astype(float) - fall)
+    assert state.free.tolist() == np.flatnonzero(rise & fall).tolist()
+
+
+def test_direction_agrees_with_can_rise_and_can_fall(monkeypatch):
+    # Checked as each iteration moves along its entering column, which is
+    # after the previous iteration's pivot or bound flip, and at each exit.
+    checks = {"iterations": 0, "free": 0}
+    run_simplex, entering = lp._run_simplex, lp._Tableau.entering
+
+    def checked_entering(state, col):
+        _check_directions(state)
+        checks["iterations"] += 1
+        checks["free"] += state.free.size > 0
+        return entering(state, col)
+
+    def checked_run(state, objective, iterations_left):
+        result = run_simplex(state, objective, iterations_left)
+        _check_directions(state)
+        return result
+
+    monkeypatch.setattr(lp._Tableau, "entering", checked_entering)
+    monkeypatch.setattr(lp, "_run_simplex", checked_run)
+    rng = np.random.default_rng(25)
+    problems = [build(BUILTINS["angpuang"]())[0]
+                for build in (build_proposed, build_deterministic)]
+    for _ in range(40):
+        # Some variables free, so that columns move both ways.
+        problem = random_lp(rng, max_vars=10, max_cons=10, anchored=True)
+        for j in np.flatnonzero(rng.random(problem.num_variables) < 0.3):
+            problem.lower[j], problem.upper[j] = -math.inf, math.inf
+        problems.append(problem)
+    for problem in problems:
+        lp.solve(problem)
+    assert checks["iterations"] > 500 and checks["free"] > 0
 
 
 def _singular_starts():

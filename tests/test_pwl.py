@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import zero
-from reservoirplan.pwl import (CONCAVE, CONVEX, NONDECREASING, VALID_FLAGS,
-                               PwlFunction, ShapeReport, _check_slopes,
+from reservoirplan.pwl import (CONCAVE, CONVEX, NONDECREASING, SLOPE_TOL,
+                               VALID_FLAGS, PwlFunction, ShapeReport,
                                capped_linear, hinge, linear)
 
 
@@ -271,11 +271,29 @@ _PROBES = np.linspace(-3.0, 8.0, 23)
 
 
 def _scratch_slopes(f: PwlFunction) -> np.ndarray:
-    """The slope sequence worked out from the fields alone."""
+    """The slope sequence worked out from the fields alone, with numpy."""
     xs = np.array([x for x, _ in f.breakpoints])
     ys = np.array([y for _, y in f.breakpoints])
-    interior = np.diff(ys) / np.diff(xs) if len(xs) > 1 else np.empty(0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        interior = np.diff(ys) / np.diff(xs) if len(xs) > 1 else np.empty(0)
     return np.concatenate(([f.left_slope], interior, [f.right_slope]))
+
+
+def _numpy_shape_report(slopes: np.ndarray, required) -> ShapeReport:
+    """Reference shape check of a slope array, with numpy."""
+    violations = []
+    with np.errstate(invalid="ignore"):
+        steps = np.diff(slopes)
+    for flag in required:
+        if flag == CONVEX:
+            bad = np.nonzero(steps < -SLOPE_TOL)[0] + 1
+        elif flag == CONCAVE:
+            bad = np.nonzero(steps > SLOPE_TOL)[0] + 1
+        else:
+            bad = np.nonzero(slopes < -SLOPE_TOL)[0]
+        if bad.size:
+            violations.append((flag, int(bad[0])))
+    return ShapeReport(ok=not violations, violations=tuple(violations))
 
 
 _FLAG_LISTS = [list(order) for size in range(len(VALID_FLAGS) + 1)
@@ -284,13 +302,14 @@ _FLAG_LISTS = [list(order) for size in range(len(VALID_FLAGS) + 1)
 
 
 def _assert_stored_data_is_fresh(f: PwlFunction) -> None:
-    """Stored slopes and shape report equal a from-scratch computation and
-    are read-only."""
+    """Stored slopes and shape report equal a from-scratch numpy computation,
+    the slopes bit for bit, and are read-only."""
     slopes = _scratch_slopes(f)
-    assert np.array_equal(f.slopes(), slopes)
+    assert f.slopes().dtype == slopes.dtype
+    assert f.slopes().tobytes() == slopes.tobytes()
     assert not f.slopes().flags.writeable
     for flags in _FLAG_LISTS:
-        assert f.verify_shape(flags) == _check_slopes(slopes, flags)
+        assert f.verify_shape(flags) == _numpy_shape_report(slopes, flags)
 
 
 def test_breakpoint_arrays_are_read_only_and_outside_identity():
@@ -335,6 +354,23 @@ def test_stored_slopes_and_report_equal_a_fresh_check(f, factor):
     for flags in _FLAG_LISTS:
         if flags and f.verify_shape(flags).ok:
             _assert_stored_data_is_fresh(dataclasses.replace(f, shape=tuple(flags)))
+
+
+@st.composite
+def _float_function(draw):
+    """Functions with arbitrary float breakpoints and slopes, so that slope
+    divisions round and may overflow."""
+    xs = sorted(draw(st.sets(st.floats(-1e300, 1e300), min_size=1, max_size=5)))
+    ys = draw(st.lists(st.floats(-1e300, 1e300), min_size=len(xs),
+                       max_size=len(xs)))
+    return PwlFunction(tuple(zip(xs, ys)), draw(st.floats(-1e3, 1e3)),
+                       draw(st.floats(-1e3, 1e3)))
+
+
+@_PROPERTY_SETTINGS
+@given(f=_float_function())
+def test_slopes_and_report_are_bitwise_a_numpy_reference(f):
+    _assert_stored_data_is_fresh(f)
 
 
 def test_unknown_flag_is_refused_by_the_stored_report():
