@@ -3,15 +3,25 @@
 Two builds share one core: the stochastic program treats per-period inflows as
 bounded decision variables and charges the expected shortfall risk over the
 discretized inflow distribution; the deterministic baseline pins each inflow
-to its distribution mean and drops the risk term. Every piecewise-linear term
-gets one variable: a hypograph for concave profit, an epigraph for convex
-transfer cost and for expected risk, which is one convex function of the
-inflow prediction over its support. The capacity cap is a penalized overflow
-slack.
+to its distribution mean and drops the risk term. The piecewise-linear terms
+are separable (Dantzig 1956): the release profit of g, the transfer cost of q
+and the expected risk of the inflow prediction x, which is one convex
+function of x over its support. Each such argument a in [lo, hi] is lo plus
+one column per piece of its function f, bounded by [0, the piece's length]
+and priced at its slope: + for the concave profit, which is maximized, and -
+for the convex cost and risk, which are minimized. Every row that reads a
+reads its pieces instead, with lo moved to the right-hand side, so a term
+needs no row and no epigraph variable. The profit's slopes fall and the
+cost's and risk's rise, so an optimum fills the pieces in order, and they
+price f(a) - f(lo) exactly. The constant, the sum of the f(lo), is one column
+fixed at 1, added only when it is nonzero. The deterministic build keeps each
+pinned x as one fixed column. The capacity cap is a penalized overflow slack.
 """
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import math
 
 import numpy as np
 
@@ -24,40 +34,45 @@ EXTRACT_TOL = 1e-6
 @dataclasses.dataclass
 class VariableMap:
     """Bijection between semantic (period, reservoir[, target]) indices and LP
-    variable positions. Periods and reservoir ids are 1-based."""
+    variable positions. Periods and reservoir ids are 1-based. A transfer,
+    release or inflow prediction maps to its piece columns; it is the sum of
+    their values, plus `inflow_lo` for an inflow. A deterministic inflow maps
+    to its one fixed column, with `inflow_lo` 0. `constant` is the column
+    fixed at 1 that carries the objective's constant, if it is nonzero."""
 
-    transfer: dict[tuple[int, int, int], int] = dataclasses.field(default_factory=dict)
-    release: dict[tuple[int, int], int] = dataclasses.field(default_factory=dict)
-    inflow: dict[tuple[int, int], int] = dataclasses.field(default_factory=dict)
+    transfer: dict[tuple[int, int, int], tuple[int, ...]] = dataclasses.field(
+        default_factory=dict)
+    release: dict[tuple[int, int], tuple[int, ...]] = dataclasses.field(
+        default_factory=dict)
+    inflow: dict[tuple[int, int], tuple[int, ...]] = dataclasses.field(
+        default_factory=dict)
+    inflow_lo: dict[tuple[int, int], float] = dataclasses.field(default_factory=dict)
     volume: dict[tuple[int, int], int] = dataclasses.field(default_factory=dict)
     overflow: dict[tuple[int, int], int] = dataclasses.field(default_factory=dict)
-    profit_hypo: dict[tuple[int, int], int] = dataclasses.field(default_factory=dict)
-    cost_epi: dict[tuple[int, int, int], int] = dataclasses.field(default_factory=dict)
-    risk_epi: dict[tuple[int, int], int] = dataclasses.field(default_factory=dict)
-
-    def groups(self):
-        return (self.transfer, self.release, self.inflow, self.volume,
-                self.overflow, self.profit_hypo, self.cost_epi, self.risk_epi)
+    constant: int | None = None
 
     def check_bijective(self, num_variables: int) -> None:
-        seen: list[int] = []
-        for group in self.groups():
-            seen.extend(group.values())
+        seen = [column for group in (self.transfer, self.release, self.inflow)
+                for columns in group.values() for column in columns]
+        seen += [*self.volume.values(), *self.overflow.values()]
+        if self.constant is not None:
+            seen.append(self.constant)
         if sorted(seen) != list(range(num_variables)):
             raise AssertionError("variable map is not a bijection onto the LP")
 
 
-def _add_pwl_term(problem: lp.LpProblem, name: str, arg: int,
-                  cuts, concave: bool) -> int:
-    """Add f(arg) to the objective through one variable z: z <= every cut of a
-    concave f (hypograph, +z) or z >= every cut of a convex f (epigraph, -z).
-    Returns the index of z."""
-    z = problem.add_variable(name, -np.inf, np.inf)
-    problem.set_objective_coefficient(z, 1.0 if concave else -1.0)
-    relation = lp.LESS_EQUAL if concave else lp.GREATER_EQUAL
-    for slope, intercept in cuts:
-        problem.add_constraint([(z, 1.0), (arg, -slope)], relation, intercept)
-    return z
+def _add_pieces(problem: lp.LpProblem, name: str, pieces,
+                sign: float) -> tuple[tuple[int, ...], float]:
+    """Add one column per piece of `pieces`, the result of
+    `PwlFunction.pieces`, bounded by [0, its length] and priced at `sign`
+    times its slope. Returns the columns and sign * f(lo)."""
+    value, slopes, lengths = pieces
+    columns = []
+    for k, (slope, length) in enumerate(zip(slopes, lengths), 1):
+        column = problem.add_variable(f"{name}:{k}", 0.0, length)
+        problem.set_objective_coefficient(column, sign * slope)
+        columns.append(column)
+    return tuple(columns), sign * value
 
 
 def _build(scenario: Scenario, stochastic: bool) -> tuple[lp.LpProblem, VariableMap]:
@@ -66,6 +81,7 @@ def _build(scenario: Scenario, stochastic: bool) -> tuple[lp.LpProblem, Variable
         raise ScenarioValidationError(report)
     problem = lp.LpProblem(name=f"{scenario.name}:{'proposed' if stochastic else 'deterministic'}")
     vm = VariableMap()
+    constant = 0.0
     links = scenario.sorted_links()
     incoming: dict[int, list] = {n: [] for n in scenario.ids()}
     outgoing: dict[int, list] = {n: [] for n in scenario.ids()}
@@ -75,15 +91,32 @@ def _build(scenario: Scenario, stochastic: bool) -> tuple[lp.LpProblem, Variable
 
     for t in scenario.periods():
         for link in links:
-            idx = problem.add_variable(
-                f"q[{t},{link.source}->{link.target}]", 0.0, link.capacity)
-            vm.transfer[(t, link.source, link.target)] = idx
+            key = (t, link.source, link.target)
+            cost = scenario.transfer_cost[(link.source, link.target, t)]
+            vm.transfer[key], value = _add_pieces(
+                problem, f"q[{t},{link.source}->{link.target}]",
+                cost.pieces(0.0, link.capacity), -1.0)
+            constant += value
         for n in scenario.ids():
-            vm.release[(t, n)] = problem.add_variable(f"g[{t},{n}]", 0.0)
+            vm.release[(t, n)], value = _add_pieces(
+                problem, f"g[{t},{n}]",
+                scenario.release_profit[(n, t)].pieces(0.0, math.inf), 1.0)
+            constant += value
         for n in scenario.ids():
             inflow = scenario.inflow[(n, t)]
-            lo, hi = inflow.bounds() if stochastic else (inflow.mean(),) * 2
-            vm.inflow[(t, n)] = problem.add_variable(f"x[{t},{n}]", lo, hi)
+            if stochastic:
+                # Expected shortfall risk sum_k p_k * r(x - support_k).
+                lo, hi = inflow.bounds()
+                risk = scenario.shortfall_risk[(n, t)]
+                vm.inflow[(t, n)], value = _add_pieces(
+                    problem, f"x[{t},{n}]", risk.pieces(lo, hi, inflow.support),
+                    -1.0)
+                vm.inflow_lo[(t, n)] = lo
+                constant += value
+            else:
+                mean = inflow.mean()
+                vm.inflow[(t, n)] = (problem.add_variable(f"x[{t},{n}]", mean, mean),)
+                vm.inflow_lo[(t, n)] = 0.0
         for n in scenario.ids():
             vm.volume[(t, n)] = problem.add_variable(f"v[{t},{n}]", 0.0)
         for n in scenario.ids():
@@ -98,48 +131,35 @@ def _build(scenario: Scenario, stochastic: bool) -> tuple[lp.LpProblem, Variable
                 prev, rhs = [], spec.initial_volume
             else:
                 prev, rhs = [(vm.volume[(t - 1, n)], -1.0)], 0.0
-            outflows = [(vm.transfer[(t, n, link.target)], 1.0)
-                        for link in outgoing[n]]
-            # Volume recursion: v[t] = v[t-1] - g + x + inflows_from_links - outflows.
-            coefs = [(vm.volume[(t, n)], 1.0), (vm.release[(t, n)], 1.0),
-                     (vm.inflow[(t, n)], -1.0)]
-            coefs += [(vm.transfer[(t, link.source, n)], -1.0)
-                      for link in incoming[n]]
-            problem.add_constraint(coefs + outflows + prev, lp.EQUAL, rhs)
+            release = [(column, 1.0) for column in vm.release[(t, n)]]
+            outflows = [(column, 1.0) for link in outgoing[n]
+                        for column in vm.transfer[(t, n, link.target)]]
+            # Volume recursion: v[t] = v[t-1] - g + x + inflows_from_links -
+            # outflows, with x = inflow_lo + its pieces.
+            coefs = [(vm.volume[(t, n)], 1.0)] + release
+            coefs += [(column, -1.0) for column in vm.inflow[(t, n)]]
+            coefs += [(column, -1.0) for link in incoming[n]
+                      for column in vm.transfer[(t, link.source, n)]]
+            problem.add_constraint(coefs + outflows + prev, lp.EQUAL,
+                                   rhs + vm.inflow_lo[(t, n)])
 
             # Releases and transfers are drawn from the previous volume only
             # (conservative: period-t inflow is not available within period t).
-            problem.add_constraint([(vm.release[(t, n)], 1.0)] + outflows + prev,
-                                   lp.LESS_EQUAL, rhs)
+            problem.add_constraint(release + outflows + prev, lp.LESS_EQUAL, rhs)
 
             # Overflow slack: w >= v - max_volume.
             problem.add_constraint(
                 [(vm.overflow[(t, n)], 1.0), (vm.volume[(t, n)], -1.0)],
                 lp.GREATER_EQUAL, -spec.max_volume)
 
-            vm.profit_hypo[(t, n)] = _add_pwl_term(
-                problem, f"u[{t},{n}]", vm.release[(t, n)],
-                scenario.release_profit[(n, t)].cuts(), concave=True)
-            if stochastic:
-                # Expected shortfall risk sum_k p_k * r(x - support_k).
-                vm.risk_epi[(t, n)] = _add_pwl_term(
-                    problem, f"rho[{t},{n}]", vm.inflow[(t, n)],
-                    scenario.shortfall_risk[(n, t)].expected_cuts(
-                        scenario.inflow[(n, t)].support), concave=False)
-
-        for link in links:
-            key = (t, link.source, link.target)
-            vm.cost_epi[key] = _add_pwl_term(
-                problem, f"y[{t},{link.source}->{link.target}]",
-                vm.transfer[key],
-                scenario.transfer_cost[(link.source, link.target, t)].cuts(),
-                concave=False)
-
     for n in scenario.ids():
         problem.add_constraint(
             [(vm.volume[(scenario.horizon, n)], 1.0)],
             lp.GREATER_EQUAL, scenario.reservoir(n).final_min_volume)
 
+    if constant != 0.0:
+        vm.constant = problem.add_variable("constant", 1.0, 1.0)
+        problem.set_objective_coefficient(vm.constant, constant)
     vm.check_bijective(problem.num_variables)
     return problem, vm
 
@@ -155,6 +175,28 @@ def build_deterministic(scenario: Scenario) -> tuple[lp.LpProblem, VariableMap]:
     return _build(scenario, stochastic=False)
 
 
+def _laid_out(entries: dict, shape: tuple[int, ...]) -> np.ndarray:
+    """An array of `shape` holding each value at its 1-based key, 0 elsewhere."""
+    out = np.zeros(shape)
+    if entries:
+        keys = np.array(list(entries), dtype=np.intp) - 1
+        out[tuple(keys.T)] = list(entries.values())
+    return out
+
+
+def _summed(values: np.ndarray, group: dict, shape: tuple[int, ...]) -> np.ndarray:
+    """An array of `shape` holding, at each 1-based key of `group`, the sum
+    of the values of its columns, and 0 elsewhere."""
+    keys = np.array(list(group), dtype=np.intp).reshape(-1, len(shape)) - 1
+    owners = np.repeat(np.ravel_multi_index(tuple(keys.T), shape),
+                       [len(columns) for columns in group.values()])
+    columns = np.fromiter(itertools.chain.from_iterable(group.values()),
+                          dtype=np.intp, count=owners.size)
+    # bincount gives integers if there is no column at all.
+    sums = np.bincount(owners, values[columns], math.prod(shape))
+    return sums.astype(float, copy=False).reshape(shape)
+
+
 def extract_plan(solution: lp.LpSolution, vm: VariableMap,
                  scenario: Scenario) -> Plan:
     """Read plan arrays out of an optimal solution through the variable map."""
@@ -163,18 +205,12 @@ def extract_plan(solution: lp.LpSolution, vm: VariableMap,
     t_count, n_count = scenario.horizon, scenario.num_reservoirs
     values = solution.values
 
-    transfers = np.zeros((t_count, n_count, n_count))
-    for (t, n, m), idx in vm.transfer.items():
-        transfers[t - 1, n - 1, m - 1] = values[idx]
-    releases = np.zeros((t_count, n_count))
-    predicted = np.zeros((t_count, n_count))
-    volumes = np.zeros((t_count, n_count))
-    for (t, n), idx in vm.release.items():
-        releases[t - 1, n - 1] = values[idx]
-    for (t, n), idx in vm.inflow.items():
-        predicted[t - 1, n - 1] = values[idx]
-    for (t, n), idx in vm.volume.items():
-        volumes[t - 1, n - 1] = values[idx]
+    transfers = _summed(values, vm.transfer, (t_count, n_count, n_count))
+    releases = _summed(values, vm.release, (t_count, n_count))
+    predicted = _summed(values, vm.inflow, (t_count, n_count))
+    predicted += _laid_out(vm.inflow_lo, (t_count, n_count))
+    volumes = _laid_out({key: values[idx] for key, idx in vm.volume.items()},
+                        (t_count, n_count))
 
     # Clamp solver roundoff at the bounds so plan invariants hold exactly.
     for arr in (transfers, releases, volumes):

@@ -5,22 +5,17 @@ count, relation and rhs. The solver reads them through `matrix()`; `constraints`
 
 The solver is a two-phase primal simplex on the bounded-variable standard form
 with a dense tableau [A | I]: every row gets a slack whose bounds carry the
-relation, and a basis pivoted into the all-slack one starts the search: a
-given start basis (a warm start), or else a crash basis (Bixby 1992). The
-crash makes every free structural column with a nonzero cost basic in the row
-that binds it first in the direction its cost favours, among the rows where
-it is the only free column; in the planning LPs these are the hypograph and
-epigraph variables of the piecewise-linear terms, which the search would
-otherwise bring in one pivot each and never drop. The planning bases are
-nearly triangular, so a start is installed by peeling singletons off its
+relation. A cold solve starts from the all-slack basis, a warm one from a
+given start basis pivoted into it. The planning bases are nearly
+triangular, so a start is installed by peeling singletons off its
 structural block, as in Suhl and Suhl's LU factors of simplex bases: each
 level of column or row singletons is pivoted in vectorized updates, and only
-the remaining bump goes through the pivot loop. The crash block is diagonal,
-one level. Phase 1 minimizes the total bound violation of that
-basis (a basic variable may start outside its bounds); phase 2 maximizes the
-objective from the feasible basis it leaves. Both phases run the same loop;
-there are no artificial variables. Nonbasic variables rest at a finite bound
-(free ones at zero) and may flip bounds without a basis change. Each column
+the remaining bump goes through the pivot loop. Phase 1 minimizes the total
+bound violation of the start basis (a basic variable may start outside its
+bounds); phase 2 maximizes the objective from the feasible basis it leaves.
+Both phases run the same loop; there are no artificial variables. Nonbasic
+variables rest at a finite bound (free ones at zero) and may flip bounds
+without a basis change. Each column
 has a direction: +1 if it may only rise, -1 if it may only fall, 0 if it may
 do neither (or both: a free nonbasic column, scored by the absolute value of
 its reduced cost). The entering column is then one argmax of the reduced
@@ -265,51 +260,12 @@ class _Tableau:
         # does, since phase 1 reprices every iteration.
         self.pricing = False
         self._entering = None   # (column, its nonzero rows) from `entering`
-        if start is None:
-            self._install(self._crash(problem, matrix), matrix)
-        else:
+        if start is not None:
             self._install(start.columns, matrix)
             at_upper = start.at_upper & np.isfinite(self.upper)
             self.x[at_upper] = self.upper[at_upper]
         self.classify(np.arange(n + m))
         self.refresh_basic_values()
-
-    def _crash(self, problem: LpProblem, matrix: tuple[np.ndarray, ...]
-               ) -> np.ndarray:
-        """The basic column of each row for a cold start: the slack, except
-        that every free structural column with a nonzero cost is basic in
-        the row that binds it first in the direction its cost favours, among
-        the rows where it is the only free column and its entry exceeds
-        PIVOT_TOL: the smallest upper bound on it for c > 0, the largest
-        lower bound for c < 0, ties to the lowest row. The bounds are taken
-        at the nonbasic start values, where every slack rests at 0, so each
-        row is tight at its finite bound. No two such columns share a row,
-        so `_install` places them in one level. A column with no such row
-        stays nonbasic."""
-        n, m = self.n_structural, self.m
-        rows, cols, values = matrix[:3]
-        free = (self.lower[:n] == -math.inf) & (self.upper[:n] == math.inf)
-        rows_f, cols_f = self._nonzeros(rows, cols, free[cols])
-        c = problem.objective_vector()
-        pick = (np.bincount(rows_f, minlength=m)[rows_f] == 1) & (c[cols_f] != 0.0)
-        rows_f, cols_f = rows_f[pick], cols_f[pick]
-        # w is the row's entry signed by the favoured direction; the row
-        # binds that way if its slack meets a finite bound as the column
-        # moves: the slack moves by -w per unit.
-        w = np.sign(c[cols_f]) * self.tab[rows_f, cols_f]
-        slack = n + rows_f
-        binds = np.where(w > 0, np.isfinite(self.lower[slack]),
-                         np.isfinite(self.upper[slack]))
-        binds &= np.abs(w) > PIVOT_TOL
-        rows_f, cols_f, w = rows_f[binds], cols_f[binds], w[binds]
-        # Each row's residual b - A x at the start values, over which the
-        # column moves by residual / w (in the favoured direction) to bind.
-        residual = self.tab_b - np.bincount(rows, values * self.x[cols], m)
-        order = np.lexsort((rows_f, residual[rows_f] / w, cols_f))
-        first = order[np.diff(cols_f[order], prepend=-1) != 0]
-        columns = np.arange(n, n + m)
-        columns[rows_f[first]] = cols_f[first]
-        return columns
 
     def _nonzeros(self, rows: np.ndarray, cols: np.ndarray, keep: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
@@ -663,7 +619,7 @@ def solve(problem: LpProblem, max_iterations: int | None = None,
 
     `start` is a basis to start from, typically the `basis` of an optimal
     solution of an LP of the same shape. The solve falls back to the cold
-    start from the crash basis, and names the reason in
+    start from the all-slack basis, and names the reason in
     `LpSolution.start`, if the basis does not fit the problem, if it is
     singular, or if the warm solve ends in anything but a verified optimum."""
     if np.any(np.array(problem.lower) > np.array(problem.upper) + FEAS_TOL):
@@ -699,7 +655,7 @@ def solve(problem: LpProblem, max_iterations: int | None = None,
 
 def _solve_from(problem: LpProblem, matrix: tuple[np.ndarray, ...],
                 max_iterations: int, start: Basis | None) -> LpSolution:
-    """Both simplex phases from `start` (the crash basis if None), then the
+    """Both simplex phases from `start` (the all-slack basis if None), then the
     checks of an optimum."""
     state = _Tableau(problem, matrix, start)
     status, used, _ = _run_simplex(state, None, max_iterations)

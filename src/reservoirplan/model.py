@@ -64,8 +64,8 @@ class DiscreteDistribution:
         return float(np.dot(self.values(), self.probabilities()))
 
     def bounds(self) -> tuple[float, float]:
-        vals = self.values()
-        return float(vals.min()), float(vals.max())
+        vals = [v for v, _ in self.support]
+        return min(vals), max(vals)
 
     def violations(self) -> list[str]:
         if self._problems is None:

@@ -1,14 +1,16 @@
-"""Piecewise-linear function algebra: evaluation, shape verification, cut extraction.
+"""Piecewise-linear function algebra: evaluation, shape verification, pieces.
 
 A function is stored as a sorted breakpoint list plus linear extension slopes
 beyond the first and last breakpoint, so it is defined on the whole real line.
-Convex (resp. concave) functions are exactly representable as the max (resp.
-min) of their supporting lines ("cuts"), which is what the LP compiler needs.
+On an interval, a convex or concave function, or the expectation of one over
+shifted arguments, is its value at the left end plus one linear piece per
+distinct slope (`PwlFunction.pieces`), which is what the LP compiler needs.
 
 Functions are immutable, so what follows from the breakpoints is worked out
 once: construction stores the slope sequence and its shape report for every
-flag, and the pieces and cuts are derived on first use. Shape checks, cut
-extraction and scenario validation read these instead of recomputing them.
+flag, and where each piece starts, with its supporting line ("cut"), is
+derived on first use. Shape checks, the pieces and scenario validation read
+these instead of recomputing them.
 """
 from __future__ import annotations
 
@@ -71,8 +73,8 @@ class PwlFunction:
     Immutable after construction; safe to share across concurrent readers.
     The breakpoint coordinates, the slope sequence and its shape report for
     every flag are also kept, read-only: built once from the fields and left
-    out of comparison, hashing and repr. The pieces and cuts are derived on
-    first use and kept the same way.
+    out of comparison, hashing and repr. Where the pieces start, and their
+    cuts, are derived on first use and kept the same way.
     """
 
     breakpoints: tuple[tuple[float, float], ...]
@@ -171,51 +173,69 @@ class PwlFunction:
         """Where each piece of distinct slope starts, left to right, and its
         cut (slope, intercept); derived on first use and kept."""
         if self._derived is None:
-            if not (self.verify_shape([CONVEX]).ok or self.verify_shape([CONCAVE]).ok):
-                raise ValueError("cuts require a convex or concave function")
+            broken = {flag for flag, _ in self._shape.violations}
+            if CONVEX in broken and CONCAVE in broken:
+                raise ValueError("pieces require a convex or concave function")
             # Anchor point for each piece: the breakpoint where the piece
             # starts (extensions anchor at the first/last breakpoint).
-            anchors = [self.breakpoints[0]] + list(self.breakpoints)
+            anchors = [self.breakpoints[0], *self.breakpoints]
             starts: list[float] = []
             cuts: list[tuple[float, float]] = []
-            for slope, (ax, ay) in zip(self._slopes, anchors):
+            for slope, (ax, ay) in zip(self._slopes.tolist(), anchors):
                 if cuts and abs(slope - cuts[-1][0]) <= SLOPE_TOL:
                     continue
                 starts.append(ax)
-                cuts.append((float(slope), float(ay - slope * ax)))
+                cuts.append((slope, ay - slope * ax))
             object.__setattr__(self, "_derived", (tuple(starts), tuple(cuts)))
         return self._derived
 
-    def cuts(self) -> tuple[tuple[float, float], ...]:
-        """Supporting lines as (slope, intercept) pairs, one per distinct slope.
+    def pieces(self, lo: float, hi: float, support=((0.0, 1.0),)
+               ) -> tuple[float, tuple[float, ...], tuple[float, ...]]:
+        """g(lo), then the slope and the length of each piece of g on [lo, hi],
+        left to right, where g(a) = sum_k p_k * f(a - xi_k) over (xi_k, p_k)
+        in `support`: f itself by default.
 
-        For convex f, f(x) = max over cuts of slope*x + intercept; for concave
-        f the max becomes a min. Rejects functions that are neither.
-        """
-        return self._starts_and_cuts()[1]
-
-    def expected_cuts(self, support) -> tuple[tuple[float, float], ...]:
-        """Cuts of x -> sum_k p_k * f(x - xi_k) over (xi_k, p_k) in `support`.
-
-        On each interval between consecutive shifted kinks the cut is the
-        probability-weighted sum of the cuts of f active there. Every such sum
-        bounds the expectation, so nearly coincident kinks cannot spoil it.
+        `lo` must be finite; `hi` may be infinite, and the last piece is then
+        unbounded. g(lo) is taken with `evaluate`. Each slope is the
+        probability-weighted sum of the slopes of the pieces of f active
+        between two consecutive shifted kinks start + xi_k, read from
+        `_starts_and_cuts` rather than from value differences, so nearly
+        coincident kinks cannot spoil it. Neighbours whose slopes differ by at
+        most SLOPE_TOL are one piece, and a piece has a positive length.
+        Rejects functions that are neither convex nor concave.
         """
         starts, cuts = self._starts_and_cuts()
+        value = sum(p * self.evaluate(lo - xi) for xi, p in support)
+        # At each shifted kink start + xi_k, support point k moves on to the
+        # next piece of f. Kinks at or left of lo set the pieces read at lo;
+        # each kink inside (lo, hi) may end a piece.
         kinks = sorted((start + xi, k) for k, (xi, _) in enumerate(support)
                        for start in starts[1:])
         active = [0] * len(support)
-        result: list[tuple[float, float]] = []
-        for group in [()] + [list(g) for _, g in
-                             itertools.groupby(kinks, key=lambda e: e[0])]:
+        for at, k in kinks:
+            if at <= lo:
+                active[k] += 1
+
+        def slope() -> float:
+            return sum([p * cuts[j][0] for j, (_, p) in zip(active, support)])
+
+        current = slope()
+        slopes: list[float] = []
+        lengths: list[float] = []
+        left = lo
+        inside = [kink for kink in kinks if lo < kink[0] < hi]
+        for at, group in itertools.groupby(inside, key=lambda kink: kink[0]):
             for _, k in group:
                 active[k] += 1
-            slope = sum(p * cuts[j][0] for j, (_, p) in zip(active, support))
-            intercept = sum(p * (cuts[j][1] - cuts[j][0] * xi)
-                            for j, (xi, p) in zip(active, support))
-            if not result or abs(slope - result[-1][0]) > SLOPE_TOL:
-                result.append((float(slope), float(intercept)))
-        return tuple(result)
+            new = slope()
+            if abs(new - current) > SLOPE_TOL:
+                slopes.append(current)
+                lengths.append(at - left)
+                left, current = at, new
+        if hi > left:
+            slopes.append(current)
+            lengths.append(hi - left)
+        return value, tuple(slopes), tuple(lengths)
 
     def max_cut_slope(self) -> float:
         return float(np.max(np.abs(self._slopes)))

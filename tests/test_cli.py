@@ -941,17 +941,17 @@ def test_sweep_output_does_not_depend_on_earlier_commands(tmp_path,
 # objective, and its solve had given exactly the objective of the original LP.
 DUMP_LP_DIGESTS = {
     ("simple1", "proposed"):
-        "a33ecf696d9bf0ddd5ee24666bb0648e2ddcc14d0f5fb75a5224e13666328aa5",
+        "fe90ea24837417e9423110723c3338dafa094abff45ddd69c7f53335496399bc",
     ("simple1", "deterministic"):
-        "e8a3797a0e68eaa2de126f5e602c3f224228e4f5c425395bf26c45b25fd5f221",
+        "8d674b1117c0f21a25f6486a924786ffe65d30cef2838d802fb35d519e977cfc",
     ("simple2", "proposed"):
-        "dbc9b883c4e801a60619d1a68a74f52c091f106c3a73f7909136d747ad1f9796",
+        "30678d78240e07b7d21035dc24e24cf2793997c786695f2c6789245c682fe319",
     ("simple2", "deterministic"):
-        "318ee4456efec0b4151bb628bf184e8ef73c7f3e1d798e40d29baac7edbf59c1",
+        "3bdddb937c8307dfc19a31722589f5b7c707c0571c0f3b12d775f4c5cb2a8531",
     ("angpuang", "proposed"):
-        "a255eda9e9fe91f3e9dcd02ee7091ef6ab2ae1bc4ca7aef8371b93ef89a4c0fd",
+        "65d8bb6a665dd73122789c170807e147ed28c487b6703add43715ea77b7417d2",
     ("angpuang", "deterministic"):
-        "b16d84e5bc7d314eedc0af389a352be49d53b8fd594923b5eab87f9d91e4914f",
+        "7435376e6717d7f1c1d610af0a403041ed2b8932270226d275dc854da2f7b62f",
 }
 
 

@@ -1,15 +1,18 @@
 import dataclasses
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import random_scenario, zero
-from reservoirplan import lp
+from epigraph import build_epigraph, cuts
+from reservoirplan import cli, lp
 from reservoirplan.formulation import (build_deterministic, build_proposed,
                                        extract_plan, plan_violations)
 from reservoirplan.model import (DiscreteDistribution, LinkSpec, ReservoirSpec,
                                  Scenario, ScenarioValidationError)
-from reservoirplan.pwl import capped_linear, hinge, linear
+from reservoirplan.pwl import PwlFunction, capped_linear, hinge, linear
 from reservoirplan.scenarios import (builtin_angpuang, builtin_simple,
                                      sweep_scenario)
 
@@ -121,8 +124,11 @@ def test_deterministic_fixes_inflow_to_mean():
             mean = scenario.inflow[(n, t)].mean()
             assert plan.predicted_inflows[t - 1, n - 1] == pytest.approx(
                 mean, abs=1e-9)
-    # No risk variables in the deterministic build.
-    assert not vm.risk_epi
+    # Each inflow is one fixed column, and nothing prices risk.
+    for (t, n), columns in vm.inflow.items():
+        assert len(columns) == 1 and vm.inflow_lo[(t, n)] == 0.0
+        assert problem.lower[columns[0]] == problem.upper[columns[0]]
+        assert columns[0] not in problem.objective
 
 
 def test_point_mass_degeneration_on_random_scenarios():
@@ -246,7 +252,7 @@ def _objective_from_plan(plan, scenario):
 
 
 def test_proposed_objective_equals_plan_recomputation():
-    # One epigraph per expected risk term is tight at the optimum.
+    # The pieces of each term price it exactly at the optimum.
     rng = np.random.default_rng(31337)
     for _ in range(12):
         scenario = random_scenario(rng)
@@ -257,13 +263,18 @@ def test_proposed_objective_equals_plan_recomputation():
 
 
 def test_angpuang_lp_sizes():
+    # Three rows per reservoir and period (state, release budget, overflow)
+    # and one terminal row per reservoir; no term adds a row or a free column.
     scenario = builtin_angpuang()
     proposed, vm = build_proposed(scenario)
-    assert (proposed.num_constraints, proposed.num_variables) == (498, 456)
-    assert len(vm.risk_epi) == scenario.horizon * scenario.num_reservoirs
+    assert (proposed.num_constraints, proposed.num_variables) == (152, 346)
     deterministic, _ = build_deterministic(scenario)
     assert (deterministic.num_constraints,
-            deterministic.num_variables) == (332, 408)
+            deterministic.num_variables) == (152, 324)
+    for problem in (proposed, deterministic):
+        assert not any(math.isinf(lo) and math.isinf(up)
+                       for lo, up in zip(problem.lower, problem.upper))
+    assert vm.constant is None
 
 
 def test_variable_map_is_bijective():
@@ -278,7 +289,7 @@ def test_big_f_threshold_keeps_volumes_under_capacity():
     # dominate any achievable marginal profit.
     for scenario in (builtin_simple(1), builtin_simple(2)):
         slope_sum = sum(abs(s) for f in scenario.release_profit.values()
-                        for s, _ in f.cuts())
+                        for s, _ in cuts(f))
         threshold = 10.0 * slope_sum * float(scenario.max_volumes().sum())
         bounded = dataclasses.replace(
             scenario,
@@ -289,3 +300,61 @@ def test_big_f_threshold_keeps_volumes_under_capacity():
             problem, vm = builder(bounded)
             plan = extract_plan(lp.solve(problem), vm, bounded)
             assert np.all(plan.volumes <= caps[None, :] + 1e-6)
+
+
+def _offset(f, constant):
+    """f plus a constant, with f's shape flags."""
+    return PwlFunction(tuple((x, y + constant) for x, y in f.breakpoints),
+                       f.left_slope, f.right_slope, f.shape)
+
+
+def _offset_scenario(scenario, rng):
+    """The scenario with a constant added to every profit and transfer cost,
+    so that the objective's constant, the sum of the f(lo), is nonzero."""
+    return dataclasses.replace(
+        scenario,
+        release_profit={key: _offset(f, float(rng.uniform(-2.0, 2.0)))
+                        for key, f in scenario.release_profit.items()},
+        transfer_cost={key: _offset(f, float(rng.uniform(0.0, 1.0)))
+                       for key, f in scenario.transfer_cost.items()})
+
+
+def _equivalence_cases(group, monkeypatch):
+    if group == "builtins":
+        return [builtin_simple(1), builtin_simple(2), builtin_angpuang()]
+    if group == "sweep":
+        config = Path(__file__).resolve().parents[1] / "scenarios" / "example_sweep.json"
+        return cli.expand_sweep(cli.load_sweep_config(config))
+    if group == "network":
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
+                                        / "perfbench"))
+        from network import synthetic_network
+        return [synthetic_network(seed) for seed in range(10)]
+    rng = np.random.default_rng(1956)
+    scenarios = [random_scenario(rng) for _ in range(40)]
+    return [_offset_scenario(s, rng) if i % 4 == 0 else s
+            for i, s in enumerate(scenarios)]
+
+
+@pytest.mark.parametrize("group", ["builtins", "sweep", "network", "random"])
+def test_piece_columns_give_the_epigraph_optimum(group, monkeypatch):
+    # The piece columns and the epigraph reference (one free variable and one
+    # row per cut) are two LPs of the same program, so their optima agree.
+    cases = _equivalence_cases(group, monkeypatch)
+    constants = 0
+    for scenario in cases:
+        for build, stochastic in ((build_proposed, True),
+                                  (build_deterministic, False)):
+            problem, vm = build(scenario)
+            solution = lp.solve(problem)
+            reference = lp.solve(build_epigraph(scenario, stochastic))
+            assert solution.is_optimal and reference.is_optimal
+            assert solution.objective == pytest.approx(
+                reference.objective, rel=1e-9, abs=1e-9), scenario.name
+            assert plan_violations(extract_plan(solution, vm, scenario),
+                                   scenario) == []
+            constants += vm.constant is not None
+    assert len(cases) == {"builtins": 3, "sweep": 5, "network": 10,
+                          "random": 40}[group]
+    # The constant column shows up only where a term is nonzero at lo.
+    assert (constants > 0) == (group == "random")

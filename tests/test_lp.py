@@ -411,60 +411,60 @@ def _planning_lps():
             yield label, method, build(scenario)[0]
 
 
-# Recorded when each row was still stored as a Constraint object.
+# Recorded with each piecewise-linear term written as piece columns.
 PLANNING_LP_DIGESTS = {
     ("simple1", "proposed"):
-        "f38356fadd7f3ffca23db9b61527da4e525cb95570b1b97816c923cc37ba9216",
+        "afe922efec91a6379bff1fb5de1961641b1db0ddb51deca24e552c9d2837c5b0",
     ("simple1", "deterministic"):
-        "3c78d12c48dfad8d5395662faaaf4aaf9b6785e6dfcdc84b737950da391b720d",
+        "6fbda9646cab308c00ae22c2cc04b1b37d869336af1f18669be5e14e94ddb740",
     ("simple2", "proposed"):
-        "13d7c82511d5453a708a4104ba17d2afcdac7c5beb0688d085fda9afa07f3459",
+        "4944340f488c82c79e421eb1fd0c42fad9369ea49d862de3ee283a2324a70819",
     ("simple2", "deterministic"):
-        "5c9befcd46b9ce183f2e817b028e76ac3c0d94aea452f809e83ff4b91ed0e458",
+        "aca8c8fde5da41c1cede4a3ce0647c1621af5b2e6dda8bdf3ca21adba1e694d5",
     ("angpuang", "proposed"):
-        "3920874167d7e1ab0c97cd54a3d7b5fb23a9af7d09267917f03b05e7245622bc",
+        "5ed5f1a5e2636c882233519217747507eac18278bd560b1261285b0a46fc35c2",
     ("angpuang", "deterministic"):
-        "10432670a30b1e8a7ae42cbd0b4b49f8849dbd3960ca57e9ec71d767628c951d",
+        "ef8636c2bc2bebdb702cd8922a395025ff62c92e558f498ff68545c9d29b8e65",
     ("random0", "proposed"):
-        "2736712d419184fdf18e95b3f12f75c70ffd23f3a6ca84a685ea0d80dd74854c",
+        "dc7360824d2a0d723526d7df1aca5c7a4fc7ec1a74d7dae5b5d489b929feda2c",
     ("random0", "deterministic"):
-        "1157534a2eb0499dd9a0fe21394d8971c3d20c55a753cc04883f5cbd2999197d",
+        "9108b9814b691cac0f048db8cbf7f95616a731eda097924221a28107c1af601d",
     ("random1", "proposed"):
-        "72d13c01eba65654c9c8262b8fb950ee7658a634769ef08cca92d1b3ebd9f6df",
+        "f88f79ec2ee9277ce572e46546b1d89d298db06dcca87fd3163221a9cf8a4859",
     ("random1", "deterministic"):
-        "da5a4144392b1d168938b22655cd7d87fa28a779e9ffd82ee8bec12d5bb60af3",
+        "2f3fac1cb626edffc8c085c1ca12282458607fbba4ea37d474db2e556f93ad28",
     ("random2", "proposed"):
-        "b9105396b996f72203b47b177b56a30e89c9f0ee373b059778b1711d65a21648",
+        "cd3d8e81e24d6947307a6ef213d3f6984b78455f01b1d4d4cb158ff420f3705a",
     ("random2", "deterministic"):
-        "0aaa9cf6f76f5145825695d024470fe366b0cfc429de35448f1d43545e96e00b",
+        "acc071bd4d70b2df3ba7e3bc1077635ac6edfbbad73f065a4f4c6885a295676b",
     ("random3", "proposed"):
-        "dc92e694201c6fda38469f6d69efe9ebf7cf9ec344d7ce235895703615e7288d",
+        "25d25b34405516b4936112f9f3b269bb3b720e60ec914f1d10f73327159dd733",
     ("random3", "deterministic"):
-        "51d34eda67141f2158e8cd240dba24d6bbae43b05b7b4ee26dcf84d4e98e47d6",
+        "5d29c5249ea7ce69a8081c39cebce18d315fb2ecff2c993c98d38e2bf55d3aa8",
     ("random4", "proposed"):
-        "8e0b54159a2d603d914d1c8198c4b0d7b0d4341ff8d0bb3cb56b325ce0bf55ba",
+        "06216850e4c09ea1ac6a94f4200567f41a50c524ea8c88cf5fef0731466aa5fb",
     ("random4", "deterministic"):
-        "62a9f5844067c4c1d13d285196467f997fa31d346ed2f587e902bee58f25d501",
+        "9f080cda5918229a919061eba4427fd7affd1c96435845e038894c60880c50bf",
     ("random5", "proposed"):
-        "6a19a821262c25b36b9a7bdbfe25bde2f86555a3b75e67fa7b38709a8e262e22",
+        "c2e715ebe3ccf9db6c3e9ae0da913dfab23272c8385518fb27a1365d0eaa6c15",
     ("random5", "deterministic"):
-        "d41aed7f31d39a5ad821d0159aacae94c734fbcbd5e0ea873a1925eaa1d07fe8",
+        "d689e7341f2bb17d5c2b6d982fca1a0d2a9202964290739b37f98ab22fb08578",
     ("transfer-cost-slope", "proposed"):
-        "0a51270fa95ab72380a101ac1207b099df7cd930bfae644f80e8c8614b5aca13",
+        "d17f64e654df3f76b3d965ecb2850fb7c9202198f60631e7201b7703995834a3",
     ("transfer-cost-slope", "deterministic"):
-        "350b8c02b668c929af57e60ebf7c358dd527504721df57016dfad445936a4771",
+        "e7f91e3212a2a126b58e12d2a8d3cdcf69fe7f4c5a71a7692e0f70ee87e260fa",
     ("risk-slope", "proposed"):
-        "d8d91971de49d0d00ded808f3e44cbedbdb0db8a232e7d2c13effccb409e3e83",
+        "1afa6d32757d6b46f9a7838a972f43b5ff893114681d3e31463b2af551bbd855",
     ("risk-slope", "deterministic"):
-        "10432670a30b1e8a7ae42cbd0b4b49f8849dbd3960ca57e9ec71d767628c951d",
+        "ef8636c2bc2bebdb702cd8922a395025ff62c92e558f498ff68545c9d29b8e65",
     ("profit-slope", "proposed"):
-        "691d7b3bb1013daa269cae4848382b1b0d0dbd6a724d3081dcaf0adb0db03bf2",
+        "0b062004057a5c251eed2de8275385a42dd3229408dc5e0f6ba669c973c69bd8",
     ("profit-slope", "deterministic"):
-        "0b975f90bfcc6eda05235019d68bfef0ac69b8b124e991ba1c7e33fb5539ecf1",
+        "b1012764d2871f33a2b93185afecb1b569eef6f70245f6ee3c4658edb42ea631",
     ("initial-volume-fraction", "proposed"):
-        "c972cb7a8a22037e04b458050a083867969ed99b5141f3e8b8aa2120c8bedbe0",
+        "3d69eb817e99663068fad5f2c6bb5845e2d16b872ba03c4f2c93b52784ed4890",
     ("initial-volume-fraction", "deterministic"):
-        "998e837baeea475d9e9735de7424177ab29cc302dfc09dcab3f576e515a70b0b",
+        "b949774a0c5619c3e6ada0a6c4b3e6f8bb806f5e2c33420d74758e5c0aabd788",
 }
 
 
@@ -545,7 +545,7 @@ def test_pivot_equals_dense_rank1_update_on_sparse_tableaux():
             idx = rng.choice(n, size=int(rng.integers(1, 4)), replace=False)
             p.add_constraint([(int(j), float(rng.uniform(-3, 3))) for j in idx],
                              lp.LESS_EQUAL, float(rng.uniform(0, 5)))
-        # No free column, so the cold start keeps the all-slack basis [A | I].
+        # A cold start keeps the all-slack basis [A | I].
         state = lp._Tableau(p, p.matrix())
         for _ in range(6):
             row, col = rng.choice(
@@ -746,27 +746,19 @@ def _gauss_jordan_install(problem, columns):
     return tab, tab_b, basis
 
 
-def _count_install_pivots(monkeypatch, crashes=None):
+def _count_install_pivots(monkeypatch):
     """A list that gets, for each `_install`, the number of `pivot` calls it
-    made; `crashes`, if given, gets for each whether it installed a crash
-    basis."""
-    pivot, install, crash = (lp._Tableau.pivot, lp._Tableau._install,
-                             lp._Tableau._crash)
-    counts, installing, crashed = [], [], []
+    made."""
+    pivot, install = lp._Tableau.pivot, lp._Tableau._install
+    counts, installing = [], []
 
     def counting_pivot(state, row, col):
         if installing:
             counts[-1] += 1
         pivot(state, row, col)
 
-    def recording_crash(state, problem, matrix):
-        crashed.append(crash(state, problem, matrix))
-        return crashed[-1]
-
     def counting_install(state, columns, matrix):
         counts.append(0)
-        if crashes is not None:
-            crashes.append(any(columns is c for c in crashed))
         installing.append(True)
         try:
             install(state, columns, matrix)
@@ -774,7 +766,6 @@ def _count_install_pivots(monkeypatch, crashes=None):
             installing.pop()
 
     monkeypatch.setattr(lp._Tableau, "pivot", counting_pivot)
-    monkeypatch.setattr(lp._Tableau, "_crash", recording_crash)
     monkeypatch.setattr(lp._Tableau, "_install", counting_install)
     return counts
 
@@ -841,140 +832,26 @@ def test_level_update_is_bitwise_its_pivots_one_at_a_time(monkeypatch):
 
 
 def test_example_sweep_installs_with_few_pivot_calls(tmp_path, monkeypatch):
-    # One pivot per structural basic column would be 215 to 279 calls per
-    # warm build; the triangular levels leave only the bump to the loop. The
-    # crash basis of each method's cold solve is diagonal: one level, no
-    # pivot call.
-    crashes = []
-    pivots = _count_install_pivots(monkeypatch, crashes)
+    # One pivot per structural basic column would be 61 to 68 calls per
+    # warm build; the triangular levels leave only the bump to the loop, and
+    # these bases have none. Each method's cold solve starts from the
+    # all-slack basis and installs nothing.
+    pivots = _count_install_pivots(monkeypatch)
     config = Path(__file__).resolve().parent.parent / "scenarios" / \
         "example_sweep.json"
     assert cli.main(["sweep", "--config", str(config), "--out",
                      str(tmp_path)]) == 0
-    warm = [count for count, crash in zip(pivots, crashes) if not crash]
-    cold = [count for count, crash in zip(pivots, crashes) if crash]
-    assert len(warm) == 8 and all(count <= 100 for count in warm)
-    assert cold == [0, 0]
+    assert pivots == [0] * 8
 
 
-def _crash_columns(state):
-    return state.basis[state.basis < state.n_structural]
-
-
-def _costed_free_columns(problem):
-    c = problem.objective_vector()
-    free = np.isinf(problem.lower) & np.isinf(problem.upper)
-    return np.flatnonzero(free & (c != 0.0))
-
-
-def _crash_cases():
-    rng = np.random.default_rng(2112)
-    problems = [build(factory())[0] for factory in BUILTINS.values()
-                for build in (build_proposed, build_deterministic)]
-    problems += [(build_proposed if i % 2 else build_deterministic)(
-        random_scenario(rng))[0] for i in range(40)]
-    return problems
-
-
-def test_crash_leaves_no_row_of_a_crash_column_violated():
-    # Each crash column is basic in the row that binds it first in the
-    # direction its cost favours, so it stops inside every other row that
-    # bounds it that way; a column basic in any later-binding row would
-    # violate the earlier ones.
-    for problem in _crash_cases():
-        state = lp._Tableau(problem, problem.matrix())
-        crashed = _crash_columns(state)
-        # The formulation's free columns each have a cut row to themselves.
-        assert np.array_equal(np.sort(crashed), _costed_free_columns(problem))
-        rows, cols, values, row_lower, row_upper = problem.matrix()
-        activity = np.bincount(rows, values * state.x[cols],
-                               problem.num_constraints)
-        touched = np.unique(rows[np.isin(cols, crashed)])
-        assert touched.size >= crashed.size > 0
-        assert np.all(activity[touched] <= row_upper[touched] + lp.FEAS_TOL)
-        assert np.all(activity[touched] >= row_lower[touched] - lp.FEAS_TOL)
-
-
-def _crash_lps():
-    """(name, problem, the crash's basic structural columns) of LPs whose
-    costed free columns each test one rule of the crash."""
-    cases = []
-    inf = math.inf
-    # z costs nothing, so it stays nonbasic though its row would bind it.
-    p = lp.LpProblem("zero_cost")
-    x = p.add_variable("x", 0.0, 10.0)
-    z = p.add_variable("z", -inf, inf)
-    p.set_objective_coefficient(x, 1.0)
-    p.add_constraint([(x, 1.0), (z, -1.0)], lp.LESS_EQUAL, 1.0)
-    p.add_constraint([(z, 1.0)], lp.LESS_EQUAL, 2.0)
-    cases.append(("zero-cost", p, []))
-    # y's only row holds z too; z goes basic in its own row, y stays out.
-    p = lp.LpProblem("two_free")
-    z = p.add_variable("z", -inf, inf)
-    y = p.add_variable("y", -inf, inf)
-    x = p.add_variable("x", 0.0, 4.0)
-    p.set_objective_coefficient(z, 1.0)
-    p.set_objective_coefficient(y, 1.0)
-    p.add_constraint([(z, 1.0), (y, 1.0)], lp.LESS_EQUAL, 4.0)
-    p.add_constraint([(z, 1.0), (x, -1.0)], lp.LESS_EQUAL, 3.0)
-    p.add_constraint([(y, -1.0), (x, 1.0)], lp.LESS_EQUAL, 1.0)
-    cases.append(("two-free-columns", p, [z]))
-    # z (c < 0) is bound from both sides only by the equality row, and
-    # from above by the <= row, which its cost does not favour.
-    p = lp.LpProblem("equality")
-    z = p.add_variable("z", -inf, inf)
-    x = p.add_variable("x", 0.0, 5.0)
-    p.set_objective_coefficient(z, -1.0)
-    p.set_objective_coefficient(x, 3.0)
-    p.add_constraint([(z, 1.0), (x, -1.0)], lp.EQUAL, 2.0)
-    p.add_constraint([(z, 1.0)], lp.LESS_EQUAL, 6.0)
-    cases.append(("equality-row", p, [z]))
-    # z's one row of its own has an entry at PIVOT_TOL; its other row is
-    # shared with the free y, so it has no usable row.
-    p = lp.LpProblem("tiny_entry")
-    z = p.add_variable("z", -inf, inf)
-    y = p.add_variable("y", -inf, inf)
-    x = p.add_variable("x", 0.0, 2.0)
-    p.set_objective_coefficient(z, 1.0)
-    p.add_constraint([(z, lp.PIVOT_TOL)], lp.LESS_EQUAL, 1.0)
-    p.add_constraint([(z, 1.0), (y, 1.0)], lp.LESS_EQUAL, 3.0)
-    p.add_constraint([(y, 1.0), (x, 1.0)], lp.GREATER_EQUAL, 0.0)
-    cases.append(("tiny-entry", p, []))
-    # Every row bounds z from below, and its cost favours rising.
-    p = lp.LpProblem("unbounded")
-    z = p.add_variable("z", -inf, inf)
-    x = p.add_variable("x", 0.0, 1.0)
-    p.set_objective_coefficient(z, 1.0)
-    p.add_constraint([(z, 1.0), (x, -1.0)], lp.GREATER_EQUAL, -1.0)
-    p.add_constraint([(z, -2.0)], lp.LESS_EQUAL, 4.0)
-    cases.append(("unbounded", p, []))
-    return cases
-
-
-@pytest.mark.parametrize("case", range(5), ids=[
-    "zero-cost", "two-free-columns", "equality-row", "tiny-entry",
-    "unbounded"])
-def test_crash_rules_on_hand_built_lps(case):
-    _, problem, crashed = _crash_lps()[case]
-    state = lp._Tableau(problem, problem.matrix())
-    assert _crash_columns(state).tolist() == crashed
-    solution = lp.solve(problem)
-    reference = oracle_solve(problem)
-    assert solution.status == reference.status
-    if reference.status == lp.OPTIMAL:
-        assert solution.objective == pytest.approx(reference.objective,
-                                                   abs=1e-9)
-    assert solution.status == (lp.UNBOUNDED if case == 4 else lp.OPTIMAL)
-
-
-# Cold-start iterations of the built-in plans, so that a lost crash shows as
-# a count.
-BUILTIN_COLD_PIVOTS = {("simple1", "proposed"): 24,
-                       ("simple1", "deterministic"): 17,
-                       ("simple2", "proposed"): 28,
-                       ("simple2", "deterministic"): 17,
-                       ("angpuang", "proposed"): 196,
-                       ("angpuang", "deterministic"): 146}
+# Cold-start iterations of the built-in plans, so that a changed entering or
+# leaving choice shows as a count.
+BUILTIN_COLD_PIVOTS = {("simple1", "proposed"): 19,
+                       ("simple1", "deterministic"): 15,
+                       ("simple2", "proposed"): 25,
+                       ("simple2", "deterministic"): 15,
+                       ("angpuang", "proposed"): 172,
+                       ("angpuang", "deterministic"): 163}
 
 
 @pytest.mark.parametrize("name,method", sorted(BUILTIN_COLD_PIVOTS))
@@ -987,14 +864,16 @@ def test_builtin_cold_pivot_counts(name, method):
 
 # Cold-start iterations of the benchmark's synthetic networks (seed, proposed,
 # deterministic), so that a changed entering or leaving choice shows as a
-# count.
-NETWORK_COLD_PIVOTS = [(0, 299, 209), (1, 291, 205), (2, 328, 228),
-                       (3, 312, 184), (4, 298, 218), (5, 324, 221),
-                       (6, 299, 198), (7, 303, 221), (8, 318, 229),
-                       (9, 281, 225)]
+# count. Each case is named by its seed alone, so re-recording a count keeps
+# the test's name.
+NETWORK_COLD_PIVOTS = [(0, 256, 187), (1, 240, 185), (2, 257, 193),
+                       (3, 268, 180), (4, 263, 213), (5, 262, 215),
+                       (6, 246, 185), (7, 256, 202), (8, 278, 207),
+                       (9, 242, 205)]
 
 
-@pytest.mark.parametrize("seed,proposed,deterministic", NETWORK_COLD_PIVOTS)
+@pytest.mark.parametrize("seed,proposed,deterministic", NETWORK_COLD_PIVOTS,
+                         ids=[f"seed{case[0]}" for case in NETWORK_COLD_PIVOTS])
 def test_network_cold_pivot_counts(monkeypatch, seed, proposed, deterministic):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
                                     / "perfbench"))

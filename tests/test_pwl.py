@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import itertools
+import math
 import pickle
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import zero
+from epigraph import cuts, expected_cuts
 from reservoirplan.pwl import (CONCAVE, CONVEX, NONDECREASING, SLOPE_TOL,
                                VALID_FLAGS, PwlFunction, ShapeReport,
                                capped_linear, hinge, linear)
@@ -80,23 +82,23 @@ def test_breakpoints_must_strictly_increase():
 
 def test_cuts_capped_linear():
     f = capped_linear(1.0, 2.0)
-    cuts = f.cuts()
-    assert cuts == ((1.0, 0.0), (0.0, 2.0))
+    lines = cuts(f)
+    assert lines == ((1.0, 0.0), (0.0, 2.0))
     # Concave: min over cuts reproduces the function.
-    assert min(s * 1.0 + b for s, b in cuts) == 1.0
+    assert min(s * 1.0 + b for s, b in lines) == 1.0
 
 
 def test_cuts_hinge():
     f = hinge(2.5)
-    cuts = f.cuts()
-    assert cuts == ((0.0, 0.0), (2.5, 0.0))
-    assert max(s * 2.0 + b for s, b in cuts) == 5.0
+    lines = cuts(f)
+    assert lines == ((0.0, 0.0), (2.5, 0.0))
+    assert max(s * 2.0 + b for s, b in lines) == 5.0
 
 
 def test_cuts_reject_non_convex_non_concave():
     wiggle = PwlFunction(((0.0, 0.0), (1.0, 1.0), (2.0, 1.0)), 1.0, 2.0)
     with pytest.raises(ValueError, match="convex or concave"):
-        wiggle.cuts()
+        cuts(wiggle)
 
 
 def _random_convex(rng, segments=4, min_slope=-4.0):
@@ -115,11 +117,11 @@ def test_max_of_cuts_equals_evaluate_for_random_convex():
     rng = np.random.default_rng(1234)
     for _ in range(20):
         f = _random_convex(rng)
-        cuts = f.cuts()
+        lines = cuts(f)
         xs = rng.uniform(-12, 12, size=100)
         expected = f.evaluate(xs)
         via_cuts = np.max(
-            np.array([[s * x + b for x in xs] for s, b in cuts]), axis=0)
+            np.array([[s * x + b for x in xs] for s, b in lines]), axis=0)
         np.testing.assert_allclose(via_cuts, expected, rtol=1e-12, atol=1e-12)
 
 
@@ -129,11 +131,11 @@ def test_min_of_cuts_equals_evaluate_for_random_concave():
         convex = _random_convex(rng)
         f = PwlFunction(tuple((x, -y) for x, y in convex.breakpoints),
                         -convex.left_slope, -convex.right_slope, (CONCAVE,))
-        cuts = f.cuts()
+        lines = cuts(f)
         xs = rng.uniform(-12, 12, size=100)
         expected = f.evaluate(xs)
         via_cuts = np.min(
-            np.array([[s * x + b for x in xs] for s, b in cuts]), axis=0)
+            np.array([[s * x + b for x in xs] for s, b in lines]), axis=0)
         np.testing.assert_allclose(via_cuts, expected, rtol=1e-12, atol=1e-12)
 
 
@@ -141,8 +143,8 @@ def _expectation(f, support, xs):
     return sum(prob * f.evaluate(xs - value) for value, prob in support)
 
 
-def _max_of_cuts(cuts, xs):
-    return np.max([slope * xs + intercept for slope, intercept in cuts], axis=0)
+def _max_of_cuts(lines, xs):
+    return np.max([slope * xs + intercept for slope, intercept in lines], axis=0)
 
 
 def test_expected_cuts_match_expectation_for_random_convex():
@@ -155,7 +157,7 @@ def test_expected_cuts_match_expectation_for_random_convex():
         support = tuple(zip(values.tolist(), (probs / probs.sum()).tolist()))
         shifted = [x + value for x, _ in f.breakpoints for value, _ in support]
         xs = np.concatenate([shifted, rng.uniform(-30, 30, size=200)])
-        np.testing.assert_allclose(_max_of_cuts(f.expected_cuts(support), xs),
+        np.testing.assert_allclose(_max_of_cuts(expected_cuts(f, support), xs),
                                    _expectation(f, support, xs),
                                    rtol=1e-12, atol=1e-11)
 
@@ -165,21 +167,21 @@ def test_expected_cuts_survive_nearly_coincident_kinks():
     f = PwlFunction(((0.0, 0.0), (0.1 + 0.2, 0.3)), 0.0, 3.0,
                     (CONVEX, NONDECREASING))
     support = ((0.0, 0.2), (0.3, 0.5), (0.6, 0.3))
-    cuts = f.expected_cuts(support)
-    slopes = [slope for slope, _ in cuts]
+    lines = expected_cuts(f, support)
+    slopes = [slope for slope, _ in lines]
     assert slopes == sorted(slopes)
     assert 0.0 <= min(slopes) and max(slopes) <= 3.0
     xs = np.array([x + value for x, _ in f.breakpoints for value, _ in support]
                   + list(np.linspace(-2.0, 3.0, 501)))
-    np.testing.assert_allclose(_max_of_cuts(cuts, xs),
+    np.testing.assert_allclose(_max_of_cuts(lines, xs),
                                _expectation(f, support, xs),
                                rtol=1e-12, atol=1e-14)
 
 
 def test_expected_cuts_of_point_mass_shift_the_cuts():
     f = PwlFunction(((0.0, 0.0), (1.5, 3.0)), 0.0, 4.0, (CONVEX, NONDECREASING))
-    assert f.expected_cuts(((2.5, 1.0),)) == tuple(
-        (slope, intercept - slope * 2.5) for slope, intercept in f.cuts())
+    assert expected_cuts(f, ((2.5, 1.0),)) == tuple(
+        (slope, intercept - slope * 2.5) for slope, intercept in cuts(f))
 
 
 @st.composite
@@ -205,7 +207,7 @@ _PROPERTY_SETTINGS = settings(max_examples=200, deadline=None,
 @given(f=_exact_convex(), points=_POINTS)
 def test_convex_function_is_the_max_of_its_cuts(f, points):
     xs = np.array(points + [x for x, _ in f.breakpoints])
-    np.testing.assert_allclose(_max_of_cuts(f.cuts(), xs), f.evaluate(xs),
+    np.testing.assert_allclose(_max_of_cuts(cuts(f), xs), f.evaluate(xs),
                                rtol=1e-12, atol=1e-12)
 
 
@@ -215,7 +217,7 @@ def test_concave_function_is_the_min_of_its_cuts(convex, points):
     f = PwlFunction(tuple((x, -y) for x, y in convex.breakpoints),
                     -convex.left_slope, -convex.right_slope, (CONCAVE,))
     xs = np.array(points + [x for x, _ in f.breakpoints])
-    via_cuts = np.min([slope * xs + intercept for slope, intercept in f.cuts()],
+    via_cuts = np.min([slope * xs + intercept for slope, intercept in cuts(f)],
                       axis=0)
     np.testing.assert_allclose(via_cuts, f.evaluate(xs), rtol=1e-12, atol=1e-12)
 
@@ -230,9 +232,115 @@ def test_expected_cuts_are_the_expectation(f, points, support):
     support = tuple((value, weight / total) for value, weight in support)
     shifted = [x + value for x, _ in f.breakpoints for value, _ in support]
     xs = np.array(points + shifted)
-    np.testing.assert_allclose(_max_of_cuts(f.expected_cuts(support), xs),
+    np.testing.assert_allclose(_max_of_cuts(expected_cuts(f, support), xs),
                                _expectation(f, support, xs),
                                rtol=1e-9, atol=1e-9)
+
+
+def _via_pieces(pieces, lo, xs):
+    """g(lo) + sum of slope * clip(x - start, 0, length) over the pieces."""
+    value, slopes, lengths = pieces
+    starts = lo + np.concatenate(([0.0], np.cumsum(lengths)[:-1]))
+    return value + sum((slope * np.clip(xs - start, 0.0, length)
+                        for slope, start, length in zip(slopes, starts, lengths)),
+                       np.zeros_like(xs))
+
+
+def _negated(f):
+    return PwlFunction(tuple((x, -y) for x, y in f.breakpoints),
+                       -f.left_slope, -f.right_slope, (CONCAVE,))
+
+
+_INTERVAL = st.tuples(st.floats(-30, 30), st.floats(1e-3, 40))
+_FRACTIONS = st.lists(st.floats(0, 1), min_size=1, max_size=30)
+
+
+@_PROPERTY_SETTINGS
+@given(convex=_exact_convex(), interval=_INTERVAL, fractions=_FRACTIONS,
+       concave=st.booleans())
+def test_pieces_rebuild_the_function_on_their_interval(convex, interval,
+                                                        fractions, concave):
+    f = _negated(convex) if concave else convex
+    lo, width = interval
+    hi = lo + width
+    pieces = f.pieces(lo, hi)
+    value, slopes, lengths = pieces
+    assert value == f.evaluate(lo)
+    assert all(length > 0 for length in lengths)
+    assert sum(lengths) == pytest.approx(width, rel=1e-12)
+    # Slopes rise along a convex function and fall along a concave one, by
+    # more than SLOPE_TOL, so an optimum fills the pieces in order.
+    steps = np.diff(slopes) * (-1 if concave else 1)
+    assert np.all(steps > SLOPE_TOL)
+    assert set(slopes) <= set(f.slopes().tolist())
+    xs = lo + width * np.array(fractions + [0.0, 1.0])
+    xs = np.concatenate([xs, [x for x, _ in f.breakpoints if lo <= x <= hi]])
+    np.testing.assert_allclose(_via_pieces(pieces, lo, xs), f.evaluate(xs),
+                               rtol=1e-9, atol=1e-9)
+
+
+@_PROPERTY_SETTINGS
+@given(f=_exact_convex(), interval=_INTERVAL, fractions=_FRACTIONS,
+       support=st.lists(st.tuples(st.floats(-20, 20), st.floats(1e-3, 1.0)),
+                        min_size=1, max_size=5,
+                        unique_by=lambda point: point[0]))
+def test_expected_pieces_are_the_expectation(f, interval, fractions, support):
+    total = sum(weight for _, weight in support)
+    support = tuple((value, weight / total) for value, weight in support)
+    lo, width = interval
+    pieces = f.pieces(lo, lo + width, support)
+    assert pieces[0] == sum(p * f.evaluate(lo - xi) for xi, p in support)
+    assert np.all(np.diff(pieces[1]) > SLOPE_TOL)
+    shifted = [x + value for x, _ in f.breakpoints for value, _ in support]
+    xs = lo + width * np.array(fractions + [0.0, 1.0])
+    xs = np.concatenate([xs, [x for x in shifted if lo <= x <= lo + width]])
+    np.testing.assert_allclose(_via_pieces(pieces, lo, xs),
+                               _expectation(f, support, xs),
+                               rtol=1e-9, atol=1e-9)
+
+
+def test_expected_pieces_survive_nearly_coincident_kinks():
+    # Kinks at 0 and 0.1 + 0.2 shift onto 0.3 and 0.30000000000000004.
+    f = PwlFunction(((0.0, 0.0), (0.1 + 0.2, 0.3)), 0.0, 3.0,
+                    (CONVEX, NONDECREASING))
+    support = ((0.0, 0.2), (0.3, 0.5), (0.6, 0.3))
+    pieces = f.pieces(-2.0, 3.0, support)
+    slopes = pieces[1]
+    assert list(slopes) == sorted(slopes)
+    assert 0.0 <= min(slopes) and max(slopes) <= 3.0
+    assert min(pieces[2]) > 0.0
+    xs = np.array([x + value for x, _ in f.breakpoints for value, _ in support]
+                  + list(np.linspace(-2.0, 3.0, 501)))
+    np.testing.assert_allclose(_via_pieces(pieces, -2.0, xs),
+                               _expectation(f, support, xs),
+                               rtol=1e-12, atol=1e-14)
+
+
+def test_pieces_of_the_planning_terms():
+    # A demand-capped profit on [0, inf): its last piece is unbounded.
+    assert capped_linear(1.5, 2.0).pieces(0.0, math.inf) == (
+        0.0, (1.5, 0.0), (2.0, math.inf))
+    # Expected hinge risk over the support range: one piece between each two
+    # support points, priced at the mass at or below its left end.
+    support = ((1.0, 0.25), (2.0, 0.5), (4.0, 0.25))
+    assert hinge(2.0).pieces(1.0, 4.0, support) == (0.0, (0.5, 1.5), (1.0, 2.0))
+    # A point mass: no piece, and the value at the point.
+    assert hinge(2.0).pieces(3.0, 3.0, ((1.0, 1.0),)) == (4.0, (), ())
+    # A kink at or left of lo sets the first slope; one at or right of hi is
+    # not a kink on [lo, hi].
+    f = PwlFunction(((0.0, 1.0), (1.0, 2.0), (3.0, 6.0)), 0.5, 3.0, (CONVEX,))
+    assert f.pieces(1.0, 3.0) == (2.0, (2.0,), (2.0,))
+    with pytest.raises(ValueError, match="convex or concave"):
+        PwlFunction(((0.0, 0.0), (1.0, 1.0), (2.0, 1.0)), 1.0, 2.0).pieces(0.0, 1.0)
+
+
+def test_pieces_derive_the_starts_once():
+    f = capped_linear(1.0, 2.0)
+    assert f._derived is None
+    first = f.pieces(0.0, 5.0)
+    derived = f._derived
+    assert derived is not None and f.pieces(0.0, 5.0) == first
+    assert f._derived is derived
 
 
 def test_verified_convexity_implies_midpoint_inequality():
@@ -380,10 +488,10 @@ def test_unknown_flag_is_refused_by_the_stored_report():
 
 def test_cuts_are_derived_once():
     f = capped_linear(1.0, 2.0)
-    first = f.cuts()
-    assert isinstance(first, tuple) and f.cuts() == first
-    assert f.cuts() is first
-    assert f.expected_cuts(((0.5, 1.0),)) == f.expected_cuts(((0.5, 1.0),))
+    first = cuts(f)
+    assert isinstance(first, tuple) and cuts(f) == first
+    assert cuts(f) is first
+    assert expected_cuts(f, ((0.5, 1.0),)) == expected_cuts(f, ((0.5, 1.0),))
 
 
 @pytest.mark.parametrize("duplicate", [
@@ -409,11 +517,11 @@ def test_copies_keep_read_only_arrays_and_evaluate_identically(duplicate):
 ], ids=["pickle", "deepcopy", "replace", "scale"])
 def test_copies_rebuild_slopes_report_and_cuts(duplicate):
     f = hinge(2.0)
-    f.cuts()    # derived before the copy, so a copied cache would show
+    cuts(f)    # derived before the copy, so a copied cache would show
     g = duplicate(f)
     _assert_stored_data_is_fresh(g)
     fresh = PwlFunction(g.breakpoints, g.left_slope, g.right_slope, g.shape)
-    assert g.cuts() == fresh.cuts()
+    assert cuts(g) == cuts(fresh)
 
 
 def test_replace_rebuilds_arrays_from_new_breakpoints():
