@@ -864,16 +864,20 @@ def test_builtin_cold_pivot_counts(name, method):
 
 # Cold-start iterations of the benchmark's synthetic networks (seed, proposed,
 # deterministic), so that a changed entering or leaving choice shows as a
-# count. Each case is named by its seed alone, so re-recording a count keeps
-# the test's name.
+# count. Each case keeps a fixed id, "seed-proposed-deterministic" with the
+# counts first recorded for the cut-row LP and its crash start, so that
+# re-recording a count keeps the test's name.
 NETWORK_COLD_PIVOTS = [(0, 256, 187), (1, 240, 185), (2, 257, 193),
                        (3, 268, 180), (4, 263, 213), (5, 262, 215),
                        (6, 246, 185), (7, 256, 202), (8, 278, 207),
                        (9, 242, 205)]
+NETWORK_CASE_IDS = ["0-299-209", "1-291-205", "2-328-228", "3-312-184",
+                    "4-298-218", "5-324-221", "6-299-198", "7-303-221",
+                    "8-318-229", "9-281-225"]
 
 
 @pytest.mark.parametrize("seed,proposed,deterministic", NETWORK_COLD_PIVOTS,
-                         ids=[f"seed{case[0]}" for case in NETWORK_COLD_PIVOTS])
+                         ids=NETWORK_CASE_IDS)
 def test_network_cold_pivot_counts(monkeypatch, seed, proposed, deterministic):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
                                     / "perfbench"))
