@@ -14,8 +14,12 @@ reads its pieces instead, with lo moved to the right-hand side, so a term
 needs no row and no epigraph variable. The profit's slopes fall and the
 cost's and risk's rise, so an optimum fills the pieces in order, and they
 price f(a) - f(lo) exactly. The constant, the sum of the f(lo), is one column
-fixed at 1, added only when it is nonzero. The deterministic build keeps each
-pinned x as one fixed column. The capacity cap is a penalized overflow slack.
+fixed at 1, added only when it is nonzero. Many terms share one function
+(angpuang has one transfer cost for all 84 link-periods), so a build derives
+the pieces and f(lo) once per distinct (function, lo, hi, support), compared
+by value, and every term with that key reuses them. The deterministic build
+keeps each pinned x as one fixed column. The capacity cap is a penalized
+overflow slack.
 """
 from __future__ import annotations
 
@@ -27,6 +31,7 @@ import numpy as np
 
 from . import lp
 from .model import Plan, Scenario, ScenarioValidationError, validate_scenario
+from .pwl import PwlFunction
 
 EXTRACT_TOL = 1e-6
 
@@ -61,11 +66,18 @@ class VariableMap:
             raise AssertionError("variable map is not a bijection onto the LP")
 
 
-def _add_pieces(problem: lp.LpProblem, name: str, pieces,
-                sign: float) -> tuple[tuple[int, ...], float]:
-    """Add one column per piece of `pieces`, the result of
-    `PwlFunction.pieces`, bounded by [0, its length] and priced at `sign`
-    times its slope. Returns the columns and sign * f(lo)."""
+def _add_pieces(problem: lp.LpProblem, memo: dict, name: str, sign: float,
+                func: PwlFunction, lo: float, hi: float,
+                support=((0.0, 1.0),)) -> tuple[tuple[int, ...], float]:
+    """Add one column per piece of `func.pieces(lo, hi, support)`, bounded
+    by [0, its length] and priced at `sign` times its slope. Returns the
+    columns and sign * f(lo). `memo` holds the pieces one build has derived,
+    keyed by the function's value and the arguments, so equal terms share
+    them, whether they are one object or equal copies."""
+    key = (func, lo, hi, support)
+    pieces = memo.get(key)
+    if pieces is None:
+        pieces = memo[key] = func.pieces(lo, hi, support)
     value, slopes, lengths = pieces
     columns = []
     for k, (slope, length) in enumerate(zip(slopes, lengths), 1):
@@ -81,6 +93,7 @@ def _build(scenario: Scenario, stochastic: bool) -> tuple[lp.LpProblem, Variable
         raise ScenarioValidationError(report)
     problem = lp.LpProblem(name=f"{scenario.name}:{'proposed' if stochastic else 'deterministic'}")
     vm = VariableMap()
+    pieces: dict = {}
     constant = 0.0
     links = scenario.sorted_links()
     incoming: dict[int, list] = {n: [] for n in scenario.ids()}
@@ -94,13 +107,13 @@ def _build(scenario: Scenario, stochastic: bool) -> tuple[lp.LpProblem, Variable
             key = (t, link.source, link.target)
             cost = scenario.transfer_cost[(link.source, link.target, t)]
             vm.transfer[key], value = _add_pieces(
-                problem, f"q[{t},{link.source}->{link.target}]",
-                cost.pieces(0.0, link.capacity), -1.0)
+                problem, pieces, f"q[{t},{link.source}->{link.target}]", -1.0,
+                cost, 0.0, link.capacity)
             constant += value
         for n in scenario.ids():
             vm.release[(t, n)], value = _add_pieces(
-                problem, f"g[{t},{n}]",
-                scenario.release_profit[(n, t)].pieces(0.0, math.inf), 1.0)
+                problem, pieces, f"g[{t},{n}]", 1.0,
+                scenario.release_profit[(n, t)], 0.0, math.inf)
             constant += value
         for n in scenario.ids():
             inflow = scenario.inflow[(n, t)]
@@ -109,8 +122,8 @@ def _build(scenario: Scenario, stochastic: bool) -> tuple[lp.LpProblem, Variable
                 lo, hi = inflow.bounds()
                 risk = scenario.shortfall_risk[(n, t)]
                 vm.inflow[(t, n)], value = _add_pieces(
-                    problem, f"x[{t},{n}]", risk.pieces(lo, hi, inflow.support),
-                    -1.0)
+                    problem, pieces, f"x[{t},{n}]", -1.0,
+                    risk, lo, hi, inflow.support)
                 vm.inflow_lo[(t, n)] = lo
                 constant += value
             else:

@@ -195,6 +195,22 @@ def _risk_zero_on_nonpositive(f: PwlFunction) -> bool:
     return True
 
 
+# The shape each role of a function requires; a violation names the role.
+_ROLE_SHAPES = {"release profit": (CONCAVE, NONDECREASING),
+                "shortfall risk": (CONVEX, NONDECREASING),
+                "transfer cost": (CONVEX, NONDECREASING)}
+
+
+def _shape_fault(role: str, f: PwlFunction) -> str:
+    """Why `f` cannot serve as a `role` function, or "" if it can."""
+    report = f.verify_shape(_ROLE_SHAPES[role])
+    if not report.ok:
+        return f"{role} {report.message()}"
+    if role == "shortfall risk" and not _risk_zero_on_nonpositive(f):
+        return "shortfall risk must be zero on nonpositive arguments"
+    return ""
+
+
 def validate_scenario(scenario: Scenario) -> ValidationReport:
     """Check every type invariant; collects all violations, never aborts
     mid-scan. The report is kept on the scenario, so each scenario is
@@ -205,10 +221,25 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
 
 
 def _check_scenario(scenario: Scenario) -> ValidationReport:
+    """Every violation of `scenario`, in scan order. A function's shape
+    verdict is worked out once per distinct (role, function), compared by
+    value, and reported at every key that holds that function."""
     out: list[Violation] = []
+    verdicts: dict[tuple[str, PwlFunction], str] = {}
 
     def bad(location: str, message: str) -> None:
         out.append(Violation(location, message))
+
+    def check_function(location: str, role: str, f: PwlFunction | None) -> None:
+        if f is None:
+            bad(location, f"missing {role} function")
+            return
+        key = (role, f)
+        fault = verdicts.get(key)
+        if fault is None:
+            fault = verdicts[key] = _shape_fault(role, f)
+        if fault:
+            bad(location, fault)
 
     if scenario.horizon < 1:
         bad("scenario", f"horizon must be >= 1, got {scenario.horizon}")
@@ -246,22 +277,10 @@ def _check_scenario(scenario: Scenario) -> ValidationReport:
     for n in scenario.ids():
         for t in scenario.periods():
             loc = f"reservoir {n}, period {t}"
-            profit = scenario.release_profit.get((n, t))
-            if profit is None:
-                bad(loc, "missing release profit function")
-            else:
-                report = profit.verify_shape([CONCAVE, NONDECREASING])
-                if not report.ok:
-                    bad(loc, f"release profit {report.message()}")
-            risk = scenario.shortfall_risk.get((n, t))
-            if risk is None:
-                bad(loc, "missing shortfall risk function")
-            else:
-                report = risk.verify_shape([CONVEX, NONDECREASING])
-                if not report.ok:
-                    bad(loc, f"shortfall risk {report.message()}")
-                elif not _risk_zero_on_nonpositive(risk):
-                    bad(loc, "shortfall risk must be zero on nonpositive arguments")
+            check_function(loc, "release profit",
+                           scenario.release_profit.get((n, t)))
+            check_function(loc, "shortfall risk",
+                           scenario.shortfall_risk.get((n, t)))
             dist = scenario.inflow.get((n, t))
             if dist is None:
                 bad(loc, "missing inflow distribution")
@@ -277,13 +296,8 @@ def _check_scenario(scenario: Scenario) -> ValidationReport:
     for link in scenario.links:
         for t in scenario.periods():
             loc = f"link {link.source}->{link.target}, period {t}"
-            cost = scenario.transfer_cost.get((link.source, link.target, t))
-            if cost is None:
-                bad(loc, "missing transfer cost function")
-            else:
-                report = cost.verify_shape([CONVEX, NONDECREASING])
-                if not report.ok:
-                    bad(loc, f"transfer cost {report.message()}")
+            check_function(loc, "transfer cost", scenario.transfer_cost.get(
+                (link.source, link.target, t)))
 
     return ValidationReport(tuple(out))
 

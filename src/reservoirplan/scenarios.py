@@ -633,13 +633,16 @@ _SLOPE_FIELDS = {"transfer-cost-slope": "transfer_cost",
 
 
 def sweep_scenario(base: Scenario, parameter: str, value: float) -> Scenario:
-    """One grid point: only the swept parameter changes."""
+    """One grid point: only the swept parameter changes. A slope parameter
+    rescales each distinct function of its field once, compared by value,
+    and every key that held it shares the result."""
     name = f"{base.name}[{parameter}={value:g}]"
     if parameter in _SLOPE_FIELDS:
         field = _SLOPE_FIELDS[parameter]
+        functions = getattr(base, field)
+        rescaled = {f: _with_slope(f, value) for f in set(functions.values())}
         return dataclasses.replace(base, name=name, **{
-            field: {k: _with_slope(f, value)
-                    for k, f in getattr(base, field).items()}})
+            field: {k: rescaled[f] for k, f in functions.items()}})
     if parameter == "initial-volume-fraction":
         return dataclasses.replace(
             base, name=name,

@@ -14,6 +14,7 @@ from reservoirplan.model import (DiscreteDistribution, LinkSpec, ReservoirSpec,
                                  Scenario, ScenarioValidationError)
 from reservoirplan.pwl import PwlFunction, capped_linear, hinge, linear
 from reservoirplan.scenarios import (builtin_angpuang, builtin_simple,
+                                     load_scenario, save_scenario,
                                      sweep_scenario)
 
 
@@ -358,3 +359,126 @@ def test_piece_columns_give_the_epigraph_optimum(group, monkeypatch):
                           "random": 40}[group]
     # The constant column shows up only where a term is nonzero at lo.
     assert (constants > 0) == (group == "random")
+
+
+def _shared_function_scenario():
+    """One cost object serves links of different capacities, and one risk
+    object serves distributions of different supports, some with the same
+    range, so the pieces of equal functions differ by argument."""
+    cost = PwlFunction(((0.0, 0.0), (1.5, 0.3)), 0.2, 0.6,
+                       ("convex", "nondecreasing"))
+    risk = PwlFunction(((0.0, 0.0), (1.0, 0.5)), 0.0, 2.0,
+                       ("convex", "nondecreasing"))
+    profit = capped_linear(1.0, 4.0)
+    supports = {1: ((0.0, 0.5), (4.0, 0.5)),
+                2: ((0.0, 0.2), (2.0, 0.3), (4.0, 0.5)),
+                3: ((1.0, 0.4), (3.0, 0.6))}
+    keys = [(n, t) for n in (1, 2, 3) for t in (1, 2)]
+    links = (LinkSpec(1, 2, 1.0), LinkSpec(2, 1, 2.5), LinkSpec(2, 3, 4.0),
+             LinkSpec(3, 1, 2.5))
+    return Scenario(
+        name="shared", horizon=2,
+        reservoirs=tuple(ReservoirSpec(n, 10.0, 3.0, 1.0) for n in (1, 2, 3)),
+        links=links,
+        release_profit={key: profit for key in keys},
+        shortfall_risk={key: risk for key in keys},
+        transfer_cost={(l.source, l.target, t): cost
+                       for l in links for t in (1, 2)},
+        inflow={(n, t): DiscreteDistribution(supports[n if t == 1 else 4 - n])
+                for n, t in keys},
+        overflow_penalty={key: 1000.0 for key in keys},
+    )
+
+
+def _round_trip(scenario, tmp_path):
+    path = tmp_path / f"{scenario.name}.json"
+    save_scenario(scenario, path)
+    return load_scenario(path)
+
+
+def _assert_columns_hold_fresh_pieces(scenario, stochastic):
+    """Each transfer, release and inflow term's columns carry the pieces a
+    fresh `pieces` call gives for that key alone, and the constant column
+    the sum of sign * f(lo)."""
+    build = build_proposed if stochastic else build_deterministic
+    problem, vm = build(scenario)
+    lower, upper = np.array(problem.lower), np.array(problem.upper)
+    objective = problem.objective_vector()
+    capacity = {(l.source, l.target): l.capacity for l in scenario.links}
+    terms = [(columns, scenario.transfer_cost[(a, b, t)], 0.0,
+              capacity[(a, b)], ((0.0, 1.0),), -1.0)
+             for (t, a, b), columns in vm.transfer.items()]
+    terms += [(columns, scenario.release_profit[(n, t)], 0.0, math.inf,
+               ((0.0, 1.0),), 1.0) for (t, n), columns in vm.release.items()]
+    for (t, n), columns in vm.inflow.items():
+        inflow = scenario.inflow[(n, t)]
+        if stochastic:
+            lo, hi = inflow.bounds()
+            terms.append((columns, scenario.shortfall_risk[(n, t)], lo, hi,
+                          inflow.support, -1.0))
+            assert vm.inflow_lo[(t, n)] == lo
+        else:
+            mean = inflow.mean()
+            assert lower[list(columns)].tolist() == [mean]
+            assert upper[list(columns)].tolist() == [mean]
+    constant = 0.0
+    for columns, func, lo, hi, support, sign in terms:
+        value, slopes, lengths = func.pieces(lo, hi, support)
+        columns = list(columns)
+        assert lower[columns].tolist() == [0.0] * len(columns)
+        assert upper[columns].tolist() == list(lengths)
+        assert objective[columns].tolist() == [sign * s for s in slopes]
+        constant += sign * value
+    if vm.constant is None:
+        assert constant == 0.0
+    else:
+        assert objective[vm.constant] == constant
+
+
+@pytest.mark.parametrize("case", ["angpuang", "angpuang-json", "shared",
+                                  "shared-json", "random"])
+def test_piece_columns_equal_fresh_pieces_per_key(case, tmp_path):
+    if case.startswith("angpuang"):
+        scenarios = [builtin_angpuang()]
+    elif case.startswith("shared"):
+        scenarios = [_shared_function_scenario()]
+    else:
+        rng = np.random.default_rng(2027)
+        scenarios = [random_scenario(rng) for _ in range(20)]
+    if case.endswith("json"):
+        scenarios = [_round_trip(s, tmp_path) for s in scenarios]
+    for scenario in scenarios:
+        for stochastic in (True, False):
+            _assert_columns_hold_fresh_pieces(scenario, stochastic)
+
+
+def test_shared_function_scenario_has_distinct_pieces_per_argument():
+    # The case above only checks the memo key if one function object gives
+    # different pieces at different capacities and supports of one range.
+    scenario = _shared_function_scenario()
+    assert len({id(f) for f in scenario.transfer_cost.values()}) == 1
+    assert len({id(f) for f in scenario.shortfall_risk.values()}) == 1
+    cost = scenario.transfer_cost[(1, 2, 1)]
+    assert cost.pieces(0.0, 1.0) != cost.pieces(0.0, 2.5)
+    risk = scenario.shortfall_risk[(1, 1)]
+    one, two = scenario.inflow[(1, 1)], scenario.inflow[(2, 1)]
+    assert one.bounds() == two.bounds()
+    assert risk.pieces(0.0, 4.0, one.support) != risk.pieces(0.0, 4.0, two.support)
+
+
+def test_json_round_trip_builds_the_same_lps(tmp_path):
+    # The file gives each key its own, equal function object; the LP must
+    # not depend on which keys shared one object.
+    builtin = builtin_angpuang()
+    loaded = _round_trip(builtin, tmp_path)
+    assert len({id(f) for f in loaded.transfer_cost.values()}) > 1
+    for build in (build_proposed, build_deterministic):
+        expected, _ = build(builtin)
+        problem, _ = build(loaded)
+        for got, want in zip(problem.matrix(), expected.matrix()):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert problem.lower == expected.lower
+        assert problem.upper == expected.upper
+        assert np.array_equal(problem.objective_vector(),
+                              expected.objective_vector())
+        assert problem.variable_names == expected.variable_names

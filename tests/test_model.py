@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import random_scenario
+from reservoirplan import model
 from reservoirplan.model import DiscreteDistribution, validate_scenario
+from reservoirplan.pwl import PwlFunction, capped_linear, hinge
 from reservoirplan.scenarios import builtin_angpuang, builtin_simple
 
 
@@ -159,3 +161,52 @@ def test_non_finite_scenario_numbers_rejected(edit, message):
 def test_infinite_link_capacity_still_accepted():
     report = validate_scenario(_with_capacity(builtin_simple(2), np.inf))
     assert report.ok, report.summary()
+
+
+def _shared_faults_scenario():
+    """simple1 with one non-concave profit, one risk nonzero at 0, one
+    non-convex risk and one non-convex cost, each held by several keys, as
+    one shared object and as an equal copy."""
+    scenario = builtin_simple(1)
+    profit = hinge(1.0)
+    risk = PwlFunction(((0.0, 1.0),), 0.0, 2.0, ("convex", "nondecreasing"))
+    bent = capped_linear(1.0, 2.0)
+    cost = capped_linear(0.5, 1.0)
+    return dataclasses.replace(
+        scenario,
+        release_profit={**scenario.release_profit, (1, 1): profit,
+                        (2, 1): profit, (2, 3): dataclasses.replace(profit)},
+        shortfall_risk={**scenario.shortfall_risk, (1, 2): risk,
+                        (2, 2): risk, (1, 3): dataclasses.replace(risk),
+                        (1, 1): bent, (2, 3): bent},
+        transfer_cost={**scenario.transfer_cost, (1, 2, 1): cost,
+                       (2, 1, 2): cost, (2, 1, 3): dataclasses.replace(cost)})
+
+
+def test_shared_faulty_functions_are_reported_at_every_key(monkeypatch):
+    verdicts = []
+    shape_fault = model._shape_fault
+    monkeypatch.setattr(model, "_shape_fault", lambda role, f:
+                        verdicts.append((role, f)) or shape_fault(role, f))
+    scenario = _shared_faults_scenario()
+    report = validate_scenario(scenario)
+    assert [str(v) for v in report.violations] == [
+        "reservoir 1, period 1: release profit not concave at segment 1",
+        "reservoir 1, period 1: shortfall risk not convex at segment 2",
+        "reservoir 1, period 2: shortfall risk must be zero on nonpositive arguments",
+        "reservoir 1, period 3: shortfall risk must be zero on nonpositive arguments",
+        "reservoir 2, period 1: release profit not concave at segment 1",
+        "reservoir 2, period 2: shortfall risk must be zero on nonpositive arguments",
+        "reservoir 2, period 3: release profit not concave at segment 1",
+        "reservoir 2, period 3: shortfall risk not convex at segment 2",
+        "link 1->2, period 1: transfer cost not convex at segment 2",
+        "link 2->1, period 2: transfer cost not convex at segment 2",
+        "link 2->1, period 3: transfer cost not convex at segment 2",
+    ]
+    # One verdict per distinct (role, function), equal copies included.
+    roles = {"release profit": scenario.release_profit,
+             "shortfall risk": scenario.shortfall_risk,
+             "transfer cost": scenario.transfer_cost}
+    distinct = {(role, f) for role, functions in roles.items()
+                for f in functions.values()}
+    assert sorted(map(repr, verdicts)) == sorted(map(repr, distinct))

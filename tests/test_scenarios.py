@@ -1,16 +1,22 @@
+import dataclasses
 import json
 import re
 
 import pytest
 
-from reservoirplan import cli
-from reservoirplan.model import ScenarioValidationError, validate_scenario
-from reservoirplan.scenarios import (BUILTINS, ScenarioParseError, SweepConfig,
-                                     builtin_angpuang, builtin_simple,
-                                     expand_sweep, load_scenario,
-                                     load_sweep_config, resolve_scenario,
-                                     save_scenario, scenario_from_dict,
-                                     scenario_to_dict)
+from reservoirplan import cli, scenarios
+from reservoirplan.formulation import build_deterministic, build_proposed
+from reservoirplan.model import (Scenario, ScenarioValidationError,
+                                 validate_scenario)
+from reservoirplan.pwl import PwlFunction
+from reservoirplan.scenarios import (BUILTINS, SWEEP_PARAMETERS, _SLOPE_FIELDS,
+                                     ScenarioParseError, SweepConfig,
+                                     _with_slope, builtin_angpuang,
+                                     builtin_simple, expand_sweep,
+                                     load_scenario, load_sweep_config,
+                                     resolve_scenario, save_scenario,
+                                     scenario_from_dict, scenario_to_dict,
+                                     sweep_scenario)
 
 
 def test_round_trip_builtins(tmp_path):
@@ -523,3 +529,69 @@ def test_sweep_grid_keeps_integers_and_floats(tmp_path):
     grid = load_sweep_config(path).grid
     assert grid == (1.0, 2.5, 1e-3)
     assert all(type(value) is float for value in grid)
+
+
+def _per_key_sweep(base, parameter, value):
+    """The grid point made key by key: the reference for `sweep_scenario`."""
+    name = f"{base.name}[{parameter}={value:g}]"
+    if parameter == "initial-volume-fraction":
+        return dataclasses.replace(base, name=name, reservoirs=tuple(
+            dataclasses.replace(r, initial_volume=value * r.max_volume,
+                                final_min_volume=value * r.max_volume)
+            for r in base.reservoirs))
+    field = _SLOPE_FIELDS[parameter]
+    return dataclasses.replace(base, name=name, **{field: {
+        k: _with_slope(f, value) for k, f in getattr(base, field).items()}})
+
+
+def _angpuang_and_round_trip(tmp_path):
+    path = tmp_path / "angpuang.json"
+    save_scenario(builtin_angpuang(), path)
+    return {"builtin": builtin_angpuang(), "json": load_scenario(path)}
+
+
+@pytest.mark.parametrize("parameter", SWEEP_PARAMETERS)
+def test_sweep_scenario_equals_per_key_reference(parameter, tmp_path):
+    for label, base in _angpuang_and_round_trip(tmp_path).items():
+        for value in (0.5, 0.75, 2.5):
+            variant = sweep_scenario(base, parameter, value)
+            reference = _per_key_sweep(base, parameter, value)
+            for field in dataclasses.fields(Scenario):
+                assert getattr(variant, field.name) == \
+                    getattr(reference, field.name), (label, field.name)
+            field = _SLOPE_FIELDS.get(parameter)
+            if field is None:
+                continue
+            # One rescaled object per distinct base function, shared by
+            # every key that held an equal function.
+            swept = getattr(variant, field).values()
+            distinct = set(getattr(base, field).values())
+            assert len({id(f) for f in swept}) == len(distinct), label
+
+
+def test_sweep_rescales_each_distinct_function_once(monkeypatch, tmp_path):
+    calls = []
+    rescale = scenarios._with_slope
+    monkeypatch.setattr(scenarios, "_with_slope",
+                        lambda f, value: calls.append(f) or rescale(f, value))
+    for label, base in _angpuang_and_round_trip(tmp_path).items():
+        for parameter, field in _SLOPE_FIELDS.items():
+            calls.clear()
+            sweep_scenario(base, parameter, 1.5)
+            assert len(calls) == len(set(getattr(base, field).values())), \
+                (label, parameter)
+
+
+def test_angpuang_build_derives_each_distinct_term_once(monkeypatch, tmp_path):
+    # One cost function serves all 84 link-periods, two profit values the
+    # 48 release terms and three (risk, range, support) triples the 48
+    # inflow terms, whether keys share objects or hold equal copies.
+    calls = []
+    pieces = PwlFunction.pieces
+    monkeypatch.setattr(PwlFunction, "pieces",
+                        lambda f, *args: calls.append(f) or pieces(f, *args))
+    for label, scenario in _angpuang_and_round_trip(tmp_path).items():
+        for build, most in ((build_proposed, 6), (build_deterministic, 3)):
+            calls.clear()
+            build(scenario)
+            assert 0 < len(calls) <= most, (label, build.__name__)
