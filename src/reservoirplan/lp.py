@@ -9,10 +9,11 @@ relation. A cold solve starts from the all-slack basis, a warm one from a
 given start basis pivoted into it. The planning bases are nearly
 triangular, so a start is installed by peeling singletons off its
 structural block, as in Suhl and Suhl's LU factors of simplex bases: each
-level of column or row singletons is pivoted in vectorized updates, and only
-the remaining bump goes through the pivot loop. Phase 1 minimizes the total
-bound violation of the start basis (a basic variable may start outside its
-bounds); phase 2 maximizes the objective from the feasible basis it leaves.
+column or row singleton of a level, and then each column of the remaining
+bump, is one `pivot`, the one tableau update the iterations use too.
+Phase 1 minimizes the total bound violation of the start basis (a basic
+variable may start outside its bounds); phase 2 maximizes the objective
+from the feasible basis it leaves.
 Both phases run the same loop; there are no artificial variables. Nonbasic
 variables rest at a finite bound (free ones at zero) and may flip bounds
 without a basis change. Each column
@@ -59,10 +60,6 @@ BLAND_TRIGGER = 1000
 # Iterations between from-scratch recomputes of the reduced costs and basic
 # values; see CHANGES.md for how it was measured.
 REFRESH_EVERY = 50
-# Most pivots of a level of the warm-start install applied in one update.
-# Each update copies that many tableau rows, so this bounds its temporary
-# memory: a whole first level of an angpuang proposed LP copies 1.1 MB.
-LEVEL_CHUNK = 32
 
 
 @dataclasses.dataclass(frozen=True)
@@ -249,53 +246,40 @@ class _Tableau:
         self.is_basic = np.zeros(n + m, dtype=bool)
         self.is_basic[self.basis] = True
         self.reduced = np.zeros(n + m)
-        self.can_rise = np.zeros(n + m, dtype=bool)
-        self.can_fall = np.zeros(n + m, dtype=bool)
         # +1 on a column that may only rise, -1 on one that may only fall, 0
-        # on one that may do neither or both; `free` lists those that may
-        # move both ways (free variables resting at zero). Kept by `classify`.
+        # on one that may do neither or both; `two_way` marks those that may
+        # move both ways (free variables resting at zero), and `free` lists
+        # them. Kept by `classify`.
         self.direction = np.zeros(n + m)
+        self.two_way = np.zeros(n + m, dtype=bool)
         self.free = np.zeros(0, dtype=np.intp)
         # Whether `pivot` keeps the reduced costs up to date: only phase 2
         # does, since phase 1 reprices every iteration.
         self.pricing = False
         self._entering = None   # (column, its nonzero rows) from `entering`
         if start is not None:
-            self._install(start.columns, matrix)
+            self._install(start.columns)
             at_upper = start.at_upper & np.isfinite(self.upper)
             self.x[at_upper] = self.upper[at_upper]
         self.classify(np.arange(n + m))
         self.refresh_basic_values()
 
-    def _nonzeros(self, rows: np.ndarray, cols: np.ndarray, keep: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct (row, column) pairs, sorted, of the triplets `keep`
-        selects whose summed entry is nonzero. Deduplicated by hand: np.unique
-        of integers imports numpy.ma, over 1 MB of resident memory."""
-        n = self.n_structural
-        rows, cols = rows[keep], cols[keep]
-        nonzero = self.tab[rows, cols] != 0.0
-        keys = np.sort(rows[nonzero] * n + cols[nonzero])
-        keys = keys[np.diff(keys, prepend=-1) != 0]
-        return keys // n, keys % n
-
-    def _install(self, columns: np.ndarray, matrix: tuple[np.ndarray, ...]) -> None:
+    def _install(self, columns: np.ndarray) -> None:
         """Turn the all-slack tableau into B^-1 [A | I] for the basis B whose
-        basic column of each row is given, in place. A basic slack stays in
-        its own row; the structural columns S of `columns` go to the open rows
-        Q, those whose slacks `columns` leaves out. The triangular part of the
-        block A[Q, S] goes first, in levels found from the nonzeros of
-        `matrix`: the columns with one nonzero left in the remaining open
-        rows, or if there are none, the rows with one nonzero left in the
-        remaining columns, each pivoting on that nonzero. Such a pivot leaves
-        the rest of the block as it was, so the block's entries are those of
-        `matrix`, and the pivots of a level commute and run as one update
-        (`_pivot_level`) per LEVEL_CHUNK of them. Each remaining column, the bump, is then pivoted in
-        turn into the open row where its entry is largest: Gauss-Jordan
-        elimination with partial pivoting. Raises LinAlgError if a column
-        repeats, two singletons of a level share their row or column, no
-        entry is left above PIVOT_TOL to pivot on, or the result is not
-        finite."""
+        basic column of each row is given, in place, through `pivot` alone. A
+        basic slack stays in its own row; the structural columns S of
+        `columns` go to the open rows Q, those whose slacks `columns` leaves
+        out. The triangular part of the block A[Q, S] goes first, in levels
+        found from the nonzeros of the all-slack tableau: the columns with one
+        nonzero left in the remaining open rows, or if there are none, the
+        rows with one nonzero left in the remaining columns, each pivoting on
+        that nonzero in the order the level lists them. Such a pivot leaves
+        the rest of the block as it was, so its nonzeros are read once. Each
+        remaining column, the bump, is then pivoted in turn into the open row
+        where its entry is largest: Gauss-Jordan elimination with partial
+        pivoting. Raises LinAlgError if a column repeats, two singletons of a
+        level share their row or column, no entry is left above PIVOT_TOL to
+        pivot on, or the result is not finite."""
         n, m = self.n_structural, self.m
         if np.bincount(columns).max(initial=0) > 1:
             raise np.linalg.LinAlgError("a basic column repeats")
@@ -304,9 +288,10 @@ class _Tableau:
         structural = columns[columns < n]
         pending = np.zeros(n, dtype=bool)
         pending[structural] = True
-        # The nonzeros of A[Q, S].
-        rows, cols = matrix[0], matrix[1]
-        rows, cols = self._nonzeros(rows, cols, open_rows[rows] & pending[cols])
+        # The nonzeros of A[Q, S], in row-major order.
+        ordered = np.flatnonzero(pending)
+        rows, at = np.nonzero((self.tab[:, ordered] != 0.0) & open_rows[:, None])
+        cols = ordered[at]
         while True:
             keep = open_rows[rows] & pending[cols]
             rows, cols = rows[keep], cols[keep]
@@ -320,9 +305,10 @@ class _Tableau:
                     or np.bincount(level_cols).max() > 1):
                 # Two singletons share their row (or column).
                 raise np.linalg.LinAlgError("the start basis is singular")
-            for chunk in range(0, level_rows.size, LEVEL_CHUNK):
-                self._pivot_level(level_rows[chunk:chunk + LEVEL_CHUNK],
-                                  level_cols[chunk:chunk + LEVEL_CHUNK])
+            for row, col in zip(level_rows.tolist(), level_cols.tolist()):
+                if not abs(self.tab[row, col]) > PIVOT_TOL:
+                    raise np.linalg.LinAlgError("the start basis is singular")
+                self.pivot(row, col)
             open_rows[level_rows] = False
             pending[level_cols] = False
         for col in structural[pending[structural]].tolist():
@@ -335,50 +321,6 @@ class _Tableau:
         if not np.isfinite(self.tab_b.sum() + self.tab.sum()):
             raise np.linalg.LinAlgError("the start basis is singular")
 
-    def _pivot_level(self, rows: np.ndarray, cols: np.ndarray) -> None:
-        """Pivot each cols[k] into rows[k] at once, where column cols[k] is zero
-        in every other of `rows`, so the pivots commute. Each update touches
-        only the nonzeros of a pivot row and of its entering column, with the
-        products and in the order that pivoting cols[0], cols[1], ... one at
-        a time would make them, so the result is the same to the bit. Leaves
-        the reduced costs alone; the tableau is installed before any pricing."""
-        tab, tab_b = self.tab, self.tab_b
-        pivots = tab[rows, cols]
-        if not np.all(np.abs(pivots) > PIVOT_TOL):
-            raise np.linalg.LinAlgError("the start basis is singular")
-        pivot_rows = tab[rows]
-        pivot_rows /= pivots[:, None]
-        tab[rows] = pivot_rows
-        tab_b[rows] /= pivots
-        # The nonzeros (k, c) of the pivot rows, and the multipliers (i, k):
-        # the nonzeros of the entering columns outside the pivot rows. Both
-        # come in row-major order, so the updates of an entry run in order
-        # of k. Each is found within the columns (rows) that have any.
-        hit_cols = np.flatnonzero(pivot_rows.any(axis=0))
-        pivot_k, at = np.nonzero(pivot_rows[:, hit_cols])
-        pivot_col = hit_cols[at]
-        factors = tab[:, cols]
-        factors[rows, np.arange(rows.size)] = 0.0
-        hit_rows = np.flatnonzero(factors.any(axis=1))
-        at, k = np.nonzero(factors[hit_rows])
-        target = hit_rows[at]
-        factor = factors[target, k]
-        # Pair each multiplier (i, k) with every nonzero (k, c) of its row.
-        per_row = np.bincount(pivot_k, minlength=rows.size)
-        repeats = per_row[k]
-        pairs = np.arange(repeats.sum()) + np.repeat(
-            np.cumsum(per_row)[k] - np.cumsum(repeats), repeats)
-        np.subtract.at(tab, (np.repeat(target, repeats), pivot_col[pairs]),
-                       np.repeat(factor, repeats)
-                       * pivot_rows[pivot_k[pairs], pivot_col[pairs]])
-        np.subtract.at(tab_b, target, factor * tab_b[rows[k]])
-        # Snap the entering columns to unit vectors, as `pivot` does.
-        tab[target, cols[k]] = 0.0
-        tab[rows, cols] = 1.0
-        self.is_basic[self.basis[rows]] = False
-        self.is_basic[cols] = True
-        self.basis[rows] = cols
-
     def refresh_basic_values(self) -> None:
         active = np.flatnonzero(~self.is_basic & (self.x != 0.0))
         self.x[self.basis] = self.tab_b - self.tab[:, active] @ self.x[active]
@@ -388,42 +330,40 @@ class _Tableau:
         costed = np.flatnonzero(c[self.basis])
         self.reduced = c - c[self.basis[costed]] @ self.tab[costed]
 
-    def resting(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Masks of the nonbasic variables at their lower bound, at their
-        upper bound, and free ones resting at zero."""
+    def resting(self) -> tuple[np.ndarray, np.ndarray]:
+        """Masks of the nonbasic variables at their lower bound and at their
+        upper bound."""
         nonbasic = ~self.is_basic
         at_lower = nonbasic & (self.x <= self.lower + FEAS_TOL)
         at_upper = nonbasic & (self.x >= self.upper - FEAS_TOL) & ~at_lower
-        return at_lower, at_upper, nonbasic & ~at_lower & ~at_upper
+        return at_lower, at_upper
 
     def classify(self, cols: np.ndarray | int) -> None:
-        """Update whether each of `cols` (an index array, or one index) may
-        enter the basis moving up (a nonbasic, unfixed variable not at its
-        upper bound) or moving down (one not at its lower bound), and its
-        `direction`. A free variable may do both. One index is classified
-        with scalar comparisons, the same ones the array path makes."""
+        """Update the `direction` and `two_way` of each of `cols` (an index
+        array, or one index) from whether it may enter the basis moving up (a
+        nonbasic, unfixed variable not at its upper bound) or moving down (one
+        not at its lower bound). A free variable may do both. One index is
+        classified with scalar comparisons, the same ones the array path
+        makes."""
         if isinstance(cols, int):
             x = self.x.item(cols)
             at_lower = x <= self.lower.item(cols) + FEAS_TOL
             at_upper = not at_lower and x >= self.upper.item(cols) - FEAS_TOL
             movable = not self.is_basic.item(cols) and self.not_fixed.item(cols)
             rise, fall = movable and not at_upper, movable and not at_lower
-            was_free = self.can_rise.item(cols) and self.can_fall.item(cols)
-            self.can_rise[cols] = rise
-            self.can_fall[cols] = fall
             self.direction[cols] = rise - fall
-            if was_free != (rise and fall):
-                self.free = np.flatnonzero(self.can_rise & self.can_fall)
+            if self.two_way.item(cols) != (rise and fall):
+                self.two_way[cols] = rise and fall
+                self.free = np.flatnonzero(self.two_way)
             return
         x = self.x[cols]
         at_lower = x <= self.lower[cols] + FEAS_TOL
         at_upper = (x >= self.upper[cols] - FEAS_TOL) & ~at_lower
         movable = ~self.is_basic[cols] & self.not_fixed[cols]
         rise, fall = movable & ~at_upper, movable & ~at_lower
-        self.can_rise[cols] = rise
-        self.can_fall[cols] = fall
+        self.two_way[cols] = rise & fall
         self.direction[cols] = rise.astype(float) - fall
-        self.free = np.flatnonzero(self.can_rise & self.can_fall)
+        self.free = np.flatnonzero(self.two_way)
 
     def infeasibility_cost(self) -> np.ndarray:
         """Phase-1 cost of each row's basic variable: +1 if it is below its
@@ -620,7 +560,8 @@ def solve(problem: LpProblem, max_iterations: int | None = None,
     `start` is a basis to start from, typically the `basis` of an optimal
     solution of an LP of the same shape. The solve falls back to the cold
     start from the all-slack basis, and names the reason in
-    `LpSolution.start`, if the basis does not fit the problem, if it is
+    `LpSolution.start`, if the basis does not fit the problem (its `columns`
+    are not m integers in range, or its `at_upper` not n + m bools), if it is
     singular, or if the warm solve ends in anything but a verified optimum."""
     if np.any(np.array(problem.lower) > np.array(problem.upper) + FEAS_TOL):
         return LpSolution(status=INFEASIBLE)
@@ -631,12 +572,13 @@ def solve(problem: LpProblem, max_iterations: int | None = None,
     matrix = problem.matrix()
     if start is None:
         return _solve_from(problem, matrix, max_iterations, None)
-    columns = start.columns
-    if (columns.shape != (problem.num_constraints,)
-            or np.shape(start.at_upper) != (total,)
+    columns, at_upper = np.asarray(start.columns), np.asarray(start.at_upper)
+    if (columns.shape != (problem.num_constraints,) or columns.dtype.kind not in "iu"
+            or at_upper.shape != (total,) or at_upper.dtype != bool
             or np.any((columns < 0) | (columns >= total))):
         reason = "shape"
     else:
+        start = Basis(columns, at_upper)
         try:
             solution = _solve_from(problem, matrix, max_iterations, start)
         except np.linalg.LinAlgError:
@@ -712,9 +654,8 @@ def _dual_residuals(matrix: tuple[np.ndarray, ...], state: _Tableau,
     d[n:] -= y
     d[:n] -= np.bincount(cols, weights=y[rows] * values, minlength=n)
     # Basic and free reduced costs must be 0; a fixed variable's may be any.
-    at_lower, at_upper, _ = state.resting()
-    movable = state.upper - state.lower > PIVOT_TOL
-    priced = np.where(movable | state.is_basic, d, 0.0)
+    at_lower, at_upper = state.resting()
+    priced = np.where(state.not_fixed | state.is_basic, d, 0.0)
     wrong = np.abs(priced)
     wrong[at_lower] = np.maximum(priced[at_lower], 0.0)
     wrong[at_upper] = np.maximum(-priced[at_upper], 0.0)
