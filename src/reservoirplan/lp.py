@@ -6,11 +6,9 @@ count, relation and rhs. The solver reads them through `matrix()`; `constraints`
 The solver is a two-phase primal simplex on the bounded-variable standard form
 with a dense tableau [A | I]: every row gets a slack whose bounds carry the
 relation. A cold solve starts from the all-slack basis, a warm one from a
-given start basis pivoted into it. The planning bases are nearly
-triangular, so a start is installed by peeling singletons off its
-structural block, as in Suhl and Suhl's LU factors of simplex bases: each
-column or row singleton of a level, and then each column of the remaining
-bump, is one `pivot`, the one tableau update the iterations use too.
+given start basis pivoted into it: each structural basic column, in basis
+order, is one `pivot` into the open row where its entry is largest, the one
+tableau update the iterations use too.
 Phase 1 minimizes the total bound violation of the start basis (a basic
 variable may start outside its bounds); phase 2 maximizes the objective
 from the feasible basis it leaves.
@@ -103,6 +101,9 @@ class LpProblem:
                      upper: float = math.inf) -> int:
         if math.isnan(lower) or math.isnan(upper):
             raise ValueError(f"variable {name}: bounds must not be NaN")
+        if lower == math.inf or upper == -math.inf:
+            raise ValueError(f"variable {name}: bounds [{lower}, {upper}] "
+                             "admit no finite value")
         self.variable_names.append(name)
         self.lower.append(float(lower))
         self.upper.append(float(upper))
@@ -267,51 +268,18 @@ class _Tableau:
     def _install(self, columns: np.ndarray) -> None:
         """Turn the all-slack tableau into B^-1 [A | I] for the basis B whose
         basic column of each row is given, in place, through `pivot` alone. A
-        basic slack stays in its own row; the structural columns S of
-        `columns` go to the open rows Q, those whose slacks `columns` leaves
-        out. The triangular part of the block A[Q, S] goes first, in levels
-        found from the nonzeros of the all-slack tableau: the columns with one
-        nonzero left in the remaining open rows, or if there are none, the
-        rows with one nonzero left in the remaining columns, each pivoting on
-        that nonzero in the order the level lists them. Such a pivot leaves
-        the rest of the block as it was, so its nonzeros are read once. Each
-        remaining column, the bump, is then pivoted in turn into the open row
-        where its entry is largest: Gauss-Jordan elimination with partial
-        pivoting. Raises LinAlgError if a column repeats, two singletons of a
-        level share their row or column, no entry is left above PIVOT_TOL to
+        basic slack stays in its own row. Each structural column of `columns`,
+        in their order, is pivoted into the open row (one whose slack
+        `columns` leaves out and that no earlier column took) where its entry
+        is largest: Gauss-Jordan elimination with partial pivoting. Raises
+        LinAlgError if a column repeats, no entry is left above PIVOT_TOL to
         pivot on, or the result is not finite."""
         n, m = self.n_structural, self.m
         if np.bincount(columns).max(initial=0) > 1:
             raise np.linalg.LinAlgError("a basic column repeats")
         open_rows = np.ones(m, dtype=bool)
         open_rows[columns[columns >= n] - n] = False
-        structural = columns[columns < n]
-        pending = np.zeros(n, dtype=bool)
-        pending[structural] = True
-        # The nonzeros of A[Q, S], in row-major order.
-        ordered = np.flatnonzero(pending)
-        rows, at = np.nonzero((self.tab[:, ordered] != 0.0) & open_rows[:, None])
-        cols = ordered[at]
-        while True:
-            keep = open_rows[rows] & pending[cols]
-            rows, cols = rows[keep], cols[keep]
-            single = np.bincount(cols, minlength=n)[cols] == 1
-            if not single.any():
-                single = np.bincount(rows, minlength=m)[rows] == 1
-                if not single.any():
-                    break
-            level_rows, level_cols = rows[single], cols[single]
-            if (np.bincount(level_rows).max() > 1
-                    or np.bincount(level_cols).max() > 1):
-                # Two singletons share their row (or column).
-                raise np.linalg.LinAlgError("the start basis is singular")
-            for row, col in zip(level_rows.tolist(), level_cols.tolist()):
-                if not abs(self.tab[row, col]) > PIVOT_TOL:
-                    raise np.linalg.LinAlgError("the start basis is singular")
-                self.pivot(row, col)
-            open_rows[level_rows] = False
-            pending[level_cols] = False
-        for col in structural[pending[structural]].tolist():
+        for col in columns[columns < n].tolist():
             entries = np.where(open_rows, np.abs(self.tab[:, col]), 0.0)
             row = int(np.argmax(entries))
             if not entries[row] > PIVOT_TOL:

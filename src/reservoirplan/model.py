@@ -252,6 +252,14 @@ def _check_scenario(scenario: Scenario) -> ValidationReport:
 
     for r in scenario.reservoirs:
         loc = f"reservoir {r.id}"
+        volumes = (("maximum volume", r.max_volume),
+                   ("initial volume", r.initial_volume),
+                   ("final minimum volume", r.final_min_volume))
+        non_finite = [(name, v) for name, v in volumes if not math.isfinite(v)]
+        for name, volume in non_finite:
+            bad(loc, f"{name} must be finite, got {volume:g}")
+        if non_finite:
+            continue
         if not (0 <= r.initial_volume <= r.max_volume):
             bad(loc, f"initial volume {r.initial_volume:g} exceeds capacity "
                      f"bounds [0, {r.max_volume:g}]")

@@ -668,6 +668,34 @@ def test_non_finite_scenario_numbers_are_usage_errors(command, edit, message,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("fields,faults", [
+    ({"max_volume": float("inf")}, ["maximum volume"]),
+    ({"max_volume": float("inf"), "initial_volume": float("inf")},
+     ["maximum volume", "initial volume"]),
+    ({"max_volume": float("inf"), "final_min_volume": float("inf")},
+     ["maximum volume", "final minimum volume"]),
+], ids=["max_volume", "initial_volume", "final_min_volume"])
+def test_infinite_volumes_are_usage_errors(fields, faults, tmp_path, capsys):
+    # JSON's Infinity loads as a number; the plan's LP would have an
+    # infinite rhs.
+    doc = scenario_to_dict(builtin_simple(1))
+    doc["reservoirs"][0].update(fields)
+    path = tmp_path / "infinite.json"
+    path.write_text(json.dumps(doc))
+    violations = [f"reservoir 1: {fault} must be finite, got inf"
+                  for fault in faults]
+    with pytest.raises(model.ScenarioValidationError) as raised:
+        resolve_scenario(path)
+    assert [str(v) for v in raised.value.report.violations] == violations
+    assert run_cli("plan", "--scenario", str(path),
+                   "--out", str(tmp_path / "out")) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 2
+    more = f" (and {len(faults) - 1} more violations)" if len(faults) > 1 else ""
+    assert _failure_line("plan", err, tmp_path / "out") == (
+        f"error: {path}: {violations[0]}{more}")
+
+
 COMMITTED_PLAN = (Path(__file__).resolve().parents[1] / "perfbench" / "data"
                   / "angpuang_proposed_plan.json")
 

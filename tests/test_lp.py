@@ -349,6 +349,12 @@ def test_add_variable_and_objective_reject_bad_input():
     for lower, upper in ((math.nan, 1.0), (0.0, math.nan)):
         with pytest.raises(ValueError, match=r"^variable z: bounds must not be NaN$"):
             p.add_variable("z", lower, upper)
+    # A lower bound of +inf or an upper bound of -inf leaves no finite
+    # value; the solve would subtract inf from inf.
+    for lower, upper in ((math.inf, math.inf), (-math.inf, -math.inf)):
+        with pytest.raises(ValueError, match=r"^variable z: bounds "
+                           r"\[-?inf, -?inf\] admit no finite value$"):
+            p.add_variable("z", lower, upper)
     assert p.num_variables == 2
     for coefficient in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError,
@@ -801,16 +807,14 @@ def test_install_matches_one_pivot_per_column_reference(monkeypatch):
     for problem, start in cases:
         state = lp._Tableau(problem, problem.matrix(), start)
         tab, tab_b, basis = _gauss_jordan_install(problem, start.columns)
-        # Rows are matched by their basic variable, since the two may place
-        # a structural column in different rows.
-        assert np.array_equal(np.sort(state.basis), np.sort(basis))
-        mine, theirs = np.argsort(state.basis), np.argsort(basis)
-        assert np.allclose(state.tab[mine], tab[theirs], rtol=0, atol=1e-12)
-        assert np.allclose(state.tab_b[mine], tab_b[theirs], rtol=0, atol=1e-12)
+        # The same pivots in the same order, each column in the same row.
+        assert np.array_equal(state.basis, basis)
+        assert np.array_equal(state.tab, tab)
+        assert np.array_equal(state.tab_b, tab_b)
         assert np.array_equal(state.is_basic[:state.n_structural],
                               np.isin(np.arange(state.n_structural), basis))
     assert len(cases) >= 50
-    # One pivot per structural basic column, singleton or bump alike.
+    # One pivot per structural basic column.
     assert len(pivots) == len(cases)
     assert all(calls == structural for calls, structural in pivots)
 
@@ -831,10 +835,10 @@ def test_example_sweep_installs_with_one_pivot_per_structural_column(
 
 
 # SHA-256 over the tab, tab_b and basis bytes of the example sweep's warm
-# installs, as first recorded with the pivots of each level batched into one
-# update; `x` is left out, as its refresh goes through BLAS.
+# installs, as recorded with the columns pivoted in basis order; `x` is left
+# out, as its refresh goes through BLAS.
 EXAMPLE_SWEEP_INSTALL_SHA256 = (
-    "2a8d77699a74866849cbb42122a231ba9695b3a2595f46636beb00ff8060a68e")
+    "3dd2f9c68b7e078f16abf1094a8656a7ecc373e5bd360bf27378b142e297e18e")
 
 
 def test_example_sweep_installs_are_bitwise_pinned():
@@ -894,6 +898,42 @@ def test_network_cold_pivot_counts(monkeypatch, seed, proposed, deterministic):
         assert solution.iterations == expected
 
 
+@pytest.mark.parametrize("reservoirs,horizon", [(8, 12), (16, 6)],
+                         ids=["8x12", "16x6"])
+def test_network_installs_its_own_optimal_basis(monkeypatch, reservoirs,
+                                                horizon):
+    # Sizes the benchmark does not run, with the generator's size constants
+    # set as CI's 16x12 memory step sets them. Installing the cold optimum's
+    # basis rebuilds the cold solve's final tableau, so the warm solve from
+    # it takes no iteration.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
+                                    / "perfbench"))
+    import network
+    monkeypatch.setattr(network, "RESERVOIRS", reservoirs)
+    monkeypatch.setattr(network, "HORIZON", horizon)
+    scenario = network.synthetic_network(31)
+    finals = []
+    dual_residuals = lp._dual_residuals
+
+    def recording(matrix, state, c):
+        finals.append((state.tab.copy(), state.tab_b.copy(), state.basis.copy()))
+        return dual_residuals(matrix, state, c)
+
+    monkeypatch.setattr(lp, "_dual_residuals", recording)
+    for build in (build_proposed, build_deterministic):
+        problem = build(scenario)[0]
+        cold = lp.solve(problem)
+        assert (cold.status, cold.start) == (lp.OPTIMAL, lp.COLD)
+        tab, tab_b, basis = finals[-1]
+        state = lp._Tableau(problem, problem.matrix(), cold.basis)
+        assert np.array_equal(np.sort(state.basis), np.sort(basis))
+        mine, theirs = np.argsort(state.basis), np.argsort(basis)
+        assert np.allclose(state.tab[mine], tab[theirs], rtol=0, atol=1e-9)
+        assert np.allclose(state.tab_b[mine], tab_b[theirs], rtol=0, atol=1e-9)
+        warm = lp.solve(problem, start=cold.basis)
+        assert (warm.start, warm.iterations) == (lp.WARM, 0)
+
+
 def _check_directions(state):
     """`direction`, `two_way` and `free` agree with a classification of every
     column from scratch."""
@@ -940,30 +980,31 @@ def test_direction_agrees_with_a_classification_from_scratch(monkeypatch):
 
 
 def _singular_starts():
-    """(problem, columns) of starts whose basis is singular, each refused by
-    a different check of the install."""
+    """(problem, columns) of starts whose basis is singular. Each is refused
+    by the install's PIVOT_TOL check: a structural column finds no entry above
+    it in the rows still open when its turn comes."""
     cases = []
-    # x and y have their only nonzero in the same row: two column singletons.
+    # x and y have their only nonzero in the same row, which x takes.
     p = lp.LpProblem("shared_row")
     x, y, z = (p.add_variable(name, 0.0, 4.0) for name in "xyz")
     p.add_constraint([(x, 1.0), (y, 1.0)], lp.LESS_EQUAL, 3.0)
     p.add_constraint([(z, 1.0)], lp.LESS_EQUAL, 3.0)
     cases.append((p, [x, y]))
-    # Rows 0 and 1 have their only nonzero in column x: two row singletons.
+    # Rows 0 and 1 have their only nonzero in column x, so once x takes row 1,
+    # y (nonzero only in row 2, whose slack stays basic) finds none in row 0.
     p = lp.LpProblem("shared_column")
     x, y = (p.add_variable(name, 0.0, 4.0) for name in "xy")
     p.add_constraint([(x, 1.0)], lp.LESS_EQUAL, 3.0)
     p.add_constraint([(x, 2.0)], lp.LESS_EQUAL, 3.0)
     p.add_constraint([(y, 1.0)], lp.LESS_EQUAL, 3.0)
     cases.append((p, [x, y, p.num_variables + 2]))
-    # A singleton entry at or below PIVOT_TOL.
+    # x's largest entry in the open rows is at PIVOT_TOL.
     p = lp.LpProblem("tiny_pivot")
     x, y = (p.add_variable(name, 0.0, 4.0) for name in "xy")
     p.add_constraint([(x, lp.PIVOT_TOL)], lp.LESS_EQUAL, 3.0)
     p.add_constraint([(y, 1.0)], lp.LESS_EQUAL, 3.0)
     cases.append((p, [x, y]))
-    # No singletons: x has no nonzero in the open rows, and the pivot loop
-    # finds no entry for it.
+    # x has no nonzero at all.
     p = lp.LpProblem("empty_column")
     x, y, w = (p.add_variable(name, 0.0, 4.0) for name in "xyw")
     for row in range(3):
