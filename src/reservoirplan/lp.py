@@ -12,26 +12,29 @@ tableau update the iterations use too.
 Phase 1 minimizes the total bound violation of the start basis (a basic
 variable may start outside its bounds); phase 2 maximizes the objective
 from the feasible basis it leaves.
-Both phases run the same loop; there are no artificial variables. Nonbasic
-variables rest at a finite bound (free ones at zero) and may flip bounds
-without a basis change. Each column
-has a direction: +1 if it may only rise, -1 if it may only fall, 0 if it may
-do neither (or both: a free nonbasic column, scored by the absolute value of
-its reduced cost). The entering column is then one argmax of the reduced
-costs times the directions. The tableau is stored dense, but the planning
-LPs are only a few percent nonzero, so each iteration touches only nonzeros:
-the pivot updates the rows where the entering column is nonzero and the
-columns where the pivot row is nonzero, and in phase 2 the reduced-cost row
-over the same columns; a move of the entering variable updates the basic
-values over the nonzeros of its column, and the ratio test reads only those
-rows. Reduced costs and basic values are
-recomputed from scratch at the start of each phase, every REFRESH_EVERY
-iterations and before optimality is declared. Phase 1 reprices every
-iteration, since its cost follows the set of violated rows: the cost is kept
-per row of the basis (+1 below the lower bound, -1 above the upper bound),
-and its pivots leave the reduced costs alone. An optimal point must pass a
-primal check and a dual certificate taken from the original rows, or
-ArithmeticError is raised.
+Both phases run the same loop, with one ratio test, one leaving rule and one
+`pivot`; there are no artificial variables. Nonbasic variables rest at a
+finite bound (free ones at zero) and may flip bounds without a basis change.
+Each column has a direction: +1 if it may only rise, -1 if it may only fall,
+0 if it may do neither (or both: a free nonbasic column, scored by the
+absolute value of its reduced cost). The entering column is then one argmax
+of the reduced costs times the directions. The tableau is stored dense, but
+the planning LPs are only a few percent nonzero, so each iteration touches
+only nonzeros: the pivot updates the tableau over the rows where the
+entering column is nonzero and the columns where the pivot row is nonzero,
+and the reduced costs over the same columns; a move of the entering variable
+updates the basic values over the nonzeros of its column, and the ratio test
+reads only those rows. Phase 1's cost is kept per row of the basis (+1 below
+the lower bound, -1 above the upper bound), so it follows the set of violated
+rows and is repriced every iteration. A violated basic variable is bounded
+only by the bound it violates: it lies in (-inf, lower] below its lower
+bound and in [upper, inf) above its upper bound (the textbook bounded phase
+1; Maros 2003, Computational Techniques of the Simplex Method). With those
+bounds, phase 1 uses the ratio test and leaving rule of phase 2 as they are.
+Reduced costs and basic values are recomputed from scratch at the start of
+each phase, every REFRESH_EVERY iterations and before optimality is
+declared. An optimal point must pass a primal check and a dual certificate
+taken from the original rows, or ArithmeticError is raised.
 """
 from __future__ import annotations
 
@@ -254,10 +257,6 @@ class _Tableau:
         self.direction = np.zeros(n + m)
         self.two_way = np.zeros(n + m, dtype=bool)
         self.free = np.zeros(0, dtype=np.intp)
-        # Whether `pivot` keeps the reduced costs up to date: only phase 2
-        # does, since phase 1 reprices every iteration.
-        self.pricing = False
-        self._entering = None   # (column, its nonzero rows) from `entering`
         if start is not None:
             self._install(start.columns)
             at_upper = start.at_upper & np.isfinite(self.upper)
@@ -284,7 +283,7 @@ class _Tableau:
             row = int(np.argmax(entries))
             if not entries[row] > PIVOT_TOL:
                 raise np.linalg.LinAlgError("the start basis is singular")
-            self.pivot(row, col)
+            self.pivot(row, col, self.tab[:, col].nonzero()[0])
             open_rows[row] = False
         if not np.isfinite(self.tab_b.sum() + self.tab.sum()):
             raise np.linalg.LinAlgError("the start basis is singular")
@@ -342,20 +341,11 @@ class _Tableau:
         above = basic_x > self.upper[self.basis] + FEAS_TOL
         return below.astype(float) - above
 
-    def entering(self, col: int) -> tuple[np.ndarray, np.ndarray]:
-        """The rows where column `col` is nonzero and its entries there; the
-        rows are kept for a `pivot` on it."""
-        column = self.tab[:, col]
-        rows = column.nonzero()[0]
-        self._entering = (col, rows)
-        return rows, column[rows]
-
-    def pivot(self, row: int, col: int) -> None:
+    def pivot(self, row: int, col: int, rows: np.ndarray) -> None:
         """Make `col` basic in `row`, updating the tableau over the nonzeros
-        of the entering column and the pivot row, and in phase 2 (`pricing`)
-        the reduced costs over the same columns. The column's rows come from
-        `entering` if it was last called on `col`; dividing the pivot row
-        keeps its entry nonzero."""
+        of the entering column (`rows` lists them, `row` among them) and of
+        the pivot row, and the reduced costs over the same columns. Dividing
+        the pivot row keeps its entry nonzero."""
         tab, total = self.tab, self.total
         pivot = tab[row, col]
         pivot_row = tab[row]
@@ -365,11 +355,6 @@ class _Tableau:
         # row; every skipped entry would subtract an exact zero. It goes
         # through flat indices into a view of the (C-ordered) tableau, taken
         # here: a view kept on the tableau would not follow a copy of it.
-        if self._entering is not None and self._entering[0] == col:
-            rows = self._entering[1]
-        else:
-            rows = tab[:, col].nonzero()[0]
-        self._entering = None
         rows = rows[rows != row]
         cols = pivot_row.nonzero()[0]
         values = pivot_row[cols]
@@ -378,9 +363,8 @@ class _Tableau:
         factors = flat[starts + col]
         flat[starts[:, None] + cols] -= factors[:, None] * values
         self.tab_b[rows] -= factors * self.tab_b[row]
-        if self.pricing:
-            self.reduced[cols] -= self.reduced[col] * values
-            self.reduced[col] = 0.0
+        self.reduced[cols] -= self.reduced[col] * values
+        self.reduced[col] = 0.0
         # Snap the entering column to a unit vector to avoid residue buildup;
         # it is zero outside `rows` already.
         flat[starts + col] = 0.0
@@ -395,19 +379,18 @@ def _run_simplex(state: _Tableau, objective: np.ndarray | None,
                  iterations_left: int) -> tuple[str, int, np.ndarray | None]:
     """Iterate to optimality of max c'x. Phase 1 passes objective=None: c is
     then the infeasibility cost of each row, repriced every iteration, and a
-    violated basic variable blocks only on reaching the bound it violates.
-    Phase 2 keeps its reduced costs up to date through the pivots (`pricing`
-    tells `pivot` which phase it is in), and both phases move the
-    basic values along the entering column. Reduced costs and basic values
-    are recomputed from scratch at the start, every REFRESH_EVERY iterations
-    and before optimality is declared. Returns (status, iterations, ray)."""
+    violated basic variable is bounded only by the bound it violates. The
+    phases differ in nothing else: in both, the pivots keep the reduced costs
+    up to date and the basic values move along the entering column. Reduced
+    costs and basic values are recomputed from scratch at the start, every
+    REFRESH_EVERY iterations and before optimality is declared. Returns
+    (status, iterations, ray)."""
     if state.total == 0:
         return OPTIMAL, 0, None
     iterations = 0
     degenerate_streak = 0
     bland = False
     lower, upper, x = state.lower, state.upper, state.x
-    state.pricing = objective is not None
     stale = REFRESH_EVERY
 
     while True:
@@ -445,30 +428,27 @@ def _run_simplex(state: _Tableau, objective: np.ndarray | None,
         stale += 1
 
         # Over the nonzeros of the entering column: basic values move by
-        # -step * w as the entering variable moves by step. A basic value
-        # blocks at the bound it moves towards, if |w| exceeds PIVOT_TOL.
-        rows, column = state.entering(col)
-        w = direction * column
+        # -step * w as the entering variable moves by step, each within
+        # [low, high]. In phase 1 a violated basic value is bounded only by
+        # the bound it violates: (-inf, lower] below it, [upper, inf) above
+        # it. A basic value blocks at the bound it moves towards, if |w|
+        # exceeds PIVOT_TOL.
+        column = state.tab[:, col]
+        rows = column.nonzero()[0]
+        w = direction * column[rows]
         size = np.abs(w)
         basic = state.basis[rows]
         basic_x = x[basic]
-        gap = np.where(w > 0, basic_x - lower[basic], upper[basic] - basic_x)
+        low, high = lower[basic], upper[basic]
+        if objective is None:
+            sign = cost[rows]
+            below, above = sign > 0, sign < 0
+            low[above], high[below] = high[above], low[below]
+            low[below], high[above] = -math.inf, math.inf
+        gap = np.where(w > 0, basic_x - low, high - basic_x)
         np.maximum(gap, 0.0, out=gap)
         ratios = np.full(rows.size, math.inf)
         np.divide(gap, size, out=ratios, where=size > PIVOT_TOL)
-        if objective is None:
-            # On a violated row (sign +1 below the lower bound, -1 above the
-            # upper bound) the basic value blocks only on reaching the bound
-            # it violates.
-            sign = cost[rows]
-            violated = sign.nonzero()[0]
-            sign = sign[violated]
-            approach = -sign * w[violated]
-            gap = np.where(sign > 0, lower[basic[violated]] - basic_x[violated],
-                           basic_x[violated] - upper[basic[violated]])
-            blocked = np.full(violated.size, math.inf)
-            np.divide(gap, approach, out=blocked, where=approach > PIVOT_TOL)
-            ratios[violated] = blocked
         step_basic = float(ratios.min(initial=math.inf))
 
         span = upper[col] - lower[col]
@@ -497,14 +477,9 @@ def _run_simplex(state: _Tableau, objective: np.ndarray | None,
             pick = int(tied[size[tied].argmax()])
 
         leaving = int(basic[pick])
-        if objective is None and cost[rows[pick]]:
-            # A violated variable leaves at the bound it violated.
-            leaving_to_upper = cost[rows[pick]] < 0
-        else:
-            leaving_to_upper = w[pick] < 0
         x[col] += direction * step
-        x[leaving] = upper[leaving] if leaving_to_upper else lower[leaving]
-        state.pivot(int(rows[pick]), col)
+        x[leaving] = high[pick] if w[pick] < 0 else low[pick]
+        state.pivot(int(rows[pick]), col, rows)
         state.classify(leaving)
         state.classify(col)
 

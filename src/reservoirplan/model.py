@@ -299,7 +299,8 @@ def _check_scenario(scenario: Scenario) -> ValidationReport:
             if penalty is None:
                 bad(loc, "missing overflow penalty")
             elif not (penalty > 0 and np.isfinite(penalty)):
-                bad(loc, f"overflow penalty must be positive, got {penalty!r}")
+                bad(loc, "overflow penalty must be positive and finite, got "
+                    f"{penalty!r}")
 
     for link in scenario.links:
         for t in scenario.periods():

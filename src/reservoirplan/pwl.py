@@ -74,7 +74,7 @@ class PwlFunction:
     The breakpoint coordinates, the slope sequence and its shape report for
     every flag are also kept, read-only: built once from the fields and left
     out of comparison, hashing and repr. Where the pieces start, and their
-    cuts, are derived on first use and kept the same way.
+    slopes, are derived on first use and kept the same way.
     """
 
     breakpoints: tuple[tuple[float, float], ...]
@@ -86,7 +86,7 @@ class PwlFunction:
     _ys: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
     _slopes: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
     _shape: ShapeReport = dataclasses.field(init=False, repr=False, compare=False)
-    # The pieces' starts and cuts, once `_starts_and_cuts` has derived them.
+    # The pieces' starts and slopes, once `_starts_and_slopes` has derived them.
     _derived: tuple | None = dataclasses.field(default=None, init=False,
                                                repr=False, compare=False)
 
@@ -168,25 +168,23 @@ class PwlFunction:
         violations = tuple((flag, first[flag]) for flag in required if flag in first)
         return ShapeReport(ok=not violations, violations=violations)
 
-    def _starts_and_cuts(self) -> tuple[tuple[float, ...],
-                                        tuple[tuple[float, float], ...]]:
-        """Where each piece of distinct slope starts, left to right, and its
-        cut (slope, intercept); derived on first use and kept."""
+    def _starts_and_slopes(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """Where each piece of distinct slope starts, left to right (the
+        breakpoint it starts at; the left extension starts at the first), and
+        its slope; derived on first use and kept."""
         if self._derived is None:
             broken = {flag for flag, _ in self._shape.violations}
             if CONVEX in broken and CONCAVE in broken:
                 raise ValueError("pieces require a convex or concave function")
-            # Anchor point for each piece: the breakpoint where the piece
-            # starts (extensions anchor at the first/last breakpoint).
-            anchors = [self.breakpoints[0], *self.breakpoints]
+            xs = self._xs.tolist()
             starts: list[float] = []
-            cuts: list[tuple[float, float]] = []
-            for slope, (ax, ay) in zip(self._slopes.tolist(), anchors):
-                if cuts and abs(slope - cuts[-1][0]) <= SLOPE_TOL:
+            slopes: list[float] = []
+            for slope, start in zip(self._slopes.tolist(), [xs[0], *xs]):
+                if slopes and abs(slope - slopes[-1]) <= SLOPE_TOL:
                     continue
-                starts.append(ax)
-                cuts.append((slope, ay - slope * ax))
-            object.__setattr__(self, "_derived", (tuple(starts), tuple(cuts)))
+                starts.append(start)
+                slopes.append(slope)
+            object.__setattr__(self, "_derived", (tuple(starts), tuple(slopes)))
         return self._derived
 
     def pieces(self, lo: float, hi: float, support=((0.0, 1.0),)
@@ -199,12 +197,12 @@ class PwlFunction:
         unbounded. g(lo) is taken with `evaluate`. Each slope is the
         probability-weighted sum of the slopes of the pieces of f active
         between two consecutive shifted kinks start + xi_k, read from
-        `_starts_and_cuts` rather than from value differences, so nearly
+        `_starts_and_slopes` rather than from value differences, so nearly
         coincident kinks cannot spoil it. Neighbours whose slopes differ by at
         most SLOPE_TOL are one piece, and a piece has a positive length.
         Rejects functions that are neither convex nor concave.
         """
-        starts, cuts = self._starts_and_cuts()
+        starts, piece_slopes = self._starts_and_slopes()
         value = sum(p * self.evaluate(lo - xi) for xi, p in support)
         # At each shifted kink start + xi_k, support point k moves on to the
         # next piece of f. Kinks at or left of lo set the pieces read at lo;
@@ -217,7 +215,7 @@ class PwlFunction:
                 active[k] += 1
 
         def slope() -> float:
-            return sum([p * cuts[j][0] for j, (_, p) in zip(active, support)])
+            return sum([p * piece_slopes[j] for j, (_, p) in zip(active, support)])
 
         current = slope()
         slopes: list[float] = []

@@ -25,9 +25,13 @@ def cuts(f: PwlFunction) -> tuple[tuple[float, float], ...]:
     """Supporting lines as (slope, intercept) pairs, one per distinct slope.
 
     For convex f, f(x) = max over cuts of slope*x + intercept; for concave
-    f the max becomes a min. Rejects functions that are neither.
+    f the max becomes a min. Rejects functions that are neither. Each line
+    passes through the breakpoint where its piece starts.
     """
-    return f._starts_and_cuts()[1]
+    starts, slopes = f._starts_and_slopes()
+    y = dict(f.breakpoints)
+    return tuple((slope, y[start] - slope * start)
+                 for start, slope in zip(starts, slopes))
 
 
 def expected_cuts(f: PwlFunction, support) -> tuple[tuple[float, float], ...]:
@@ -37,7 +41,7 @@ def expected_cuts(f: PwlFunction, support) -> tuple[tuple[float, float], ...]:
     probability-weighted sum of the cuts of f active there. Every such sum
     bounds the expectation, so nearly coincident kinks cannot spoil it.
     """
-    starts, lines = f._starts_and_cuts()
+    starts, lines = f._starts_and_slopes()[0], cuts(f)
     kinks = sorted((start + xi, k) for k, (xi, _) in enumerate(support)
                    for start in starts[1:])
     active = [0] * len(support)

@@ -1069,8 +1069,27 @@ def test_several_violations_make_one_error_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 2
     assert _failure_line("plan", err, tmp_path) == (
-        "error: reservoir 1, period 1: overflow penalty must be positive, "
-        "got nan (and 5 more violations)")
+        "error: reservoir 1, period 1: overflow penalty must be positive and "
+        "finite, got nan (and 5 more violations)")
+
+
+def test_infinite_overflow_penalty_is_a_usage_error(tmp_path, capsys):
+    # From --big-f and from a scenario file's JSON Infinity alike, the one
+    # error line says why an infinite penalty is refused.
+    doc = scenario_to_dict(builtin_simple(1))
+    doc["penalty"] = float("inf")
+    path = tmp_path / "infinite_penalty.json"
+    path.write_text(json.dumps(doc))
+    assert "Infinity" in path.read_text()
+    line = ("error: {}reservoir 1, period 1: overflow penalty must be positive "
+            "and finite, got inf (and 5 more violations)")
+    for args, prefix in ((["--scenario", "builtin:simple1", "--big-f", "inf"], ""),
+                         (["--scenario", str(path)], f"{path}: ")):
+        out = tmp_path / "out"
+        assert run_cli("plan", *args, "--out", str(out)) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 2
+        assert _failure_line("plan", err, out) == line.format(prefix)
 
 
 def test_each_scenario_is_validated_once(tmp_path, monkeypatch):

@@ -561,7 +561,7 @@ def test_pivot_equals_dense_rank1_update_on_sparse_tableaux():
             expected_tab, expected_b = _dense_pivot(
                 state.tab, state.tab_b, row, col)
             leaving = state.basis[row]
-            state.pivot(row, col)
+            state.pivot(row, col, state.tab[:, col].nonzero()[0])
             assert np.array_equal(state.tab, expected_tab)
             assert np.array_equal(state.tab_b, expected_b)
             assert state.basis[row] == col
@@ -615,8 +615,8 @@ def test_maintained_reduced_costs_and_basic_values_match_recompute(monkeypatch):
 
     checked = []
 
-    def checked_pivot(state, row, col):
-        pivot(state, row, col)
+    def checked_pivot(state, row, col, rows):
+        pivot(state, row, col, rows)
         nonbasic = ~state.is_basic
         basic_values = state.tab_b - state.tab[:, nonbasic] @ state.x[nonbasic]
         assert np.allclose(state.x[state.basis], basic_values, rtol=0, atol=1e-9)
@@ -639,8 +639,8 @@ def test_stale_reduced_costs_are_recomputed_before_optimal(monkeypatch):
     # recomputed before `optimal` is declared, and the search goes on.
     pivot = lp._Tableau.pivot
 
-    def forgetful_pivot(state, row, col):
-        pivot(state, row, col)
+    def forgetful_pivot(state, row, col, rows):
+        pivot(state, row, col, rows)
         state.reduced[:] = 0.0
 
     monkeypatch.setattr(lp._Tableau, "pivot", forgetful_pivot)
@@ -758,10 +758,10 @@ def _count_install_pivots(monkeypatch):
     pivot, install = lp._Tableau.pivot, lp._Tableau._install
     counts, installing = [], []
 
-    def counting_pivot(state, row, col):
+    def counting_pivot(state, row, col, rows):
         if installing:
             counts[-1][0] += 1
-        pivot(state, row, col)
+        pivot(state, row, col, rows)
 
     def counting_install(state, columns):
         counts.append([0, int(np.count_nonzero(columns < state.n_structural))])
@@ -870,6 +870,38 @@ def test_builtin_cold_pivot_counts(name, method):
     assert solution.iterations == BUILTIN_COLD_PIVOTS[name, method]
 
 
+# Cold-start iterations of the built-in plans with Bland's rule taking over
+# after every degenerate pivot (BLAND_TRIGGER = 1). At the default trigger no
+# other test runs the rule. Four of the six counts differ from
+# BUILTIN_COLD_PIVOTS, so a Bland branch that never runs, or picks otherwise,
+# shows as a count.
+BLAND_COLD_PIVOTS = {("simple1", "proposed"): 20,
+                     ("simple1", "deterministic"): 15,
+                     ("simple2", "proposed"): 28,
+                     ("simple2", "deterministic"): 15,
+                     ("angpuang", "proposed"): 173,
+                     ("angpuang", "deterministic"): 164}
+
+
+def test_bland_rule_reaches_the_highs_optimum(monkeypatch):
+    pytest.importorskip("scipy.optimize")
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
+                                    / "perfbench"))
+    from network import synthetic_network
+    monkeypatch.setattr(lp, "BLAND_TRIGGER", 1)
+    builds = {"proposed": build_proposed, "deterministic": build_deterministic}
+    cases = [(builds[method](BUILTINS[name]())[0], pivots)
+             for (name, method), pivots in sorted(BLAND_COLD_PIVOTS.items())]
+    cases += [(build(synthetic_network(7))[0], None) for build in builds.values()]
+    for problem, pivots in cases:
+        solution = lp.solve(problem)
+        assert (solution.status, solution.start) == (lp.OPTIMAL, lp.COLD)
+        assert solution.objective == pytest.approx(highs_objective(problem),
+                                                   rel=1e-9)
+        if pivots is not None:
+            assert solution.iterations == pivots, problem.name
+
+
 # Cold-start iterations of the benchmark's synthetic networks (seed, proposed,
 # deterministic), so that a changed entering or leaving choice shows as a
 # count. Each case keeps a fixed id, "seed-proposed-deterministic" with the
@@ -947,23 +979,37 @@ def _check_directions(state):
 
 
 def test_direction_agrees_with_a_classification_from_scratch(monkeypatch):
-    # Checked as each iteration moves along its entering column, which is
-    # after the previous iteration's pivot or bound flip, and at each exit.
+    # Checked once each pivot or bound flip has classified the columns it
+    # moved, and at each exit. A pivot classifies its leaving column and then
+    # its entering one, so the check waits for the entering one.
     checks = {"iterations": 0, "free": 0}
-    run_simplex, entering = lp._run_simplex, lp._Tableau.entering
+    run_simplex, pivot = lp._run_simplex, lp._Tableau.pivot
+    classify = lp._Tableau.classify
+    entered = []
 
-    def checked_entering(state, col):
+    def recording_pivot(state, row, col, rows):
+        pivot(state, row, col, rows)
+        entered[:] = [col]
+
+    def checked_classify(state, cols):
+        classify(state, cols)
+        if not isinstance(cols, int):
+            entered.clear()   # a new tableau, installs included
+            return
+        if entered and cols != entered[0]:
+            return
+        entered.clear()
         _check_directions(state)
         checks["iterations"] += 1
         checks["free"] += state.free.size > 0
-        return entering(state, col)
 
     def checked_run(state, objective, iterations_left):
         result = run_simplex(state, objective, iterations_left)
         _check_directions(state)
         return result
 
-    monkeypatch.setattr(lp._Tableau, "entering", checked_entering)
+    monkeypatch.setattr(lp._Tableau, "pivot", recording_pivot)
+    monkeypatch.setattr(lp._Tableau, "classify", checked_classify)
     monkeypatch.setattr(lp, "_run_simplex", checked_run)
     rng = np.random.default_rng(25)
     problems = [build(BUILTINS["angpuang"]())[0]

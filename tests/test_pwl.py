@@ -487,10 +487,13 @@ def test_unknown_flag_is_refused_by_the_stored_report():
 
 
 def test_cuts_are_derived_once():
+    # The starts and slopes that the cuts are read from are derived on first
+    # use and kept.
     f = capped_linear(1.0, 2.0)
+    derived = f._starts_and_slopes()
+    assert isinstance(derived, tuple) and f._starts_and_slopes() is derived
     first = cuts(f)
     assert isinstance(first, tuple) and cuts(f) == first
-    assert cuts(f) is first
     assert expected_cuts(f, ((0.5, 1.0),)) == expected_cuts(f, ((0.5, 1.0),))
 
 
