@@ -4,26 +4,28 @@ Two builds share one core: the stochastic program treats per-period inflows as
 bounded decision variables and charges the expected shortfall risk over the
 discretized inflow distribution; the deterministic baseline pins each inflow
 to its distribution mean and drops the risk term. The piecewise-linear terms
-are separable (Dantzig 1956): the release profit of g, the transfer cost of q
-and the expected risk of the inflow prediction x, which is one convex
-function of x over its support. Each such argument a in [lo, hi] is lo plus
-one column per piece of its function f, bounded by [0, the piece's length]
-and priced at its slope: + for the concave profit, which is maximized, and -
-for the convex cost and risk, which are minimized. Every row that reads a
-reads its pieces instead, with lo moved to the right-hand side, so a term
-needs no row and no epigraph variable. The profit's slopes fall and the
-cost's and risk's rise, so an optimum fills the pieces in order, and they
-price f(a) - f(lo) exactly. The constant, the sum of the f(lo), is one column
-fixed at 1, added only when it is nonzero. Many terms share one function
-(angpuang has one transfer cost for all 84 link-periods), so a build derives
-the pieces and f(lo) once per distinct (function, lo, hi, support), compared
-by value, and every term with that key reuses them. The deterministic build
-keeps each pinned x as one fixed column. The capacity cap is a penalized
-overflow slack.
+are separable (Dantzig 1956): the release profit of g, the transfer cost of q,
+the expected risk of the inflow prediction x, which is one convex function of
+x over its support, and the overflow penalty F * max(0, v - V) of the volume
+v, the hinge of slope F over the one-point support V. Each such argument a in
+[lo, hi] is lo plus one column per piece of its function f, bounded by [0, the
+piece's length] and priced at its slope: + for the concave profit, which is
+maximized, and - for the convex cost, risk and penalty, which are minimized.
+Every row that reads a reads its pieces instead, with lo moved to the
+right-hand side, so a term needs no row and no epigraph variable: the rows are
+the state, release-budget and terminal rows. The profit's slopes fall and the
+others' rise, so an optimum fills the pieces in order, and they price
+f(a) - f(lo) exactly. The constant, the sum of the f(lo), is one column fixed
+at 1, added only when it is nonzero. Many terms share one function (angpuang
+has one transfer cost for all 84 link-periods), so a build derives the pieces
+and f(lo) once per distinct (function, lo, hi, support), compared by value,
+and every term with that key reuses them. The deterministic build keeps each
+pinned x as one fixed column.
 """
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 
@@ -31,7 +33,7 @@ import numpy as np
 
 from . import lp
 from .model import Plan, Scenario, ScenarioValidationError, validate_scenario
-from .pwl import PwlFunction
+from .pwl import PwlFunction, hinge
 
 EXTRACT_TOL = 1e-6
 
@@ -39,11 +41,11 @@ EXTRACT_TOL = 1e-6
 @dataclasses.dataclass
 class VariableMap:
     """Bijection between semantic (period, reservoir[, target]) indices and LP
-    variable positions. Periods and reservoir ids are 1-based. A transfer,
-    release or inflow prediction maps to its piece columns; it is the sum of
-    their values, plus `inflow_lo` for an inflow. A deterministic inflow maps
-    to its one fixed column, with `inflow_lo` 0. `constant` is the column
-    fixed at 1 that carries the objective's constant, if it is nonzero."""
+    variable positions. Periods and reservoir ids are 1-based. Each transfer,
+    release, inflow prediction and volume maps to its piece columns and is
+    their sum, plus `inflow_lo` for an inflow. A deterministic inflow maps to
+    its one fixed column, with `inflow_lo` 0. `constant` is the column fixed
+    at 1 that carries the objective's constant, if it is nonzero."""
 
     transfer: dict[tuple[int, int, int], tuple[int, ...]] = dataclasses.field(
         default_factory=dict)
@@ -52,14 +54,14 @@ class VariableMap:
     inflow: dict[tuple[int, int], tuple[int, ...]] = dataclasses.field(
         default_factory=dict)
     inflow_lo: dict[tuple[int, int], float] = dataclasses.field(default_factory=dict)
-    volume: dict[tuple[int, int], int] = dataclasses.field(default_factory=dict)
-    overflow: dict[tuple[int, int], int] = dataclasses.field(default_factory=dict)
+    volume: dict[tuple[int, int], tuple[int, ...]] = dataclasses.field(
+        default_factory=dict)
     constant: int | None = None
 
     def check_bijective(self, num_variables: int) -> None:
-        seen = [column for group in (self.transfer, self.release, self.inflow)
+        seen = [column for group in (self.transfer, self.release, self.inflow,
+                                     self.volume)
                 for columns in group.values() for column in columns]
-        seen += [*self.volume.values(), *self.overflow.values()]
         if self.constant is not None:
             seen.append(self.constant)
         if sorted(seen) != list(range(num_variables)):
@@ -94,6 +96,7 @@ def _build(scenario: Scenario, stochastic: bool) -> tuple[lp.LpProblem, Variable
     problem = lp.LpProblem(name=f"{scenario.name}:{'proposed' if stochastic else 'deterministic'}")
     vm = VariableMap()
     pieces: dict = {}
+    hinges = functools.cache(hinge)  # one function per distinct penalty
     constant = 0.0
     links = scenario.sorted_links()
     incoming: dict[int, list] = {n: [] for n in scenario.ids()}
@@ -131,25 +134,27 @@ def _build(scenario: Scenario, stochastic: bool) -> tuple[lp.LpProblem, Variable
                 vm.inflow[(t, n)] = (problem.add_variable(f"x[{t},{n}]", mean, mean),)
                 vm.inflow_lo[(t, n)] = 0.0
         for n in scenario.ids():
-            vm.volume[(t, n)] = problem.add_variable(f"v[{t},{n}]", 0.0)
-        for n in scenario.ids():
-            vm.overflow[(t, n)] = problem.add_variable(f"w[{t},{n}]", 0.0)
-            problem.set_objective_coefficient(
-                vm.overflow[(t, n)], -float(scenario.overflow_penalty[(n, t)]))
+            # F * max(0, v - V): a column [0, V] priced 0, then [0, inf)
+            # priced -F; only the latter if V = 0.
+            vm.volume[(t, n)], value = _add_pieces(
+                problem, pieces, f"v[{t},{n}]", -1.0,
+                hinges(scenario.overflow_penalty[(n, t)]),
+                0.0, math.inf, ((scenario.reservoir(n).max_volume, 1.0),))
+            constant += value
 
         for n in scenario.ids():
-            spec = scenario.reservoir(n)
             # The previous volume is a variable, or a constant at t = 1.
             if t == 1:
-                prev, rhs = [], spec.initial_volume
+                prev, rhs = [], scenario.reservoir(n).initial_volume
             else:
-                prev, rhs = [(vm.volume[(t - 1, n)], -1.0)], 0.0
+                prev = [(column, -1.0) for column in vm.volume[(t - 1, n)]]
+                rhs = 0.0
             release = [(column, 1.0) for column in vm.release[(t, n)]]
             outflows = [(column, 1.0) for link in outgoing[n]
                         for column in vm.transfer[(t, n, link.target)]]
             # Volume recursion: v[t] = v[t-1] - g + x + inflows_from_links -
             # outflows, with x = inflow_lo + its pieces.
-            coefs = [(vm.volume[(t, n)], 1.0)] + release
+            coefs = [(column, 1.0) for column in vm.volume[(t, n)]] + release
             coefs += [(column, -1.0) for column in vm.inflow[(t, n)]]
             coefs += [(column, -1.0) for link in incoming[n]
                       for column in vm.transfer[(t, link.source, n)]]
@@ -160,14 +165,9 @@ def _build(scenario: Scenario, stochastic: bool) -> tuple[lp.LpProblem, Variable
             # (conservative: period-t inflow is not available within period t).
             problem.add_constraint(release + outflows + prev, lp.LESS_EQUAL, rhs)
 
-            # Overflow slack: w >= v - max_volume.
-            problem.add_constraint(
-                [(vm.overflow[(t, n)], 1.0), (vm.volume[(t, n)], -1.0)],
-                lp.GREATER_EQUAL, -spec.max_volume)
-
     for n in scenario.ids():
         problem.add_constraint(
-            [(vm.volume[(scenario.horizon, n)], 1.0)],
+            [(column, 1.0) for column in vm.volume[(scenario.horizon, n)]],
             lp.GREATER_EQUAL, scenario.reservoir(n).final_min_volume)
 
     if constant != 0.0:
@@ -222,8 +222,7 @@ def extract_plan(solution: lp.LpSolution, vm: VariableMap,
     releases = _summed(values, vm.release, (t_count, n_count))
     predicted = _summed(values, vm.inflow, (t_count, n_count))
     predicted += _laid_out(vm.inflow_lo, (t_count, n_count))
-    volumes = _laid_out({key: values[idx] for key, idx in vm.volume.items()},
-                        (t_count, n_count))
+    volumes = _summed(values, vm.volume, (t_count, n_count))
 
     # Clamp solver roundoff at the bounds so plan invariants hold exactly.
     for arr in (transfers, releases, volumes):

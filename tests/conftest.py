@@ -1,11 +1,28 @@
 """Shared helpers: random scenario generators and independent oracles."""
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
+import pytest
 
 from reservoirplan.model import (DiscreteDistribution, LinkSpec, Plan,
                                  ReservoirSpec, Scenario)
 from reservoirplan.pwl import PwlFunction, capped_linear, hinge, linear
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def highs_objective(monkeypatch):
+    """The benchmark's HiGHS adapter, `perfbench/checks.highs_objective`: the
+    optimal objective of a maximization LP, or None if HiGHS finds none.
+    Skips the test without scipy."""
+    pytest.importorskip("scipy.optimize")
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import checks
+    return checks.highs_objective
 
 
 def zero() -> PwlFunction:
@@ -62,6 +79,11 @@ def random_transfer_cost(rng) -> PwlFunction:
 
 def random_scenario(rng, max_reservoirs=4, max_horizon=4, point_mass=False,
                     link_prob=0.4) -> Scenario:
+    """A valid scenario of random size, up to `max_reservoirs` by
+    `max_horizon`. It is not the benchmark's `network.synthetic_network`,
+    whose size is fixed for a seed and whose inflows always have several
+    support points: tests here need random sizes, and point masses for the
+    deterministic limit."""
     n_count = int(rng.integers(1, max_reservoirs + 1))
     horizon = int(rng.integers(1, max_horizon + 1))
     ids = list(range(1, n_count + 1))

@@ -1,11 +1,13 @@
 """Reference planning LPs in the epigraph form, for checking the package's.
 
-The package writes each piecewise-linear term as bounded piece columns (see
-`reservoirplan.formulation`). This builder writes the same programs the way
-the package did before: every term gets one free variable, a hypograph
-z <= every cut of a concave profit (+z) or an epigraph z >= every cut of a
-convex transfer cost or expected risk (-z), with one row per cut. The two
-forms have the same optimal objective, which is what the tests compare.
+The package writes each piecewise-linear term, the overflow penalty
+included, as bounded piece columns (see `reservoirplan.formulation`). This
+builder writes the same programs the way the package did before: every term
+gets one free variable, a hypograph z <= every cut of a concave profit (+z)
+or an epigraph z >= every cut of a convex transfer cost or expected risk
+(-z), with one row per cut, and the overflow penalty keeps its slack w >= 0,
+priced -F, with one row w - v >= -V per reservoir and period. The two forms
+have the same optimal objective, which is what the tests compare.
 
 `cuts` and `expected_cuts` give those rows; the tests in `test_pwl.py` check
 them against `PwlFunction.evaluate`.

@@ -1,8 +1,9 @@
 """Reference optima for checking the embedded simplex.
 
 `oracle_solve` enumerates every basic point from constraint/bound subsets and
-keeps the best feasible one: exact, but only for small LPs. `highs_objective`
-asks HiGHS through scipy, a test-time dependency, for LPs of any size.
+keeps the best feasible one: exact, but only for small LPs. For LPs of any
+size, the `highs_objective` fixture (conftest.py) gives the benchmark's HiGHS
+adapter, `perfbench/checks.highs_objective`, which needs scipy.
 
 Both read `problem.constraints` (relation, coefficients, rhs) directly, not
 `LpProblem.matrix()`: the solver, its feasibility check and its dual
@@ -16,9 +17,8 @@ import math
 
 import numpy as np
 
-from reservoirplan.lp import (EQUAL, FEAS_TOL, GREATER_EQUAL, INFEASIBLE,
-                              LESS_EQUAL, OPTIMAL, UNBOUNDED, LpProblem,
-                              LpSolution)
+from reservoirplan.lp import (FEAS_TOL, GREATER_EQUAL, INFEASIBLE, LESS_EQUAL,
+                              OPTIMAL, UNBOUNDED, LpProblem, LpSolution)
 
 _ORACLE_MAX_VARIABLES = 12
 _ORACLE_MAX_SYSTEMS = 2_000_000
@@ -169,27 +169,3 @@ def _improving_recession_direction(a_rows, relations, lower, upper,
         return dirs[best]
     return None
 
-
-def highs_objective(problem: LpProblem) -> float | None:
-    """Optimal objective of the maximization LP by HiGHS, or None when HiGHS
-    finds no optimum. Needs scipy."""
-    from scipy.optimize import linprog
-
-    a_ub, b_ub, a_eq, b_eq = [], [], [], []
-    for con in problem.constraints:
-        row = np.zeros(problem.num_variables)
-        for idx, coef in con.coefficients:
-            row[idx] += coef
-        if con.relation == EQUAL:
-            a_eq.append(row)
-            b_eq.append(con.rhs)
-        else:
-            sign = -1.0 if con.relation == GREATER_EQUAL else 1.0
-            a_ub.append(sign * row)
-            b_ub.append(sign * con.rhs)
-    result = linprog(-problem.objective_vector(),
-                     A_ub=np.array(a_ub) if a_ub else None, b_ub=b_ub or None,
-                     A_eq=np.array(a_eq) if a_eq else None, b_eq=b_eq or None,
-                     bounds=list(zip(problem.lower, problem.upper)),
-                     method="highs")
-    return -result.fun if result.status == 0 else None

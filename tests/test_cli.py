@@ -969,17 +969,17 @@ def test_sweep_output_does_not_depend_on_earlier_commands(tmp_path,
 # objective, and its solve had given exactly the objective of the original LP.
 DUMP_LP_DIGESTS = {
     ("simple1", "proposed"):
-        "fe90ea24837417e9423110723c3338dafa094abff45ddd69c7f53335496399bc",
+        "3ac85e363ddda9501b1a0a0da7bcdf2d8ed5abda48c907873ba139edef43df64",
     ("simple1", "deterministic"):
-        "8d674b1117c0f21a25f6486a924786ffe65d30cef2838d802fb35d519e977cfc",
+        "25c3cb93ede91c6606826bfe5a1c88a9a31c93dcdf005bf13d0b1dcc0b1ad5c4",
     ("simple2", "proposed"):
-        "30678d78240e07b7d21035dc24e24cf2793997c786695f2c6789245c682fe319",
+        "2d9d9ca72ea3165293e8f8be4ecbf9c37b2daf83032a3379245e9f9b3e4129e8",
     ("simple2", "deterministic"):
-        "3bdddb937c8307dfc19a31722589f5b7c707c0571c0f3b12d775f4c5cb2a8531",
+        "833de52fa4e9eb9e33a35124f55fa054f47245a68e173d1ecf435467d63c2855",
     ("angpuang", "proposed"):
-        "65d8bb6a665dd73122789c170807e147ed28c487b6703add43715ea77b7417d2",
+        "250199f8a5cfaf4a3c6a01efd3c95527ee3ef7933d4979ef3eaeef353624e0ea",
     ("angpuang", "deterministic"):
-        "7435376e6717d7f1c1d610af0a403041ed2b8932270226d275dc854da2f7b62f",
+        "af6f7a4076a874d953f8a0547ebc93ceb22a7c0f4da8477228bff48d1da5a4d6",
 }
 
 

@@ -51,6 +51,25 @@ def two_reservoir_transfer_scenario():
     )
 
 
+def forced_overflow_scenario():
+    """Two reservoirs start empty and take a point-mass inflow of 5 in period
+    1, when nothing can be released yet: reservoir 1 (capacity 2) overflows
+    by 3 and reservoir 2 (capacity 0) by 5. Period 2 releases all of it."""
+    pairs = [(n, t) for n in (1, 2) for t in (1, 2)]
+    return Scenario(
+        name="forced-overflow", horizon=2,
+        reservoirs=(ReservoirSpec(1, 2.0, 0.0, 0.0),
+                    ReservoirSpec(2, 0.0, 0.0, 0.0)),
+        links=(),
+        release_profit={key: capped_linear(1.0, 10.0) for key in pairs},
+        shortfall_risk={key: hinge(2.5) for key in pairs},
+        transfer_cost={},
+        inflow={(n, t): DiscreteDistribution(((5.0 if t == 1 else 0.0, 1.0),))
+                for n, t in pairs},
+        overflow_penalty={key: 1000.0 for key in pairs},
+    )
+
+
 def grid_search_single_reservoir(step=1e-3):
     """Brute force over the only decision (release g in [0, v0])."""
     scenario = single_reservoir_scenario()
@@ -253,25 +272,58 @@ def _objective_from_plan(plan, scenario):
 
 
 def test_proposed_objective_equals_plan_recomputation():
-    # The pieces of each term price it exactly at the optimum.
+    # The pieces of each term price it exactly at the optimum. No random draw
+    # overflows, so the forced case adds a priced overflow; its inflows are
+    # point masses, so both builds price the same program there.
     rng = np.random.default_rng(31337)
-    for _ in range(12):
-        scenario = random_scenario(rng)
-        problem, vm = build_proposed(scenario)
+    cases = [(random_scenario(rng), build_proposed) for _ in range(12)]
+    forced = forced_overflow_scenario()
+    cases += [(forced, build_proposed), (forced, build_deterministic)]
+    for scenario, build in cases:
+        problem, vm = build(scenario)
         plan = extract_plan(lp.solve(problem), vm, scenario)
         assert _objective_from_plan(plan, scenario) == pytest.approx(
             plan.objective, rel=1e-7, abs=1e-7)
 
 
+def _assert_volume_pieces(problem, vm, scenario):
+    """Each volume is the pieces of its overflow penalty F * max(0, v - V):
+    a column [0, V] priced 0, then one [0, inf) priced -F; only the latter
+    if V = 0."""
+    objective = problem.objective_vector()
+    for (t, n), columns in vm.volume.items():
+        cap = scenario.reservoir(n).max_volume
+        expected = [(0.0, cap, 0.0)] if cap > 0 else []
+        expected.append((0.0, math.inf, -scenario.overflow_penalty[(n, t)]))
+        assert [(problem.lower[j], problem.upper[j], objective[j])
+                for j in columns] == expected, (scenario.name, t, n)
+
+
+def test_forced_overflow_is_priced(highs_objective):
+    # Period 1 pays 3F at capacity 2 and 5F at capacity 0, and period 2
+    # releases the 10 units at profit slope 1.
+    scenario = forced_overflow_scenario()
+    for build in (build_proposed, build_deterministic):
+        problem, vm = build(scenario)
+        _assert_volume_pieces(problem, vm, scenario)
+        plan = extract_plan(lp.solve(problem), vm, scenario)
+        assert plan.volumes == pytest.approx(np.array([[5.0, 5.0], [0.0, 0.0]]),
+                                             abs=1e-9)
+        assert plan.objective == pytest.approx(10.0 - 8 * 1000.0, rel=1e-12)
+        assert highs_objective(problem) == pytest.approx(plan.objective,
+                                                         rel=1e-9)
+        assert plan_violations(plan, scenario) == []
+
+
 def test_angpuang_lp_sizes():
-    # Three rows per reservoir and period (state, release budget, overflow)
-    # and one terminal row per reservoir; no term adds a row or a free column.
+    # Two rows per reservoir and period (state, release budget) and one
+    # terminal row per reservoir; no term adds a row or a free column.
     scenario = builtin_angpuang()
     proposed, vm = build_proposed(scenario)
-    assert (proposed.num_constraints, proposed.num_variables) == (152, 346)
+    assert (proposed.num_constraints, proposed.num_variables) == (104, 346)
     deterministic, _ = build_deterministic(scenario)
     assert (deterministic.num_constraints,
-            deterministic.num_variables) == (152, 324)
+            deterministic.num_variables) == (104, 324)
     for problem in (proposed, deterministic):
         assert not any(math.isinf(lo) and math.isinf(up)
                        for lo, up in zip(problem.lower, problem.upper))
@@ -338,6 +390,18 @@ def _equivalence_cases(group, monkeypatch):
 
 
 @pytest.mark.parametrize("group", ["builtins", "sweep", "network", "random"])
+def test_lps_have_only_state_budget_and_terminal_rows(group, monkeypatch):
+    # 2 * N * T + N rows: the overflow penalty, like every term, is piece
+    # columns and no row.
+    for scenario in _equivalence_cases(group, monkeypatch):
+        n_count, horizon = scenario.num_reservoirs, scenario.horizon
+        for build in (build_proposed, build_deterministic):
+            problem, vm = build(scenario)
+            assert problem.num_constraints == 2 * n_count * horizon + n_count
+            _assert_volume_pieces(problem, vm, scenario)
+
+
+@pytest.mark.parametrize("group", ["builtins", "sweep", "network", "random"])
 def test_piece_columns_give_the_epigraph_optimum(group, monkeypatch):
     # The piece columns and the epigraph reference (one free variable and one
     # row per cut) are two LPs of the same program, so their optima agree.
@@ -397,9 +461,9 @@ def _round_trip(scenario, tmp_path):
 
 
 def _assert_columns_hold_fresh_pieces(scenario, stochastic):
-    """Each transfer, release and inflow term's columns carry the pieces a
-    fresh `pieces` call gives for that key alone, and the constant column
-    the sum of sign * f(lo)."""
+    """Each transfer, release, inflow and volume term's columns carry the
+    pieces a fresh `pieces` call gives for that key alone, and the constant
+    column the sum of sign * f(lo)."""
     build = build_proposed if stochastic else build_deterministic
     problem, vm = build(scenario)
     lower, upper = np.array(problem.lower), np.array(problem.upper)
@@ -410,6 +474,9 @@ def _assert_columns_hold_fresh_pieces(scenario, stochastic):
              for (t, a, b), columns in vm.transfer.items()]
     terms += [(columns, scenario.release_profit[(n, t)], 0.0, math.inf,
                ((0.0, 1.0),), 1.0) for (t, n), columns in vm.release.items()]
+    terms += [(columns, hinge(scenario.overflow_penalty[(n, t)]), 0.0,
+               math.inf, ((scenario.reservoir(n).max_volume, 1.0),), -1.0)
+              for (t, n), columns in vm.volume.items()]
     for (t, n), columns in vm.inflow.items():
         inflow = scenario.inflow[(n, t)]
         if stochastic:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import random_lp, random_scenario
-from oracle import highs_objective, oracle_solve
+from oracle import oracle_solve
 from reservoirplan import cli, lp
 from reservoirplan.formulation import (build_deterministic, build_proposed,
                                        extract_plan, plan_violations)
@@ -417,60 +417,61 @@ def _planning_lps():
             yield label, method, build(scenario)[0]
 
 
-# Recorded with each piecewise-linear term written as piece columns.
+# Recorded with each piecewise-linear term, the overflow penalty included,
+# written as piece columns.
 PLANNING_LP_DIGESTS = {
     ("simple1", "proposed"):
-        "afe922efec91a6379bff1fb5de1961641b1db0ddb51deca24e552c9d2837c5b0",
+        "8788fdd03993bcf3d64617191c34dfc9f3f45553ee4726caeddcd6447e6519cf",
     ("simple1", "deterministic"):
-        "6fbda9646cab308c00ae22c2cc04b1b37d869336af1f18669be5e14e94ddb740",
+        "30c8ec00c1733698ccdd507c68cf7e910d71bb9ac12efeab5ef539453d861b8b",
     ("simple2", "proposed"):
-        "4944340f488c82c79e421eb1fd0c42fad9369ea49d862de3ee283a2324a70819",
+        "04e0bcf230ebccd6eba0b12c1f410f45dbebf6731ef979e298634b49f6b0a424",
     ("simple2", "deterministic"):
-        "aca8c8fde5da41c1cede4a3ce0647c1621af5b2e6dda8bdf3ca21adba1e694d5",
+        "d2501c24588d44e1f3a59a9803043c6e8468248580bf2bc96385c2295d3bb0a2",
     ("angpuang", "proposed"):
-        "5ed5f1a5e2636c882233519217747507eac18278bd560b1261285b0a46fc35c2",
+        "4b4f9fbac70710df0c5413b9ffa17c1a148e8a0156f9abf8dd2464d0be4fc171",
     ("angpuang", "deterministic"):
-        "ef8636c2bc2bebdb702cd8922a395025ff62c92e558f498ff68545c9d29b8e65",
+        "44fc7b1699b6a499db0e379d057e4be797688f16385d9db29e62f32c7f669898",
     ("random0", "proposed"):
-        "dc7360824d2a0d723526d7df1aca5c7a4fc7ec1a74d7dae5b5d489b929feda2c",
+        "e7500f1e31e408daef6629ea74a376aac469c4c4c53ea70db4551fd869a9e111",
     ("random0", "deterministic"):
-        "9108b9814b691cac0f048db8cbf7f95616a731eda097924221a28107c1af601d",
+        "dbadad994e403504558715adc092c3810b6a82b83a69a36a9a315f4ac67051c0",
     ("random1", "proposed"):
-        "f88f79ec2ee9277ce572e46546b1d89d298db06dcca87fd3163221a9cf8a4859",
+        "16d784d7cd3ead7f6d709a7d2e819cc264b49c5ad34f81fafbdb045dbdec99b4",
     ("random1", "deterministic"):
-        "2f3fac1cb626edffc8c085c1ca12282458607fbba4ea37d474db2e556f93ad28",
+        "a4844683f391ae6b9a4edbd70cda60ab8bba27e1d1d2fd255c61c871b12ef5f4",
     ("random2", "proposed"):
-        "cd3d8e81e24d6947307a6ef213d3f6984b78455f01b1d4d4cb158ff420f3705a",
+        "a526b8af16803be58f10c0cc7cbd745af12ecef3bc6481e3463a5c5d61f2b759",
     ("random2", "deterministic"):
-        "acc071bd4d70b2df3ba7e3bc1077635ac6edfbbad73f065a4f4c6885a295676b",
+        "f3c2fba8d00a61d4d1020dd164ed3b9e3ba1c4d85898583d7b2f345dfda3a3e7",
     ("random3", "proposed"):
-        "25d25b34405516b4936112f9f3b269bb3b720e60ec914f1d10f73327159dd733",
+        "332948c7db156d662c53acf248fedd5a4cd26ad67865e29b22c0b43350d56dff",
     ("random3", "deterministic"):
-        "5d29c5249ea7ce69a8081c39cebce18d315fb2ecff2c993c98d38e2bf55d3aa8",
+        "ee0364336ced046431debabc2997c292fce506e4f6e787580352c2db9dd22fb3",
     ("random4", "proposed"):
-        "06216850e4c09ea1ac6a94f4200567f41a50c524ea8c88cf5fef0731466aa5fb",
+        "ab8c46eb82796e435fa604e4bdcd5d44d3125941b35c7f650f4f3670af158965",
     ("random4", "deterministic"):
-        "9f080cda5918229a919061eba4427fd7affd1c96435845e038894c60880c50bf",
+        "e915c9651e29109cf2a6eaed60520d8557c3bf69163aa3a856e4f9a27f0d892d",
     ("random5", "proposed"):
-        "c2e715ebe3ccf9db6c3e9ae0da913dfab23272c8385518fb27a1365d0eaa6c15",
+        "012756c89e50d29af84723e98a35d317186e8a91a3574d6050760b4cf187669f",
     ("random5", "deterministic"):
-        "d689e7341f2bb17d5c2b6d982fca1a0d2a9202964290739b37f98ab22fb08578",
+        "ea34a4c34e3f04088b15f71541f10c239c187a97a39c8b5e5cad8ca7bff80d57",
     ("transfer-cost-slope", "proposed"):
-        "d17f64e654df3f76b3d965ecb2850fb7c9202198f60631e7201b7703995834a3",
+        "fd7875285210998d0ad76eaf17975edc5c8eef8823dc07d83fe82e1744eef2ab",
     ("transfer-cost-slope", "deterministic"):
-        "e7f91e3212a2a126b58e12d2a8d3cdcf69fe7f4c5a71a7692e0f70ee87e260fa",
+        "f9ee711c740d1018ea79dbef64ec895182d2f29d0838faa89b3e40a71bb63117",
     ("risk-slope", "proposed"):
-        "1afa6d32757d6b46f9a7838a972f43b5ff893114681d3e31463b2af551bbd855",
+        "a70daf634552c9db3118030fd3fafcfcf32d8380b9aef842e53e37ea26c50dfe",
     ("risk-slope", "deterministic"):
-        "ef8636c2bc2bebdb702cd8922a395025ff62c92e558f498ff68545c9d29b8e65",
+        "44fc7b1699b6a499db0e379d057e4be797688f16385d9db29e62f32c7f669898",
     ("profit-slope", "proposed"):
-        "0b062004057a5c251eed2de8275385a42dd3229408dc5e0f6ba669c973c69bd8",
+        "b37580195b41301da4e7c408ea1153ff27f74e6dde8d07786f73e70b0580c8a1",
     ("profit-slope", "deterministic"):
-        "b1012764d2871f33a2b93185afecb1b569eef6f70245f6ee3c4658edb42ea631",
+        "1cbd3ec87694f2efe19ee9aac7adb4fc33b38a48e1245bf4905e73bd58f8c809",
     ("initial-volume-fraction", "proposed"):
-        "3d69eb817e99663068fad5f2c6bb5845e2d16b872ba03c4f2c93b52784ed4890",
+        "6736527fb07865db46aba4b5d7cc597090960a5021a2938c946b927e6b14d5e0",
     ("initial-volume-fraction", "deterministic"):
-        "b949774a0c5619c3e6ada0a6c4b3e6f8bb806f5e2c33420d74758e5c0aabd788",
+        "3c20a93867d3629ff7cf5c74e931bc7f4c8e803379bebf11373f96b613f532bb",
 }
 
 
@@ -581,10 +582,10 @@ def test_optimal_status_requires_a_feasible_point(monkeypatch):
 
 @pytest.mark.parametrize("refresh_every", [None, 1, 10**9],
                          ids=["default", "every_iteration", "only_at_optimum"])
-def test_solver_matches_highs_on_random_networks(monkeypatch, refresh_every):
+def test_solver_matches_highs_on_random_networks(monkeypatch, refresh_every,
+                                                highs_objective):
     # 1 recomputes reduced costs and basic values every iteration; 10**9
     # exceeds any pivot count, so only the recompute before `optimal` is left.
-    pytest.importorskip("scipy.optimize")
     if refresh_every is not None:
         monkeypatch.setattr(lp, "REFRESH_EVERY", refresh_every)
     rng = np.random.default_rng(5150)
@@ -709,11 +710,11 @@ SWEEP_GRIDS = {"transfer-cost-slope": [0.25, 1.0, 1.5, 2.0],
 
 @pytest.mark.parametrize("build", [build_proposed, build_deterministic])
 @pytest.mark.parametrize("parameter", sorted(SWEEP_GRIDS))
-def test_chained_sweep_solves_match_cold_solves_and_highs(parameter, build):
+def test_chained_sweep_solves_match_cold_solves_and_highs(parameter, build,
+                                                         highs_objective):
     # Each grid point starts from the previous point's optimal basis, as
     # `sweep` does. The new right-hand sides of initial-volume-fraction push
     # basic values out of their bounds, so phase 1 has repairs to make.
-    pytest.importorskip("scipy.optimize")
     base = BUILTINS["angpuang"]()
     basis, starts = None, []
     for value in SWEEP_GRIDS[parameter]:
@@ -838,7 +839,7 @@ def test_example_sweep_installs_with_one_pivot_per_structural_column(
 # installs, as recorded with the columns pivoted in basis order; `x` is left
 # out, as its refresh goes through BLAS.
 EXAMPLE_SWEEP_INSTALL_SHA256 = (
-    "3dd2f9c68b7e078f16abf1094a8656a7ecc373e5bd360bf27378b142e297e18e")
+    "5e20e6ac2014f62f9b48c4af3c3bdf5ed24ed251b92255da175055294637dc3a")
 
 
 def test_example_sweep_installs_are_bitwise_pinned():
@@ -883,8 +884,7 @@ BLAND_COLD_PIVOTS = {("simple1", "proposed"): 20,
                      ("angpuang", "deterministic"): 164}
 
 
-def test_bland_rule_reaches_the_highs_optimum(monkeypatch):
-    pytest.importorskip("scipy.optimize")
+def test_bland_rule_reaches_the_highs_optimum(monkeypatch, highs_objective):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
                                     / "perfbench"))
     from network import synthetic_network

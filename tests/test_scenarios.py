@@ -4,11 +4,11 @@ import re
 
 import pytest
 
-from reservoirplan import cli, scenarios
+from reservoirplan import cli, formulation, scenarios
 from reservoirplan.formulation import build_deterministic, build_proposed
 from reservoirplan.model import (Scenario, ScenarioValidationError,
                                  validate_scenario)
-from reservoirplan.pwl import PwlFunction
+from reservoirplan.pwl import PwlFunction, hinge
 from reservoirplan.scenarios import (BUILTINS, SWEEP_PARAMETERS, _SLOPE_FIELDS,
                                      ScenarioParseError, SweepConfig,
                                      _with_slope, builtin_angpuang,
@@ -584,14 +584,20 @@ def test_sweep_rescales_each_distinct_function_once(monkeypatch, tmp_path):
 
 def test_angpuang_build_derives_each_distinct_term_once(monkeypatch, tmp_path):
     # One cost function serves all 84 link-periods, two profit values the
-    # 48 release terms and three (risk, range, support) triples the 48
-    # inflow terms, whether keys share objects or hold equal copies.
-    calls = []
+    # 48 release terms, three (risk, range, support) triples the 48 inflow
+    # terms and one penalty at two capacities the 48 volumes, whether keys
+    # share objects or hold equal copies. The penalty's hinge is built once.
+    calls, hinges = [], []
     pieces = PwlFunction.pieces
     monkeypatch.setattr(PwlFunction, "pieces",
                         lambda f, *args: calls.append(f) or pieces(f, *args))
+    monkeypatch.setattr(formulation, "hinge",
+                        lambda slope: hinges.append(slope) or hinge(slope))
     for label, scenario in _angpuang_and_round_trip(tmp_path).items():
-        for build, most in ((build_proposed, 6), (build_deterministic, 3)):
+        assert len(set(scenario.overflow_penalty.values())) == 1
+        for build, most in ((build_proposed, 8), (build_deterministic, 5)):
             calls.clear()
+            hinges.clear()
             build(scenario)
             assert 0 < len(calls) <= most, (label, build.__name__)
+            assert len(hinges) == 1, (label, build.__name__)
