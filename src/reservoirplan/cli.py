@@ -452,8 +452,7 @@ def cmd_compare(args, manifest: RunManifest, out_dir: Path) -> str:
                                                      args.seed)
     diff = proposed.total_profit - deterministic.total_profit
     mean_diff = float(diff.mean())
-    se_diff = (simulation._sample_std(diff) / np.sqrt(diff.size)
-               if diff.size > 1 else 0.0)
+    se_diff = simulation._sample_std(diff, in_place=True) / np.sqrt(diff.size)
 
     path = out_dir / "compare.csv"
     manifest.outputs = [str(path)]

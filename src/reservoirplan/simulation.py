@@ -16,11 +16,15 @@ t-1 inflow deviation, so the risk charged at (n, t) is a function of the one
 draw at (n, t-1). `run_monte_carlo` builds one risk table per (reservoir,
 period) once per run, holding that risk for each support point, and a
 replication's risk is the sum of the tables at its sampled support indices.
-The same tables give the exact mean and standard deviation (`exact_moments`),
-because the draws are independent. Physical mode floors releases and spills
-volumes, which couples the periods, so it keeps the recursion: it samples
-inflows, realizes and scores each block. `realize` and `score` run that
-recursion for one replication and are the reference for both modes.
+Each table is split once per run into runs of bit-equal consecutive entries,
+and a draw is counted only against the thresholds where a run starts: that
+count is its run, whose value is bitwise the entry. A table of a single run
+is a constant and, like a point mass, needs no draw. The same tables give
+the exact mean and standard deviation (`exact_moments`), because the draws
+are independent. Physical mode floors releases and spills volumes, which
+couples the periods, so it keeps the recursion: it samples inflows, realizes
+and scores each block. `realize` and `score` run that recursion for one
+replication and are the reference for both modes.
 
 Replications are processed in blocks of `_BLOCK_REPS` so the working set stays
 cache-sized. A physical-mode block's arrays are laid out (T, N, R), periods by
@@ -74,8 +78,12 @@ def _cdf_thresholds(probabilities: np.ndarray) -> np.ndarray:
 
 
 def _count_reached(thresholds: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Number of thresholds each 53-bit draw in `m` reaches: its support index."""
-    picks = np.zeros(m.shape, dtype=np.intp)
+    """Number of thresholds each 53-bit draw in `m` reaches: its support index.
+
+    The count is held in the narrowest unsigned type that holds
+    `thresholds.size`, so it cannot wrap.
+    """
+    picks = np.zeros(m.shape, dtype=np.min_scalar_type(thresholds.size))
     for threshold in thresholds:
         picks += m >= threshold
     return picks
@@ -135,7 +143,7 @@ def _sample_batch(tables: _InverseCdfTables, seed: int,
                 out[t, n] = values[0]
     thresholds = [[period for _, period in row] for row in tables]
     for n, t, picks in _sample_indices(thresholds, seed, reps):
-        out[t, n] = tables[n][t][0][picks]
+        out[t, n] = tables[n][t][0].take(picks)
     return out
 
 
@@ -312,18 +320,47 @@ def _risk_tables(plan: Plan, scenario: Scenario) -> _RiskTables:
     return tables
 
 
+def _risk_runs(charged: np.ndarray, probabilities: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """A risk table's runs of bit-equal consecutive entries: each run's value,
+    and the CDF threshold at which each run after the first starts.
+
+    The thresholds are non-decreasing, so the number of these boundary
+    thresholds a draw reaches is the run of its support index, and the run's
+    value is bitwise the entry. Entries are compared by bit pattern, so -0.0
+    and 0.0 stay apart. A table with a single run has no thresholds.
+    """
+    # Tables are a few entries long and most hold one, so the runs are found
+    # in Python, and a single run skips the CDF.
+    bits = charged.view(np.uint64).tolist()
+    starts = [j for j in range(1, len(bits)) if bits[j] != bits[j - 1]]
+    if not starts:
+        return charged[:1], np.empty(0, dtype=np.uint64)
+    return (charged[[0] + starts],
+            _cdf_thresholds(probabilities)[[j - 1 for j in starts]])
+
+
 def _gathered_risk(tables: _RiskTables, seed: int, reps: int) -> np.ndarray:
     """Literal-mode risk cost of replications 0..reps-1 by table gathers.
 
-    Only the inflows that a table reads are drawn: never the last period's,
-    and never a point mass. Each replication's terms are summed from zero in
-    the order of `_risk_batch` (reservoirs outer, periods inner), and a
-    single-entry table is added as a scalar, so the sum is bitwise that of
-    the recursion's risks whenever the tables are.
+    Each table is split once per run into runs of bit-equal entries
+    (`_risk_runs`), and a draw is counted against the run boundaries only.
+    Only the inflows that a table with several runs reads are drawn: never
+    the last period's, never a point mass and never a table whose entries
+    are all equal, which is a constant like a single-entry table. Each
+    replication's terms are summed from +0.0 in the order of `_risk_batch`
+    (reservoirs outer, periods inner), a constant is added as a scalar, and
+    a constant ±0.0 is skipped: a sum that starts at +0.0 never becomes
+    -0.0, so adding ±0.0 leaves it unchanged. The sum is thus bitwise that
+    of the recursion's risks whenever the tables are.
     """
-    thresholds = [[_cdf_thresholds(probabilities)
-                   for _, probabilities in row[1:]]
-                  + [np.empty(0, dtype=np.uint64)] for row in tables]
+    runs = [[_risk_runs(charged, probabilities)
+             for charged, probabilities in row] for row in tables]
+    thresholds = [[boundaries for _, boundaries in row[1:]]
+                  + [np.empty(0, dtype=np.uint64)] for row in runs]
+    terms = [((n, t), values) for n, row in enumerate(runs)
+             for t, (values, _) in enumerate(row)
+             if values.size > 1 or values[0]]
     risk = np.empty(reps)
     for start in range(0, reps, _BLOCK_REPS):
         rep_ids = np.arange(start, min(start + _BLOCK_REPS, reps),
@@ -331,10 +368,9 @@ def _gathered_risk(tables: _RiskTables, seed: int, reps: int) -> np.ndarray:
         picks = {(n, t + 1): drawn for n, t, drawn
                  in _sample_indices(thresholds, seed, rep_ids)}
         block = np.zeros(rep_ids.size)
-        for n, row in enumerate(tables):
-            for t, (charged, _) in enumerate(row):
-                drawn = picks.get((n, t))
-                block += charged[0] if drawn is None else charged[drawn]
+        for key, values in terms:
+            drawn = picks.get(key)
+            block += values[0] if drawn is None else values.take(drawn)
         risk[start:start + rep_ids.size] = block
     return risk
 
@@ -402,11 +438,13 @@ class SimulationReport:
     std_risk: float = dataclasses.field(init=False)
 
     def __post_init__(self):
-        total = self.total_profit
-        self.mean_total = float(total.mean())
-        self.std_total = _sample_std(total)
+        # The risk's moments come first, so the fresh total, which is then
+        # shifted in place, is never alive next to a shifted copy of the risk.
         self.mean_risk = float(self.risk_cost.mean())
         self.std_risk = _sample_std(self.risk_cost)
+        total = self.total_profit
+        self.mean_total = float(total.mean())
+        self.std_total = _sample_std(total, in_place=True)
 
     @property
     def total_profit(self) -> np.ndarray:
@@ -418,11 +456,18 @@ class SimulationReport:
         return self.risk_cost.size
 
 
-def _sample_std(values: np.ndarray) -> float:
+def _sample_std(values: np.ndarray, in_place: bool = False) -> float:
+    """Sample standard deviation of `values`, shifted by the first value
+    first; `in_place` shifts `values` itself instead of a copy, which saves
+    one array where the caller no longer needs it."""
     if values.size < 2:
         return 0.0
     # Shifting by the first value keeps identical inputs at exactly zero.
-    return float(np.std(values - values[0], ddof=1))
+    if in_place:
+        values -= values[0]
+    else:
+        values = values - values[0]
+    return float(np.std(values, ddof=1))
 
 
 def _physical_risk(plan: Plan, scenario: Scenario, seed: int,

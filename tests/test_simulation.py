@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from conftest import (expected_realized_risk, random_distribution,
                       random_scenario)
 from reservoirplan import lp, simulation
-from reservoirplan.formulation import build_proposed, extract_plan
+from reservoirplan.formulation import (build_deterministic, build_proposed,
+                                       extract_plan)
 from reservoirplan.model import DiscreteDistribution
 from reservoirplan.scenarios import (builtin_angpuang, builtin_simple,
                                     resolve_scenario)
@@ -291,6 +292,24 @@ def test_threshold_pick_matches_bisect(weights, draws, near):
     assert picks.tolist() == [_bisect_pick(probabilities, m) for m in ms]
 
 
+@pytest.mark.parametrize("points", [250, 256, 257, 300])
+def test_threshold_pick_matches_bisect_on_wide_supports(points):
+    # Supports this wide take the count from uint8 to uint16; a count that
+    # wrapped at 255 would send the draws above the 256th threshold to the
+    # bottom of the support.
+    rng = np.random.default_rng(points)
+    weights = rng.uniform(1e-3, 1.0, points)
+    probabilities = (weights / weights.sum()).tolist()
+    thresholds = simulation._cdf_thresholds(np.array(probabilities))
+    ms = {0, 2 ** 53 - 1} | set(rng.integers(0, 2 ** 53, 100).tolist())
+    for threshold in thresholds.tolist():
+        ms |= {threshold - 1, threshold, threshold + 1}
+    ms = sorted(m for m in ms if 0 <= m < 2 ** 53)
+    picks = simulation._count_reached(thresholds, np.array(ms, dtype=np.uint64))
+    assert picks.dtype == (np.uint8 if points <= 256 else np.uint16)
+    assert picks.tolist() == [_bisect_pick(probabilities, m) for m in ms]
+
+
 def test_changing_one_support_leaves_every_other_draw_unchanged():
     # Widen a point mass of simple2 to three points, and narrow a three-point
     # support to a point mass.
@@ -526,3 +545,100 @@ def test_tables_charging_the_wrong_period_are_caught(monkeypatch):
     with pytest.raises(AssertionError):
         for scenario, plan in small:
             _assert_exact_moments_match_enumeration(scenario, plan)
+
+
+def _full_table_gather(tables, seed, reps):
+    """Reference for `simulation._gathered_risk`: every entry of a table keeps
+    its CDF threshold, and every table is gathered or added, zeros included."""
+    thresholds = [[simulation._cdf_thresholds(probabilities)
+                   for _, probabilities in row[1:]]
+                  + [np.empty(0, dtype=np.uint64)] for row in tables]
+    risk = np.empty(reps)
+    for start in range(0, reps, simulation._BLOCK_REPS):
+        rep_ids = np.arange(start, min(start + simulation._BLOCK_REPS, reps),
+                            dtype=np.uint64)
+        picks = {(n, t + 1): drawn for n, t, drawn
+                 in simulation._sample_indices(thresholds, seed, rep_ids)}
+        block = np.zeros(rep_ids.size)
+        for n, row in enumerate(tables):
+            for t, (charged, _) in enumerate(row):
+                drawn = picks.get((n, t))
+                block += charged[0] if drawn is None else charged[drawn]
+        risk[start:start + rep_ids.size] = block
+    return risk
+
+
+def _hand_tables():
+    """Risk tables with the cases runs must keep apart or fold, and the
+    (reservoir, period) keys of those with more than one run. Equal values
+    that are not adjacent, -0.0 next to 0.0, nonzero constants between drawn
+    tables, and tables of several equal entries, zero or not."""
+    one = np.ones(1)
+    p2, p3 = np.array([0.375, 0.625]), np.array([0.25, 0.5, 0.25])
+    p4 = np.array([0.125, 0.25, 0.5, 0.125])
+    p5 = np.array([0.1, 0.2, 0.3, 0.15, 0.25])
+    a, b, c = 2.5, 0.75, 1.0 / 3.0
+    tables = [
+        [(np.array([0.5]), one), (np.array([a, b, a]), p3),
+         (np.array([3.0]), one), (np.array([-0.0, 0.0, 0.0, -0.0]), p4),
+         (np.array([c, c, c]), p3), (np.array([b, 0.0]), p2)],
+        [(np.array([0.0]), one), (np.array([c, c]), p2),
+         (np.array([a, a, b, b, a]), p5), (np.array([0.0, 0.0, 0.0]), p3),
+         (np.array([7.0]), one), (np.array([-0.0]), one)],
+    ]
+    drawn = {(0, 1), (0, 3), (0, 5), (1, 2)}
+    return tables, drawn
+
+
+def _gather_cases():
+    """Risk tables of both plans of every built-in, of 20 random scenarios'
+    plans, and the hand-built tables."""
+    cases = [_hand_tables()[0]]
+    for name in ("simple1", "simple2", "angpuang"):
+        scenario = resolve_scenario(f"builtin:{name}")
+        for build in (build_proposed, build_deterministic):
+            problem, vm = build(scenario)
+            plan = extract_plan(lp.solve(problem), vm, scenario)
+            cases.append(simulation._risk_tables(plan, scenario))
+    rng = np.random.default_rng(3303)
+    for _ in range(20):
+        scenario = random_scenario(rng)
+        cases.append(simulation._risk_tables(solve_plan(scenario), scenario))
+    return cases
+
+
+def test_run_gather_is_bitwise_the_full_table_gather():
+    reps = simulation._BLOCK_REPS + 5
+    for tables in _gather_cases():
+        for seed in (0, 7, 2 ** 63 + 5):
+            assert simulation._gathered_risk(tables, seed, reps).tobytes() == \
+                _full_table_gather(tables, seed, reps).tobytes()
+
+
+def test_risk_runs_give_every_entry_bitwise():
+    for tables in _gather_cases():
+        for charged, probabilities in itertools.chain(*tables):
+            values, boundaries = simulation._risk_runs(charged, probabilities)
+            bits = values.view(np.uint64)
+            assert np.all(bits[1:] != bits[:-1])
+            thresholds = simulation._cdf_thresholds(probabilities)
+            ends = np.array([0, 2 ** 53 - 1], dtype=np.uint64)
+            ms = np.unique(np.concatenate([thresholds - 1, thresholds, ends]))
+            index = simulation._count_reached(thresholds, ms)
+            run = simulation._count_reached(boundaries, ms)
+            assert values.take(run).tobytes() == charged[index].tobytes()
+
+
+def test_tables_of_one_run_draw_nothing(monkeypatch):
+    tables, expected = _hand_tables()
+    sample = simulation._sample_indices
+    drawn = set()
+
+    def recording(thresholds, seed, reps):
+        picks = sample(thresholds, seed, reps)
+        drawn.update((n, t + 1) for n, t, _ in picks)
+        return picks
+
+    monkeypatch.setattr(simulation, "_sample_indices", recording)
+    simulation._gathered_risk(tables, 5, 100)
+    assert drawn == expected
