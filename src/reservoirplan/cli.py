@@ -267,6 +267,7 @@ def cmd_plan(args, manifest: RunManifest, out_dir: Path) -> str:
         Path(args.dump_lp).write_bytes(lp.to_mps(problem).encode())
     _require_optimal(solution, scenario, args.method)
     plan = formulation.extract_plan(solution, vm, scenario)
+    solution.basis = None   # drops the final tableau it keeps, before writing
     _write_plan_files(plan, scenario, manifest, out_dir)
     return (f"status=optimal objective={plan.objective!r} "
             f"iterations={solution.iterations}")
@@ -421,12 +422,16 @@ def _exact_results(report: simulation.SimulationReport, plan: Plan) -> dict:
 
 
 def compare_methods(scenario: Scenario, reps: int, seed: int,
-                    bases: dict[str, lp.Basis] | None = None):
+                    bases: dict[str, lp.Basis] | None = None,
+                    solves: list[dict] | None = None):
     """Plan both methods and evaluate them on the same sampled inflows.
 
-    Without `bases` every solve starts cold. With it, each method's solve
+    Without `bases` every solve starts cold, and each solve's final tableau
+    is dropped once its plan is extracted. With it, each method's solve
     starts from `bases[method]` if present, and `bases[method]` is then set
-    to that solve's optimal basis.
+    to that solve's optimal basis, which keeps the tableau for the next warm
+    start. Each solve's method, `LpSolution.start` and iteration count are
+    appended to `solves` if given.
 
     Returns (proposed_report, deterministic_report, plans) or raises
     _SolveFailure carrying the failing solver status.
@@ -437,9 +442,13 @@ def compare_methods(scenario: Scenario, reps: int, seed: int,
         start = bases.get(method) if bases is not None else None
         _, vm, solution = _solve_method(scenario, method, start)
         _require_optimal(solution, scenario, method)
+        if solves is not None:
+            solves.append({"method": method, "start": solution.start,
+                           "iterations": solution.iterations})
+        plan = formulation.extract_plan(solution, vm, scenario)
         if bases is not None:
             bases[method] = solution.basis
-        plan = formulation.extract_plan(solution, vm, scenario)
+        solution.basis = None
         plans[method] = plan
         reports[method] = simulation.run_monte_carlo(plan, scenario, reps=reps,
                                                      seed=seed)
@@ -486,16 +495,22 @@ def cmd_sweep(args, manifest: RunManifest, out_dir: Path) -> str:
     variants = expand_sweep(config)
 
     # Grid points share the LP's shape, so each solve starts from the basis
-    # the previous point's solve of the same method ended at.
+    # the previous point's solve of the same method ended at. A sweep changes
+    # no constraint coefficient, so that start takes over the tableau the
+    # previous solve kept.
     bases: dict[str, lp.Basis] = {}
-    rows = []
+    rows, solves = [], []
     for value, scenario in zip(config.grid, variants):
+        point_solves = []
         proposed, deterministic, _ = compare_methods(
-            scenario, config.reps, config.seed, bases)
+            scenario, config.reps, config.seed, bases, point_solves)
+        solves += [{"value": float(value), **solve} for solve in point_solves]
         rows.append([float(value), "proposed",
                      proposed.mean_total, proposed.std_total])
         rows.append([float(value), "deterministic",
                      deterministic.mean_total, deterministic.std_total])
+    bases.clear()   # no later solve starts from the last point's tableaux
+    manifest.results = {"solves": solves}
 
     path = out_dir / "sweep.csv"
     manifest.outputs = [str(path)]

@@ -6,7 +6,9 @@ count, relation and rhs. The solver reads them through `matrix()`; `constraints`
 The solver is a two-phase primal simplex on the bounded-variable standard form
 with a dense tableau [A | I]: every row gets a slack whose bounds carry the
 relation. A cold solve starts from the all-slack basis, a warm one from a
-given start basis pivoted into it: each structural basic column, in basis
+given start basis. The start takes over the final tableau B^-1 [A | I] that
+an earlier solve kept with the basis, if A is unchanged; otherwise the basis
+is pivoted into the all-slack tableau: each structural basic column, in basis
 order, is one `pivot` into the open row where its entry is largest, the one
 tableau update the iterations use too.
 Phase 1 minimizes the total bound violation of the start basis (a basic
@@ -166,10 +168,19 @@ class Basis:
     """A simplex basis in the column numbering of [A | I], where column n + i
     is the slack of row i: `columns[i]` is the basic column of row i, and
     `at_upper` marks the nonbasic columns that rest at their upper bound (the
-    others rest at their lower bound, or at zero if free)."""
+    others rest at their lower bound, or at zero if free).
+
+    The optimal basis `solve` returns also keeps the solve's final tableau
+    B^-1 [A | I], for the next warm start from it to take over (see `solve`).
+    The tableau is no part of the basis's value: == and repr leave it out,
+    and `Basis(columns, at_upper)` makes a bare basis, which installs."""
 
     columns: np.ndarray
     at_upper: np.ndarray
+    # Empty, or one (tableau, the basis array it belongs to, the (rows, cols,
+    # values) of the A it was built from); a warm start empties it.
+    _kept: list = dataclasses.field(default_factory=list, compare=False,
+                                    repr=False)
 
 
 # LpSolution.start: no start basis was given, or the given one was used.
@@ -184,7 +195,8 @@ class LpSolution:
     objective: float | None = None
     iterations: int = 0
     ray: np.ndarray | None = None
-    basis: Basis | None = None    # the optimal basis, for a later warm start
+    # The optimal basis, for a later warm start; it keeps the final tableau.
+    basis: Basis | None = None
     # COLD, WARM, or why the start basis was dropped for a cold solve:
     # "shape" (it does not fit the problem), "singular" (its columns are
     # not a basis of the problem) or "check" (the warm solve gave no verified
@@ -218,6 +230,20 @@ def _rhs(row_lower: np.ndarray, row_upper: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _take_kept(start: Basis, matrix: tuple[np.ndarray, ...],
+               shape: tuple[int, int]) -> np.ndarray | None:
+    """Take the tableau kept with `start` out of it, and return it if it has
+    `shape`, still belongs to `start.columns` and was built from the A of
+    `matrix`, bit for bit; else None."""
+    if not start._kept:
+        return None
+    tab, columns, triplets = start._kept.pop()
+    if (tab.shape == shape and np.array_equal(columns, start.columns)
+            and all(map(np.array_equal, triplets, matrix[:3]))):
+        return tab
+    return None
+
+
 class _Tableau:
     def __init__(self, problem: LpProblem, matrix: tuple[np.ndarray, ...],
                  start: Basis | None = None):
@@ -227,14 +253,11 @@ class _Tableau:
         self.total = n + m
 
         # Row i reads A_i x + s_i = b_i; the bounds of slack s_i carry the
-        # relation. The all-slack basis is the identity, so tab = [A | I].
+        # relation.
         rows, cols, values, row_lower, row_upper = matrix
-        self.tab = np.zeros((m, n + m))
-        np.add.at(self.tab, (rows, cols), values)
-        self.tab[np.arange(m), n + np.arange(m)] = 1.0
-        self.tab_b = _rhs(row_lower, row_upper)
-        slack_lower = self.tab_b - row_upper
-        slack_upper = self.tab_b - row_lower
+        b = _rhs(row_lower, row_upper)
+        slack_lower = b - row_upper
+        slack_upper = b - row_lower
 
         self.lower = np.concatenate([np.array(problem.lower, dtype=float), slack_lower])
         self.upper = np.concatenate([np.array(problem.upper, dtype=float), slack_upper])
@@ -246,7 +269,20 @@ class _Tableau:
         # basic variable may start outside its bounds; phase 1 repairs that.
         self.x = np.where(np.isfinite(self.lower), self.lower,
                           np.where(np.isfinite(self.upper), self.upper, 0.0))
-        self.basis = np.arange(n, n + m)
+        kept = None if start is None else _take_kept(start, matrix, (m, n + m))
+        if kept is not None:
+            # B^-1 [A | I] of the start basis, as the solve that ended there
+            # left it; only B^-1 b is new, taken from the slack block B^-1.
+            self.tab = kept
+            self.tab_b = kept[:, n:] @ b
+            self.basis = np.array(start.columns, dtype=np.intp)
+        else:
+            # The all-slack basis is the identity, so tab = [A | I].
+            self.tab = np.zeros((m, n + m))
+            np.add.at(self.tab, (rows, cols), values)
+            self.tab[np.arange(m), n + np.arange(m)] = 1.0
+            self.tab_b = b
+            self.basis = np.arange(n, n + m)
         self.is_basic = np.zeros(n + m, dtype=bool)
         self.is_basic[self.basis] = True
         self.reduced = np.zeros(n + m)
@@ -258,7 +294,8 @@ class _Tableau:
         self.two_way = np.zeros(n + m, dtype=bool)
         self.free = np.zeros(0, dtype=np.intp)
         if start is not None:
-            self._install(start.columns)
+            if kept is None:
+                self._install(start.columns)
             at_upper = start.at_upper & np.isfinite(self.upper)
             self.x[at_upper] = self.upper[at_upper]
         self.classify(np.arange(n + m))
@@ -501,11 +538,21 @@ def solve(problem: LpProblem, max_iterations: int | None = None,
     objective; if either check fails, ArithmeticError is raised.
 
     `start` is a basis to start from, typically the `basis` of an optimal
-    solution of an LP of the same shape. The solve falls back to the cold
-    start from the all-slack basis, and names the reason in
-    `LpSolution.start`, if the basis does not fit the problem (its `columns`
-    are not m integers in range, or its `at_upper` not n + m bools), if it is
-    singular, or if the warm solve ends in anything but a verified optimum."""
+    solution of an LP of the same shape. That basis keeps its solve's final
+    tableau, and the start takes it over, without a copy, if the problem's
+    A triplets equal those the tableau was built from and the basis's
+    `columns` are those the tableau belongs to; then only B^-1 b is new,
+    taken for the problem's right-hand side. Any other start is installed by
+    one `pivot` per structural basic column: a bare `Basis(columns,
+    at_upper)`, one from an LP with another A, and one whose tableau an
+    earlier start already took, so a basis used twice installs the second
+    time. An installed start holds its columns in other rows, so it may end
+    at a different optimal vertex than one that took the tableau over. The
+    solve falls back to the cold start from the all-slack basis, and names
+    the reason in `LpSolution.start`, if the basis does not fit the problem
+    (its `columns` are not m integers in range, or its `at_upper` not n + m
+    bools), if it is singular, or if the warm solve ends in anything but a
+    verified optimum."""
     if np.any(np.array(problem.lower) > np.array(problem.upper) + FEAS_TOL):
         return LpSolution(status=INFEASIBLE)
 
@@ -521,7 +568,7 @@ def solve(problem: LpProblem, max_iterations: int | None = None,
             or np.any((columns < 0) | (columns >= total))):
         reason = "shape"
     else:
-        start = Basis(columns, at_upper)
+        start = Basis(columns, at_upper, start._kept)
         try:
             solution = _solve_from(problem, matrix, max_iterations, start)
         except np.linalg.LinAlgError:
@@ -577,7 +624,8 @@ def _solve_from(problem: LpProblem, matrix: tuple[np.ndarray, ...],
     if gap > OPT_TOL * max(1.0, abs(objective)):
         raise ArithmeticError(
             f"simplex optimum differs from its dual bound by {gap:.3g}")
-    basis = Basis(state.basis.copy(), state.resting()[1])
+    basis = Basis(state.basis.copy(), state.resting()[1],
+                  [(state.tab, state.basis, matrix[:3])])
     return LpSolution(status=OPTIMAL, values=values, objective=objective,
                       iterations=used, basis=basis)
 

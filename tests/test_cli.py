@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -1117,3 +1118,62 @@ def test_each_scenario_is_validated_once(tmp_path, monkeypatch):
     grid = json.loads(EXAMPLE_SWEEP.read_text())["grid"]
     assert checked == ["angpuang"] + [
         f"angpuang[transfer-cost-slope={value:g}]" for value in grid]
+
+
+def test_sweep_manifest_lists_each_solve(tmp_path):
+    config = Path(__file__).resolve().parent.parent / "scenarios" / \
+        "example_sweep.json"
+    assert run_cli("sweep", "--config", str(config),
+                   "--out", str(tmp_path)) == 0
+    grid = json.loads(config.read_text())["grid"]
+    solves = json.loads((tmp_path / "manifest.json").read_text())["solves"]
+    assert [(s["value"], s["method"]) for s in solves] == [
+        (float(value), method) for value in grid
+        for method in ("proposed", "deterministic")]
+    assert [s["start"] for s in solves] == [lp.COLD] * 2 + [lp.WARM] * 8
+    assert all(isinstance(s["iterations"], int) for s in solves)
+    assert min(s["iterations"] for s in solves[:2]) > 100
+
+
+@pytest.mark.parametrize("command", ["plan", "compare", "sweep"])
+def test_finished_tableaux_are_released(command, tmp_path, monkeypatch):
+    # A solve's final tableau may outlive its plan's extraction only as the
+    # start of a later warm solve. So `plan` and `compare` run no solve and
+    # write no file while an earlier tableau is alive, and `sweep` runs each
+    # solve with at most the other method's tableau alive besides its own
+    # start's, and writes with none.
+    refs, seen = {}, []   # id -> weakref of each tableau a solve kept
+    solve, write_csv = lp.solve, cli._write_csv
+
+    def alive(start=None):
+        own = start._kept[0][0] if start is not None and start._kept else None
+        return sum(ref() is not None and ref() is not own
+                   for ref in refs.values())
+
+    def tracking_solve(problem, *args, start=None, **kwargs):
+        seen.append(("solve", alive(start)))
+        solution = solve(problem, *args, start=start, **kwargs)
+        refs.update((id(tab), weakref.ref(tab))
+                    for tab, _, _ in solution.basis._kept)
+        return solution
+
+    def tracking_write_csv(*args, **kwargs):
+        seen.append(("write", alive()))
+        return write_csv(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "solve", tracking_solve)
+    monkeypatch.setattr(cli, "_write_csv", tracking_write_csv)
+    if command == "sweep":
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({
+            "scenario": "builtin:angpuang", "parameter": "risk-slope",
+            "grid": [0.5, 2.0, 1.0], "reps": 10, "seed": 3}))
+        args = ["--config", str(config)]
+    else:
+        args = ["--scenario", "builtin:angpuang"]
+    assert run_cli(command, *args, "--out", str(tmp_path / "out")) == 0
+    solves = [count for kind, count in seen if kind == "solve"]
+    writes = [count for kind, count in seen if kind == "write"]
+    assert len(solves) == {"plan": 1, "compare": 2, "sweep": 6}[command]
+    assert refs and writes and max(writes) == 0
+    assert max(solves) == (1 if command == "sweep" else 0)

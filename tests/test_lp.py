@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import json
 import math
 import re
 from pathlib import Path
@@ -777,9 +778,15 @@ def _count_install_pivots(monkeypatch):
     return counts
 
 
+def _bare(basis):
+    """`basis` without the tableau its solve kept, so a start from it installs."""
+    return lp.Basis(basis.columns, basis.at_upper)
+
+
 def _example_sweep_chains():
     """(problem, start) for every warm build of the example sweep: each
-    method's LP at a grid point with the previous point's optimal basis."""
+    method's LP at a grid point with the previous point's optimal basis. The
+    bases are bare, so every warm solve of the chain installs its start."""
     base = BUILTINS["angpuang"]()
     cases = []
     for build in (build_proposed, build_deterministic):
@@ -788,7 +795,7 @@ def _example_sweep_chains():
             problem, _ = build(sweep_scenario(base, "transfer-cost-slope", value))
             if basis is not None:
                 cases.append((problem, basis))
-            basis = lp.solve(problem, start=basis).basis
+            basis = _bare(lp.solve(problem, start=basis).basis)
     return cases
 
 
@@ -799,10 +806,10 @@ def test_install_matches_one_pivot_per_column_reference(monkeypatch):
         problem = random_lp(rng, max_vars=10, max_cons=10)
         solution = lp.solve(problem)
         if solution.is_optimal:
-            cases.append((problem, solution.basis))
+            cases.append((problem, _bare(solution.basis)))
     for _ in range(12):
         problem, _ = build_proposed(random_scenario(rng))
-        cases.append((problem, lp.solve(problem).basis))
+        cases.append((problem, _bare(lp.solve(problem).basis)))
     cases += _example_sweep_chains()
     pivots = _count_install_pivots(monkeypatch)
     for problem, start in cases:
@@ -820,19 +827,106 @@ def test_install_matches_one_pivot_per_column_reference(monkeypatch):
     assert all(calls == structural for calls, structural in pivots)
 
 
-def test_example_sweep_installs_with_one_pivot_per_structural_column(
-        tmp_path, monkeypatch):
-    # Each warm build pivots each of its 61 to 68 structural basic columns
-    # once. Each method's cold solve starts from the all-slack basis and
-    # installs nothing, so only the 8 warm builds install.
+def test_example_sweep_takes_over_every_warm_tableau(tmp_path, monkeypatch):
+    # The grid points change only the objective, so each of the 8 warm
+    # solves takes over the tableau the previous point's solve of its method
+    # ended with, and none installs. The 2 cold solves install nothing either.
     pivots = _count_install_pivots(monkeypatch)
     config = Path(__file__).resolve().parent.parent / "scenarios" / \
         "example_sweep.json"
     assert cli.main(["sweep", "--config", str(config), "--out",
                      str(tmp_path)]) == 0
-    assert len(pivots) == 8
-    assert all(calls == structural for calls, structural in pivots)
-    assert min(calls for calls, _ in pivots) >= 61
+    solves = json.loads((tmp_path / "manifest.json").read_text())["solves"]
+    assert pivots == []
+    assert [s["start"] for s in solves] == [lp.COLD] * 2 + [lp.WARM] * 8
+
+
+def _changed_coefficient(problem):
+    """`problem` with the first coefficient of its first row scaled by
+    1.001: the same shape, with an A that differs in one entry."""
+    changed = copy.deepcopy(problem)
+    changed._values[0] *= 1.001
+    return changed
+
+
+def _swapped_columns(basis):
+    """`basis` with its first two basic columns swapped in place, so the
+    tableau it kept no longer belongs to it."""
+    basis.columns[[0, 1]] = basis.columns[[1, 0]]
+    return basis
+
+
+@pytest.mark.parametrize("change", ["coefficient", "columns"])
+def test_a_start_whose_kept_tableau_does_not_fit_installs(change, monkeypatch,
+                                                          highs_objective):
+    problem, _ = build_proposed(BUILTINS["angpuang"]())
+    start = lp.solve(problem).basis
+    assert len(start._kept) == 1
+    if change == "coefficient":
+        problem = _changed_coefficient(problem)
+    else:
+        start = _swapped_columns(start)
+    cold = lp.solve(problem)
+    pivots = _count_install_pivots(monkeypatch)
+    warm = lp.solve(problem, start=start)
+    structural = int(np.count_nonzero(start.columns < problem.num_variables))
+    assert (warm.status, warm.start) == (lp.OPTIMAL, lp.WARM)
+    assert pivots == [[structural, structural]]
+    assert start._kept == []
+    assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
+    assert warm.objective == pytest.approx(highs_objective(problem), rel=1e-9)
+
+
+def _record_warm_states(monkeypatch):
+    """A list that gets the `_Tableau` each simplex run starts from."""
+    states = []
+    run_simplex = lp._run_simplex
+
+    def recording(state, objective, iterations_left):
+        if objective is None:
+            states.append(state)
+        return run_simplex(state, objective, iterations_left)
+
+    monkeypatch.setattr(lp, "_run_simplex", recording)
+    return states
+
+
+def test_a_warm_start_takes_over_the_kept_tableau(monkeypatch):
+    # Each grid point changes only the objective, so the warm solve from the
+    # previous point's basis works on the very array that solve ended with,
+    # not a copy, and hands it on through its own basis.
+    base = BUILTINS["angpuang"]()
+    for build in (build_proposed, build_deterministic):
+        problems = [build(sweep_scenario(base, "risk-slope", value))[0]
+                    for value in (1.0, 2.5)]
+        start = lp.solve(problems[0]).basis
+        kept = start._kept[0][0]
+        pivots = _count_install_pivots(monkeypatch)
+        states = _record_warm_states(monkeypatch)
+        warm = lp.solve(problems[1], start=start)
+        monkeypatch.undo()
+        assert warm.start == lp.WARM and pivots == []
+        assert start._kept == []
+        assert len(states) == 1 and np.shares_memory(states[0].tab, kept)
+        assert warm.basis._kept[0][0] is states[0].tab
+
+
+def test_one_basis_serves_two_warm_solves(monkeypatch):
+    # The first warm solve takes the kept tableau over; the second finds it
+    # gone and installs. Both end at verified optima of equal objective.
+    base = BUILTINS["angpuang"]()
+    problems = [build_proposed(sweep_scenario(base, "initial-volume-fraction",
+                                              value))[0]
+                for value in (0.5, 0.75)]
+    start = lp.solve(problems[0]).basis
+    pivots = _count_install_pivots(monkeypatch)
+    first = lp.solve(problems[1], start=start)
+    assert pivots == []
+    second = lp.solve(problems[1], start=start)
+    assert len(pivots) == 1
+    for solution in (first, second):
+        assert (solution.status, solution.start) == (lp.OPTIMAL, lp.WARM)
+    assert first.objective == pytest.approx(second.objective, rel=1e-12)
 
 
 # SHA-256 over the tab, tab_b and basis bytes of the example sweep's warm
@@ -957,7 +1051,7 @@ def test_network_installs_its_own_optimal_basis(monkeypatch, reservoirs,
         cold = lp.solve(problem)
         assert (cold.status, cold.start) == (lp.OPTIMAL, lp.COLD)
         tab, tab_b, basis = finals[-1]
-        state = lp._Tableau(problem, problem.matrix(), cold.basis)
+        state = lp._Tableau(problem, problem.matrix(), _bare(cold.basis))
         assert np.array_equal(np.sort(state.basis), np.sort(basis))
         mine, theirs = np.argsort(state.basis), np.argsort(basis)
         assert np.allclose(state.tab[mine], tab[theirs], rtol=0, atol=1e-9)
@@ -1119,8 +1213,9 @@ def test_unusable_start_falls_back_to_the_cold_solve():
         solution = lp.solve(angpuang, start=start)
         assert solution.start == reason
         _assert_same_solution(solution, cold)
-    # Lists are read as the arrays they hold.
-    warm = lp.solve(angpuang, start=own)
+    # Lists are read as the arrays they hold. Each list-valued start is bare
+    # and installs, so the reference installs too.
+    warm = lp.solve(angpuang, start=_bare(own))
     assert (warm.start, warm.iterations) == (lp.WARM, 0)
     for start in (lp.Basis(own.columns.tolist(), own.at_upper),
                   lp.Basis(own.columns, own.at_upper.tolist())):
