@@ -5,12 +5,10 @@ count, relation and rhs. The solver reads them through `matrix()`; `constraints`
 
 The solver is a two-phase primal simplex on the bounded-variable standard form
 with a dense tableau [A | I]: every row gets a slack whose bounds carry the
-relation. A cold solve starts from the all-slack basis, a warm one from a
-given start basis. The start takes over the final tableau B^-1 [A | I] that
-an earlier solve kept with the basis, if A is unchanged; otherwise the basis
-is pivoted into the all-slack tableau: each structural basic column, in basis
-order, is one `pivot` into the open row where its entry is largest, the one
-tableau update the iterations use too.
+relation. A cold solve starts from the all-slack basis. A warm one starts
+from a given basis and takes over the final tableau B^-1 [A | I] that the
+solve which ended there kept with it, if A is unchanged; any other start is
+solved cold.
 Phase 1 minimizes the total bound violation of the start basis (a basic
 variable may start outside its bounds); phase 2 maximizes the objective
 from the feasible basis it leaves.
@@ -171,14 +169,15 @@ class Basis:
     others rest at their lower bound, or at zero if free).
 
     The optimal basis `solve` returns also keeps the solve's final tableau
-    B^-1 [A | I], for the next warm start from it to take over (see `solve`).
+    B^-1 [A | I], for one warm start from it to take over (see `solve`).
     The tableau is no part of the basis's value: == and repr leave it out,
-    and `Basis(columns, at_upper)` makes a bare basis, which installs."""
+    and `Basis(columns, at_upper)` makes a bare basis, which starts cold."""
 
     columns: np.ndarray
     at_upper: np.ndarray
     # Empty, or one (tableau, the basis array it belongs to, the (rows, cols,
-    # values) of the A it was built from); a warm start empties it.
+    # values) of the A it was built from); a start from the basis takes it
+    # out (`_take_kept`).
     _kept: list = dataclasses.field(default_factory=list, compare=False,
                                     repr=False)
 
@@ -198,9 +197,8 @@ class LpSolution:
     # The optimal basis, for a later warm start; it keeps the final tableau.
     basis: Basis | None = None
     # COLD, WARM, or why the start basis was dropped for a cold solve:
-    # "shape" (it does not fit the problem), "singular" (its columns are
-    # not a basis of the problem) or "check" (the warm solve gave no verified
-    # optimum).
+    # "shape" (it carries no tableau of the problem) or "check" (the warm
+    # solve gave no verified optimum).
     start: str = COLD
 
     @property
@@ -246,7 +244,10 @@ def _take_kept(start: Basis, matrix: tuple[np.ndarray, ...],
 
 class _Tableau:
     def __init__(self, problem: LpProblem, matrix: tuple[np.ndarray, ...],
-                 start: Basis | None = None):
+                 start: tuple[Basis, np.ndarray] | None = None):
+        """The all-slack tableau [A | I] if `start` is None; else `start` is
+        (basis, tab), a start basis and the tableau B^-1 [A | I] it kept,
+        built from the A of `matrix`."""
         n, m = problem.num_variables, problem.num_constraints
         self.n_structural = n
         self.m = m
@@ -269,20 +270,21 @@ class _Tableau:
         # basic variable may start outside its bounds; phase 1 repairs that.
         self.x = np.where(np.isfinite(self.lower), self.lower,
                           np.where(np.isfinite(self.upper), self.upper, 0.0))
-        kept = None if start is None else _take_kept(start, matrix, (m, n + m))
-        if kept is not None:
-            # B^-1 [A | I] of the start basis, as the solve that ended there
-            # left it; only B^-1 b is new, taken from the slack block B^-1.
-            self.tab = kept
-            self.tab_b = kept[:, n:] @ b
-            self.basis = np.array(start.columns, dtype=np.intp)
-        else:
+        if start is None:
             # The all-slack basis is the identity, so tab = [A | I].
             self.tab = np.zeros((m, n + m))
             np.add.at(self.tab, (rows, cols), values)
             self.tab[np.arange(m), n + np.arange(m)] = 1.0
             self.tab_b = b
             self.basis = np.arange(n, n + m)
+        else:
+            # B^-1 [A | I] of the start basis, as the solve that ended there
+            # left it; only B^-1 b is new, taken from the slack block B^-1.
+            basis, self.tab = start
+            self.tab_b = self.tab[:, n:] @ b
+            self.basis = np.array(basis.columns, dtype=np.intp)
+            at_upper = basis.at_upper & np.isfinite(self.upper)
+            self.x[at_upper] = self.upper[at_upper]
         self.is_basic = np.zeros(n + m, dtype=bool)
         self.is_basic[self.basis] = True
         self.reduced = np.zeros(n + m)
@@ -293,37 +295,8 @@ class _Tableau:
         self.direction = np.zeros(n + m)
         self.two_way = np.zeros(n + m, dtype=bool)
         self.free = np.zeros(0, dtype=np.intp)
-        if start is not None:
-            if kept is None:
-                self._install(start.columns)
-            at_upper = start.at_upper & np.isfinite(self.upper)
-            self.x[at_upper] = self.upper[at_upper]
         self.classify(np.arange(n + m))
         self.refresh_basic_values()
-
-    def _install(self, columns: np.ndarray) -> None:
-        """Turn the all-slack tableau into B^-1 [A | I] for the basis B whose
-        basic column of each row is given, in place, through `pivot` alone. A
-        basic slack stays in its own row. Each structural column of `columns`,
-        in their order, is pivoted into the open row (one whose slack
-        `columns` leaves out and that no earlier column took) where its entry
-        is largest: Gauss-Jordan elimination with partial pivoting. Raises
-        LinAlgError if a column repeats, no entry is left above PIVOT_TOL to
-        pivot on, or the result is not finite."""
-        n, m = self.n_structural, self.m
-        if np.bincount(columns).max(initial=0) > 1:
-            raise np.linalg.LinAlgError("a basic column repeats")
-        open_rows = np.ones(m, dtype=bool)
-        open_rows[columns[columns >= n] - n] = False
-        for col in columns[columns < n].tolist():
-            entries = np.where(open_rows, np.abs(self.tab[:, col]), 0.0)
-            row = int(np.argmax(entries))
-            if not entries[row] > PIVOT_TOL:
-                raise np.linalg.LinAlgError("the start basis is singular")
-            self.pivot(row, col, self.tab[:, col].nonzero()[0])
-            open_rows[row] = False
-        if not np.isfinite(self.tab_b.sum() + self.tab.sum()):
-            raise np.linalg.LinAlgError("the start basis is singular")
 
     def refresh_basic_values(self) -> None:
         active = np.flatnonzero(~self.is_basic & (self.x != 0.0))
@@ -538,41 +511,40 @@ def solve(problem: LpProblem, max_iterations: int | None = None,
     objective; if either check fails, ArithmeticError is raised.
 
     `start` is a basis to start from, typically the `basis` of an optimal
-    solution of an LP of the same shape. That basis keeps its solve's final
-    tableau, and the start takes it over, without a copy, if the problem's
-    A triplets equal those the tableau was built from and the basis's
-    `columns` are those the tableau belongs to; then only B^-1 b is new,
-    taken for the problem's right-hand side. Any other start is installed by
-    one `pivot` per structural basic column: a bare `Basis(columns,
-    at_upper)`, one from an LP with another A, and one whose tableau an
-    earlier start already took, so a basis used twice installs the second
-    time. An installed start holds its columns in other rows, so it may end
-    at a different optimal vertex than one that took the tableau over. The
-    solve falls back to the cold start from the all-slack basis, and names
-    the reason in `LpSolution.start`, if the basis does not fit the problem
-    (its `columns` are not m integers in range, or its `at_upper` not n + m
-    bools), if it is singular, or if the warm solve ends in anything but a
-    verified optimum."""
+    solution of an LP of the same shape and A. That basis keeps its solve's
+    final tableau, and the start takes it over, without a copy, if the
+    tableau has the problem's shape, the problem's A triplets equal those it
+    was built from and the basis's `columns` are those it belongs to; then
+    only B^-1 b is new, taken for the problem's right-hand side. Any other
+    start carries no tableau of the problem and is solved cold from the
+    all-slack basis, with `LpSolution.start` "shape": one whose `columns`
+    are not m integers in range or whose `at_upper` is not n + m bools, a
+    bare `Basis(columns, at_upper)`, one from an LP with another A, one whose
+    columns were changed in place, and one whose tableau an earlier start
+    already took, so a basis serves one warm start. A warm solve that ends
+    in anything but a verified optimum is solved cold too, with "check"."""
     if np.any(np.array(problem.lower) > np.array(problem.upper) + FEAS_TOL):
         return LpSolution(status=INFEASIBLE)
 
-    total = problem.num_variables + problem.num_constraints
+    m = problem.num_constraints
+    total = problem.num_variables + m
     if max_iterations is None:
         max_iterations = 50 * total
     matrix = problem.matrix()
     if start is None:
         return _solve_from(problem, matrix, max_iterations, None)
     columns, at_upper = np.asarray(start.columns), np.asarray(start.at_upper)
-    if (columns.shape != (problem.num_constraints,) or columns.dtype.kind not in "iu"
-            or at_upper.shape != (total,) or at_upper.dtype != bool
-            or np.any((columns < 0) | (columns >= total))):
+    tab = None
+    if (columns.shape == (m,) and columns.dtype.kind in "iu"
+            and at_upper.shape == (total,) and at_upper.dtype == bool
+            and not np.any((columns < 0) | (columns >= total))):
+        tab = _take_kept(start, matrix, (m, total))
+    if tab is None:
         reason = "shape"
     else:
-        start = Basis(columns, at_upper, start._kept)
         try:
-            solution = _solve_from(problem, matrix, max_iterations, start)
-        except np.linalg.LinAlgError:
-            reason = "singular"
+            solution = _solve_from(problem, matrix, max_iterations,
+                                   (Basis(columns, at_upper), tab))
         except ArithmeticError:
             reason = "check"
         else:
@@ -586,9 +558,10 @@ def solve(problem: LpProblem, max_iterations: int | None = None,
 
 
 def _solve_from(problem: LpProblem, matrix: tuple[np.ndarray, ...],
-                max_iterations: int, start: Basis | None) -> LpSolution:
-    """Both simplex phases from `start` (the all-slack basis if None), then the
-    checks of an optimum."""
+                max_iterations: int,
+                start: tuple[Basis, np.ndarray] | None) -> LpSolution:
+    """Both simplex phases from the tableau `_Tableau` builds of `start`, then
+    the checks of an optimum."""
     state = _Tableau(problem, matrix, start)
     status, used, _ = _run_simplex(state, None, max_iterations)
     if status == ITERATION_LIMIT:

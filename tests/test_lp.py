@@ -683,24 +683,30 @@ def _assert_same_solution(a, b):
     assert np.array_equal(a.basis.at_upper, b.basis.at_upper)
 
 
-def test_start_from_own_optimal_basis_takes_no_iterations():
+def test_start_from_own_optimal_basis_takes_no_iterations(monkeypatch):
     rng = np.random.default_rng(404)
     problems = [build(factory())[0] for factory in BUILTINS.values()
                 for build in (build_proposed, build_deterministic)]
     problems += [random_lp(rng, max_vars=8, max_cons=8) for _ in range(30)]
-    started = 0
+    # Network sizes the benchmark does not run, with the generator's size
+    # constants set as CI's 16x12 memory step sets them.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
+                                    / "perfbench"))
+    import network
+    for reservoirs, horizon in ((8, 12), (16, 6)):
+        monkeypatch.setattr(network, "RESERVOIRS", reservoirs)
+        monkeypatch.setattr(network, "HORIZON", horizon)
+        scenario = network.synthetic_network(31)
+        problems += [build(scenario)[0]
+                     for build in (build_proposed, build_deterministic)]
     for p in problems:
         cold = lp.solve(p)
-        if not cold.is_optimal:
-            continue
-        assert cold.start == lp.COLD
+        assert (cold.status, cold.start) == (lp.OPTIMAL, lp.COLD)
         warm = lp.solve(p, start=cold.basis)
         assert warm.start == lp.WARM and warm.iterations == 0
         assert warm.objective == pytest.approx(cold.objective, rel=1e-12,
                                                abs=1e-12)
         assert np.allclose(warm.values, cold.values, rtol=0, atol=1e-9)
-        started += 1
-    assert started >= 25
 
 
 SWEEP_GRIDS = {"transfer-cost-slope": [0.25, 1.0, 1.5, 2.0],
@@ -733,111 +739,15 @@ def test_chained_sweep_solves_match_cold_solves_and_highs(parameter, build,
     assert starts == [lp.COLD] + [lp.WARM] * (len(starts) - 1)
 
 
-def _gauss_jordan_install(problem, columns):
-    """Reference install: from [A | I], one dense pivot per structural column
-    of `columns`, in their order, into the open row where its entry is
-    largest. Returns (tab, tab_b, basis)."""
-    n, m = problem.num_variables, problem.num_constraints
-    rows, cols, values, row_lower, row_upper = problem.matrix()
-    tab = np.zeros((m, n + m))
-    np.add.at(tab, (rows, cols), values)
-    tab[np.arange(m), n + np.arange(m)] = 1.0
-    tab_b = lp._rhs(row_lower, row_upper)
-    basis = np.arange(n, n + m)
-    open_rows = np.ones(m, dtype=bool)
-    open_rows[columns[columns >= n] - n] = False
-    for col in columns[columns < n].tolist():
-        row = int(np.argmax(np.where(open_rows, np.abs(tab[:, col]), 0.0)))
-        tab, tab_b = _dense_pivot(tab, tab_b, row, col)
-        basis[row] = col
-        open_rows[row] = False
-    return tab, tab_b, basis
-
-
-def _count_install_pivots(monkeypatch):
-    """A list that gets, for each `_install`, the number of `pivot` calls it
-    made and the number of structural columns of its basis."""
-    pivot, install = lp._Tableau.pivot, lp._Tableau._install
-    counts, installing = [], []
-
-    def counting_pivot(state, row, col, rows):
-        if installing:
-            counts[-1][0] += 1
-        pivot(state, row, col, rows)
-
-    def counting_install(state, columns):
-        counts.append([0, int(np.count_nonzero(columns < state.n_structural))])
-        installing.append(True)
-        try:
-            install(state, columns)
-        finally:
-            installing.pop()
-
-    monkeypatch.setattr(lp._Tableau, "pivot", counting_pivot)
-    monkeypatch.setattr(lp._Tableau, "_install", counting_install)
-    return counts
-
-
-def _bare(basis):
-    """`basis` without the tableau its solve kept, so a start from it installs."""
-    return lp.Basis(basis.columns, basis.at_upper)
-
-
-def _example_sweep_chains():
-    """(problem, start) for every warm build of the example sweep: each
-    method's LP at a grid point with the previous point's optimal basis. The
-    bases are bare, so every warm solve of the chain installs its start."""
-    base = BUILTINS["angpuang"]()
-    cases = []
-    for build in (build_proposed, build_deterministic):
-        basis = None
-        for value in (0.25, 0.5, 1.0, 1.5, 2.0):
-            problem, _ = build(sweep_scenario(base, "transfer-cost-slope", value))
-            if basis is not None:
-                cases.append((problem, basis))
-            basis = _bare(lp.solve(problem, start=basis).basis)
-    return cases
-
-
-def test_install_matches_one_pivot_per_column_reference(monkeypatch):
-    rng = np.random.default_rng(1990)
-    cases = []
-    for _ in range(40):
-        problem = random_lp(rng, max_vars=10, max_cons=10)
-        solution = lp.solve(problem)
-        if solution.is_optimal:
-            cases.append((problem, _bare(solution.basis)))
-    for _ in range(12):
-        problem, _ = build_proposed(random_scenario(rng))
-        cases.append((problem, _bare(lp.solve(problem).basis)))
-    cases += _example_sweep_chains()
-    pivots = _count_install_pivots(monkeypatch)
-    for problem, start in cases:
-        state = lp._Tableau(problem, problem.matrix(), start)
-        tab, tab_b, basis = _gauss_jordan_install(problem, start.columns)
-        # The same pivots in the same order, each column in the same row.
-        assert np.array_equal(state.basis, basis)
-        assert np.array_equal(state.tab, tab)
-        assert np.array_equal(state.tab_b, tab_b)
-        assert np.array_equal(state.is_basic[:state.n_structural],
-                              np.isin(np.arange(state.n_structural), basis))
-    assert len(cases) >= 50
-    # One pivot per structural basic column.
-    assert len(pivots) == len(cases)
-    assert all(calls == structural for calls, structural in pivots)
-
-
-def test_example_sweep_takes_over_every_warm_tableau(tmp_path, monkeypatch):
+def test_example_sweep_takes_over_every_warm_tableau(tmp_path):
     # The grid points change only the objective, so each of the 8 warm
     # solves takes over the tableau the previous point's solve of its method
-    # ended with, and none installs. The 2 cold solves install nothing either.
-    pivots = _count_install_pivots(monkeypatch)
+    # ended with.
     config = Path(__file__).resolve().parent.parent / "scenarios" / \
         "example_sweep.json"
     assert cli.main(["sweep", "--config", str(config), "--out",
                      str(tmp_path)]) == 0
     solves = json.loads((tmp_path / "manifest.json").read_text())["solves"]
-    assert pivots == []
     assert [s["start"] for s in solves] == [lp.COLD] * 2 + [lp.WARM] * 8
 
 
@@ -856,25 +766,47 @@ def _swapped_columns(basis):
     return basis
 
 
-@pytest.mark.parametrize("change", ["coefficient", "columns"])
-def test_a_start_whose_kept_tableau_does_not_fit_installs(change, monkeypatch,
-                                                          highs_objective):
+def _two_row_problem(second_row):
+    p = lp.LpProblem("two_rows")
+    x = p.add_variable("x", 0.0, 4.0)
+    y = p.add_variable("y", 0.0, 4.0)
+    p.set_objective_coefficient(x, 1.0)
+    p.set_objective_coefficient(y, 2.0)
+    p.add_constraint([(x, 1.0), (y, 1.0)], lp.LESS_EQUAL, 3.0)
+    p.add_constraint(second_row, lp.LESS_EQUAL, 5.0)
+    return p
+
+
+@pytest.mark.parametrize("case", ["coefficient", "columns", "bare", "reused",
+                                  "foreign-A"])
+def test_a_start_without_a_tableau_of_the_lp_is_solved_cold(case):
+    # Each start passes the input checks but carries no tableau of its LP: A
+    # differs in one coefficient from the one its tableau was built from, its
+    # columns were swapped in place, it is bare, an earlier start took its
+    # tableau and pivoted on it, or it is the optimal basis of an LP of the
+    # same shape with another A.
     problem, _ = build_proposed(BUILTINS["angpuang"]())
     start = lp.solve(problem).basis
-    assert len(start._kept) == 1
-    if change == "coefficient":
+    if case == "coefficient":
         problem = _changed_coefficient(problem)
-    else:
+    elif case == "columns":
         start = _swapped_columns(start)
-    cold = lp.solve(problem)
-    pivots = _count_install_pivots(monkeypatch)
-    warm = lp.solve(problem, start=start)
-    structural = int(np.count_nonzero(start.columns < problem.num_variables))
-    assert (warm.status, warm.start) == (lp.OPTIMAL, lp.WARM)
-    assert pivots == [[structural, structural]]
-    assert start._kept == []
-    assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
-    assert warm.objective == pytest.approx(highs_objective(problem), rel=1e-9)
+    elif case == "bare":
+        start = lp.Basis(start.columns, start.at_upper)
+    elif case == "reused":
+        moved, _ = build_proposed(sweep_scenario(
+            BUILTINS["angpuang"](), "initial-volume-fraction", 0.75))
+        first = lp.solve(moved, start=start)
+        assert first.start == lp.WARM and first.iterations > 0
+    else:
+        # x and y are dependent on the rows of `problem`, so the basis {x, y}
+        # is singular there.
+        start = lp.solve(_two_row_problem([(0, 1.0), (1, 3.0)])).basis
+        assert sorted(start.columns.tolist()) == [0, 1]
+        problem = _two_row_problem([(0, 2.0), (1, 2.0)])
+    solution = lp.solve(problem, start=start)
+    assert solution.start == "shape" and start._kept == []
+    _assert_same_solution(solution, lp.solve(problem))
 
 
 def _record_warm_states(monkeypatch):
@@ -901,50 +833,12 @@ def test_a_warm_start_takes_over_the_kept_tableau(monkeypatch):
                     for value in (1.0, 2.5)]
         start = lp.solve(problems[0]).basis
         kept = start._kept[0][0]
-        pivots = _count_install_pivots(monkeypatch)
         states = _record_warm_states(monkeypatch)
         warm = lp.solve(problems[1], start=start)
         monkeypatch.undo()
-        assert warm.start == lp.WARM and pivots == []
-        assert start._kept == []
+        assert warm.start == lp.WARM and start._kept == []
         assert len(states) == 1 and np.shares_memory(states[0].tab, kept)
         assert warm.basis._kept[0][0] is states[0].tab
-
-
-def test_one_basis_serves_two_warm_solves(monkeypatch):
-    # The first warm solve takes the kept tableau over; the second finds it
-    # gone and installs. Both end at verified optima of equal objective.
-    base = BUILTINS["angpuang"]()
-    problems = [build_proposed(sweep_scenario(base, "initial-volume-fraction",
-                                              value))[0]
-                for value in (0.5, 0.75)]
-    start = lp.solve(problems[0]).basis
-    pivots = _count_install_pivots(monkeypatch)
-    first = lp.solve(problems[1], start=start)
-    assert pivots == []
-    second = lp.solve(problems[1], start=start)
-    assert len(pivots) == 1
-    for solution in (first, second):
-        assert (solution.status, solution.start) == (lp.OPTIMAL, lp.WARM)
-    assert first.objective == pytest.approx(second.objective, rel=1e-12)
-
-
-# SHA-256 over the tab, tab_b and basis bytes of the example sweep's warm
-# installs, as recorded with the columns pivoted in basis order; `x` is left
-# out, as its refresh goes through BLAS.
-EXAMPLE_SWEEP_INSTALL_SHA256 = (
-    "5e20e6ac2014f62f9b48c4af3c3bdf5ed24ed251b92255da175055294637dc3a")
-
-
-def test_example_sweep_installs_are_bitwise_pinned():
-    digest = hashlib.sha256()
-    cases = _example_sweep_chains()
-    for problem, start in cases:
-        state = lp._Tableau(problem, problem.matrix(), start)
-        for array in (state.tab, state.tab_b, state.basis):
-            digest.update(array.tobytes())
-    assert len(cases) == 8
-    assert digest.hexdigest() == EXAMPLE_SWEEP_INSTALL_SHA256
 
 
 # Cold-start iterations of the built-in plans, so that a changed entering or
@@ -1024,42 +918,6 @@ def test_network_cold_pivot_counts(monkeypatch, seed, proposed, deterministic):
         assert solution.iterations == expected
 
 
-@pytest.mark.parametrize("reservoirs,horizon", [(8, 12), (16, 6)],
-                         ids=["8x12", "16x6"])
-def test_network_installs_its_own_optimal_basis(monkeypatch, reservoirs,
-                                                horizon):
-    # Sizes the benchmark does not run, with the generator's size constants
-    # set as CI's 16x12 memory step sets them. Installing the cold optimum's
-    # basis rebuilds the cold solve's final tableau, so the warm solve from
-    # it takes no iteration.
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
-                                    / "perfbench"))
-    import network
-    monkeypatch.setattr(network, "RESERVOIRS", reservoirs)
-    monkeypatch.setattr(network, "HORIZON", horizon)
-    scenario = network.synthetic_network(31)
-    finals = []
-    dual_residuals = lp._dual_residuals
-
-    def recording(matrix, state, c):
-        finals.append((state.tab.copy(), state.tab_b.copy(), state.basis.copy()))
-        return dual_residuals(matrix, state, c)
-
-    monkeypatch.setattr(lp, "_dual_residuals", recording)
-    for build in (build_proposed, build_deterministic):
-        problem = build(scenario)[0]
-        cold = lp.solve(problem)
-        assert (cold.status, cold.start) == (lp.OPTIMAL, lp.COLD)
-        tab, tab_b, basis = finals[-1]
-        state = lp._Tableau(problem, problem.matrix(), _bare(cold.basis))
-        assert np.array_equal(np.sort(state.basis), np.sort(basis))
-        mine, theirs = np.argsort(state.basis), np.argsort(basis)
-        assert np.allclose(state.tab[mine], tab[theirs], rtol=0, atol=1e-9)
-        assert np.allclose(state.tab_b[mine], tab_b[theirs], rtol=0, atol=1e-9)
-        warm = lp.solve(problem, start=cold.basis)
-        assert (warm.start, warm.iterations) == (lp.WARM, 0)
-
-
 def _check_directions(state):
     """`direction`, `two_way` and `free` agree with a classification of every
     column from scratch."""
@@ -1088,7 +946,7 @@ def test_direction_agrees_with_a_classification_from_scratch(monkeypatch):
     def checked_classify(state, cols):
         classify(state, cols)
         if not isinstance(cols, int):
-            entered.clear()   # a new tableau, installs included
+            entered.clear()   # a new tableau
             return
         if entered and cols != entered[0]:
             return
@@ -1119,119 +977,43 @@ def test_direction_agrees_with_a_classification_from_scratch(monkeypatch):
     assert checks["iterations"] > 500 and checks["free"] > 0
 
 
-def _singular_starts():
-    """(problem, columns) of starts whose basis is singular. Each is refused
-    by the install's PIVOT_TOL check: a structural column finds no entry above
-    it in the rows still open when its turn comes."""
-    cases = []
-    # x and y have their only nonzero in the same row, which x takes.
-    p = lp.LpProblem("shared_row")
-    x, y, z = (p.add_variable(name, 0.0, 4.0) for name in "xyz")
-    p.add_constraint([(x, 1.0), (y, 1.0)], lp.LESS_EQUAL, 3.0)
-    p.add_constraint([(z, 1.0)], lp.LESS_EQUAL, 3.0)
-    cases.append((p, [x, y]))
-    # Rows 0 and 1 have their only nonzero in column x, so once x takes row 1,
-    # y (nonzero only in row 2, whose slack stays basic) finds none in row 0.
-    p = lp.LpProblem("shared_column")
-    x, y = (p.add_variable(name, 0.0, 4.0) for name in "xy")
-    p.add_constraint([(x, 1.0)], lp.LESS_EQUAL, 3.0)
-    p.add_constraint([(x, 2.0)], lp.LESS_EQUAL, 3.0)
-    p.add_constraint([(y, 1.0)], lp.LESS_EQUAL, 3.0)
-    cases.append((p, [x, y, p.num_variables + 2]))
-    # x's largest entry in the open rows is at PIVOT_TOL.
-    p = lp.LpProblem("tiny_pivot")
-    x, y = (p.add_variable(name, 0.0, 4.0) for name in "xy")
-    p.add_constraint([(x, lp.PIVOT_TOL)], lp.LESS_EQUAL, 3.0)
-    p.add_constraint([(y, 1.0)], lp.LESS_EQUAL, 3.0)
-    cases.append((p, [x, y]))
-    # x has no nonzero at all.
-    p = lp.LpProblem("empty_column")
-    x, y, w = (p.add_variable(name, 0.0, 4.0) for name in "xyw")
-    for row in range(3):
-        p.add_constraint([(y, 1.0 + row), (w, 1.0)], lp.LESS_EQUAL, 3.0)
-    cases.append((p, [x, y, w]))
-    return cases
-
-
-@pytest.mark.parametrize("case", range(4), ids=["shared-row", "shared-column",
-                                                "tiny-pivot", "empty-column"])
-def test_batched_install_refuses_singular_starts(case):
-    problem, columns = _singular_starts()[case]
-    total = problem.num_variables + problem.num_constraints
-    start = lp.Basis(np.array(columns), np.zeros(total, dtype=bool))
-    with pytest.raises(np.linalg.LinAlgError, match="singular"):
-        lp._Tableau(problem, problem.matrix(), start)
-    solution = lp.solve(problem, start=start)
-    assert solution.start == "singular"
-    _assert_same_solution(solution, lp.solve(problem))
-
-
-def test_batched_install_refuses_a_repeated_column():
-    problem, _ = build_proposed(BUILTINS["angpuang"]())
-    columns = lp.solve(problem).basis.columns.copy()
-    structural = np.flatnonzero(columns < problem.num_variables)
-    columns[structural[1]] = columns[structural[0]]
-    start = lp.Basis(columns, np.zeros(problem.num_variables
-                                       + problem.num_constraints, dtype=bool))
-    with pytest.raises(np.linalg.LinAlgError, match="repeats"):
-        lp._Tableau(problem, problem.matrix(), start)
-
-
-def _two_row_problem(second_row):
-    p = lp.LpProblem("two_rows")
-    x = p.add_variable("x", 0.0, 4.0)
-    y = p.add_variable("y", 0.0, 4.0)
-    p.set_objective_coefficient(x, 1.0)
-    p.set_objective_coefficient(y, 2.0)
-    p.add_constraint([(x, 1.0), (y, 1.0)], lp.LESS_EQUAL, 3.0)
-    p.add_constraint(second_row, lp.LESS_EQUAL, 5.0)
-    return p
-
-
 def test_unusable_start_falls_back_to_the_cold_solve():
     angpuang, _ = build_proposed(BUILTINS["angpuang"]())
     simple, _ = build_proposed(BUILTINS["simple1"]())
     foreign = lp.solve(simple).basis
     n, m = angpuang.num_variables, angpuang.num_constraints
     slack = np.arange(n, n + m)
-    duplicated = slack.copy()
-    duplicated[1] = duplicated[0]
     out_of_range = slack.copy()
     out_of_range[0] = n + m
     cold = lp.solve(angpuang)
     own = cold.basis
-    cases = [
-        ("shape", foreign),
-        ("shape", lp.Basis(slack, np.zeros(n + m - 1, dtype=bool))),
-        ("shape", lp.Basis(out_of_range, np.zeros(n + m, dtype=bool))),
-        ("singular", lp.Basis(duplicated, np.zeros(n + m, dtype=bool))),
-        # Float columns, and an integer `at_upper`, which would index.
-        ("shape", lp.Basis(own.columns.astype(float), own.at_upper)),
-        ("shape", lp.Basis(own.columns, own.at_upper.astype(int))),
+    starts = [
+        foreign,
+        lp.Basis(slack, np.zeros(n + m - 1, dtype=bool)),
+        lp.Basis(out_of_range, np.zeros(n + m, dtype=bool)),
+        # Float columns, and an integer `at_upper`, which would index; both
+        # carry the kept tableau, which stays where it is.
+        lp.Basis(own.columns.astype(float), own.at_upper, own._kept),
+        lp.Basis(own.columns, own.at_upper.astype(int), own._kept),
     ]
-    for reason, start in cases:
+    for start in starts:
         solution = lp.solve(angpuang, start=start)
-        assert solution.start == reason
+        assert solution.start == "shape"
         _assert_same_solution(solution, cold)
-    # Lists are read as the arrays they hold. Each list-valued start is bare
-    # and installs, so the reference installs too.
-    warm = lp.solve(angpuang, start=_bare(own))
+    assert len(own._kept) == 1
+    # Lists are read as the arrays they hold. Each list-valued start carries
+    # the kept tableau of a solve of its own, so each one takes it over.
+    warm = lp.solve(angpuang, start=own)
     assert (warm.start, warm.iterations) == (lp.WARM, 0)
-    for start in (lp.Basis(own.columns.tolist(), own.at_upper),
-                  lp.Basis(own.columns, own.at_upper.tolist())):
+    for listed in ("columns", "at_upper"):
+        basis = lp.solve(angpuang).basis
+        columns, at_upper = basis.columns, basis.at_upper
+        start = lp.Basis(columns.tolist() if listed == "columns" else columns,
+                         at_upper.tolist() if listed == "at_upper" else at_upper,
+                         basis._kept)
         solution = lp.solve(angpuang, start=start)
         assert solution.start == lp.WARM
         _assert_same_solution(solution, warm)
-
-    # Columns x and y are dependent on the rows of `parallel`, so the basis
-    # {x, y} of `independent` is singular there.
-    independent = _two_row_problem([(0, 1.0), (1, 3.0)])
-    parallel = _two_row_problem([(0, 2.0), (1, 2.0)])
-    basis = lp.solve(independent).basis
-    assert sorted(basis.columns.tolist()) == [0, 1]
-    solution = lp.solve(parallel, start=basis)
-    assert solution.start == "singular"
-    _assert_same_solution(solution, lp.solve(parallel))
 
 
 @pytest.mark.parametrize("check", ["dual", "primal", "status"])
