@@ -683,22 +683,11 @@ def _assert_same_solution(a, b):
     assert np.array_equal(a.basis.at_upper, b.basis.at_upper)
 
 
-def test_start_from_own_optimal_basis_takes_no_iterations(monkeypatch):
+def test_start_from_own_optimal_basis_takes_no_iterations():
     rng = np.random.default_rng(404)
     problems = [build(factory())[0] for factory in BUILTINS.values()
                 for build in (build_proposed, build_deterministic)]
     problems += [random_lp(rng, max_vars=8, max_cons=8) for _ in range(30)]
-    # Network sizes the benchmark does not run, with the generator's size
-    # constants set as CI's 16x12 memory step sets them.
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
-                                    / "perfbench"))
-    import network
-    for reservoirs, horizon in ((8, 12), (16, 6)):
-        monkeypatch.setattr(network, "RESERVOIRS", reservoirs)
-        monkeypatch.setattr(network, "HORIZON", horizon)
-        scenario = network.synthetic_network(31)
-        problems += [build(scenario)[0]
-                     for build in (build_proposed, build_deterministic)]
     for p in problems:
         cold = lp.solve(p)
         assert (cold.status, cold.start) == (lp.OPTIMAL, lp.COLD)
@@ -916,6 +905,45 @@ def test_network_cold_pivot_counts(monkeypatch, seed, proposed, deterministic):
         solution = lp.solve(build(scenario)[0])
         assert (solution.status, solution.start) == (lp.OPTIMAL, lp.COLD)
         assert solution.iterations == expected
+
+
+@pytest.mark.parametrize("reservoirs,horizon", [(8, 12), (16, 6)],
+                         ids=["8x12", "16x6"])
+def test_network_installs_its_own_optimal_basis(monkeypatch, reservoirs,
+                                                horizon):
+    # Sizes the benchmark does not run, with the generator's size constants
+    # set as CI's 16x12 memory step sets them. The cold optimum's basis keeps
+    # the cold solve's final tableau, and the warm solve from it takes that
+    # array over, so it takes no iteration and ends where the cold solve did.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
+                                    / "perfbench"))
+    import network
+    monkeypatch.setattr(network, "RESERVOIRS", reservoirs)
+    monkeypatch.setattr(network, "HORIZON", horizon)
+    scenario = network.synthetic_network(31)
+    finals = []
+    dual_residuals, run_simplex = lp._dual_residuals, lp._run_simplex
+
+    def recording(matrix, state, c):
+        finals.append(state.tab)
+        return dual_residuals(matrix, state, c)
+
+    for build in (build_proposed, build_deterministic):
+        problem = build(scenario)[0]
+        monkeypatch.setattr(lp, "_dual_residuals", recording)
+        cold = lp.solve(problem)
+        monkeypatch.setattr(lp, "_dual_residuals", dual_residuals)
+        assert (cold.status, cold.start) == (lp.OPTIMAL, lp.COLD)
+        kept = cold.basis._kept[0][0]
+        assert kept is finals[-1]
+        states = _record_warm_states(monkeypatch)
+        warm = lp.solve(problem, start=cold.basis)
+        monkeypatch.setattr(lp, "_run_simplex", run_simplex)
+        assert (warm.start, warm.iterations) == (lp.WARM, 0)
+        assert len(states) == 1 and np.shares_memory(states[0].tab, kept)
+        assert warm.objective == pytest.approx(cold.objective, rel=1e-12,
+                                               abs=1e-12)
+        assert np.allclose(warm.values, cold.values, rtol=0, atol=1e-9)
 
 
 def _check_directions(state):
