@@ -848,6 +848,48 @@ def test_builtin_cold_pivot_counts(name, method):
     assert solution.iterations == BUILTIN_COLD_PIVOTS[name, method]
 
 
+# The cold-start plan of each built-in and method, as `extract_plan` reads it,
+# keyed "name/method". A refactor of the simplex that changes no choice must
+# reproduce it, but the tableau's products go through BLAS, so the entries are
+# compared within 1e-9 rather than bit for bit. After a change that moves a
+# plan on purpose, re-record with
+#   PYTHONPATH=src:tests python -c "import test_lp; test_lp.record_builtin_plans()"
+# and list each plan that moved.
+BUILTIN_PLANS = Path(__file__).resolve().parent / "builtin_plans.json"
+PLAN_FIELDS = ("releases", "predicted_inflows", "volumes", "transfers")
+
+
+def _builtin_plan(name, method):
+    build = build_proposed if method == "proposed" else build_deterministic
+    scenario = BUILTINS[name]()
+    problem, vm = build(scenario)
+    return extract_plan(lp.solve(problem), vm, scenario)
+
+
+def record_builtin_plans():
+    """Write BUILTIN_PLANS, one line per plan field."""
+    records = []
+    for name, method in sorted(BUILTIN_COLD_PIVOTS):
+        plan = _builtin_plan(name, method)
+        fields = [("objective", plan.objective)] + [
+            (field, getattr(plan, field).tolist()) for field in PLAN_FIELDS]
+        records.append(f' "{name}/{method}": {{\n' + ",\n".join(
+            f"  {json.dumps(field)}: {json.dumps(value)}"
+            for field, value in fields) + "\n }")
+    BUILTIN_PLANS.write_text("{\n" + ",\n".join(records) + "\n}\n")
+
+
+@pytest.mark.parametrize("name,method", sorted(BUILTIN_COLD_PIVOTS))
+def test_builtin_plans_are_those_recorded(name, method):
+    recorded = json.loads(BUILTIN_PLANS.read_text())[f"{name}/{method}"]
+    plan = _builtin_plan(name, method)
+    assert plan.objective == pytest.approx(recorded["objective"], rel=0, abs=1e-9)
+    for field in PLAN_FIELDS:
+        expected = np.array(recorded[field])
+        assert getattr(plan, field).shape == expected.shape, field
+        assert np.allclose(getattr(plan, field), expected, rtol=0, atol=1e-9), field
+
+
 # Cold-start iterations of the built-in plans with Bland's rule taking over
 # after every degenerate pivot (BLAND_TRIGGER = 1). At the default trigger no
 # other test runs the rule. Four of the six counts differ from
