@@ -33,8 +33,11 @@ bound and in [upper, inf) above its upper bound (the textbook bounded phase
 bounds, phase 1 uses the ratio test and leaving rule of phase 2 as they are.
 Reduced costs and basic values are recomputed from scratch at the start of
 each phase, every REFRESH_EVERY iterations and before optimality is
-declared. An optimal point must pass a primal check and a dual certificate
-taken from the original rows, or ArithmeticError is raised.
+declared. The tableau holds B^-1 only in its slack block: each recompute
+forms the basic values x_B = B^-1 b - B^-1 N x_N from it, for cold and warm
+starts alike, and both phases price through one routine, c - c_B tab. An
+optimal point must pass a primal check and a dual certificate taken from the
+original rows, or ArithmeticError is raised.
 """
 from __future__ import annotations
 
@@ -256,7 +259,7 @@ class _Tableau:
         # Row i reads A_i x + s_i = b_i; the bounds of slack s_i carry the
         # relation.
         rows, cols, values, row_lower, row_upper = matrix
-        b = _rhs(row_lower, row_upper)
+        self.b = b = _rhs(row_lower, row_upper)
         slack_lower = b - row_upper
         slack_upper = b - row_lower
 
@@ -275,13 +278,11 @@ class _Tableau:
             self.tab = np.zeros((m, n + m))
             np.add.at(self.tab, (rows, cols), values)
             self.tab[np.arange(m), n + np.arange(m)] = 1.0
-            self.tab_b = b
             self.basis = np.arange(n, n + m)
         else:
             # B^-1 [A | I] of the start basis, as the solve that ended there
-            # left it; only B^-1 b is new, taken from the slack block B^-1.
+            # left it.
             basis, self.tab = start
-            self.tab_b = self.tab[:, n:] @ b
             self.basis = np.array(basis.columns, dtype=np.intp)
             at_upper = basis.at_upper & np.isfinite(self.upper)
             self.x[at_upper] = self.upper[at_upper]
@@ -299,13 +300,16 @@ class _Tableau:
         self.refresh_basic_values()
 
     def refresh_basic_values(self) -> None:
+        """x_B = B^-1 b - B^-1 N x_N, with B^-1 read from the slack block."""
         active = np.flatnonzero(~self.is_basic & (self.x != 0.0))
-        self.x[self.basis] = self.tab_b - self.tab[:, active] @ self.x[active]
+        self.x[self.basis] = (self.tab[:, self.n_structural:] @ self.b
+                              - self.tab[:, active] @ self.x[active])
 
-    def price(self, c: np.ndarray) -> None:
-        """Reduced costs c - c_B tab from scratch, over the costed basic rows."""
-        costed = np.flatnonzero(c[self.basis])
-        self.reduced = c - c[self.basis[costed]] @ self.tab[costed]
+    def price(self, c: np.ndarray | float, basic_cost: np.ndarray) -> None:
+        """Reduced costs c - c_B tab from scratch, where c_B = `basic_cost`
+        is the cost of each row's basic variable, over the rows it costs."""
+        costed = np.flatnonzero(basic_cost)
+        self.reduced = c - basic_cost[costed] @ self.tab[costed]
 
     def resting(self) -> tuple[np.ndarray, np.ndarray]:
         """Masks of the nonbasic variables at their lower bound and at their
@@ -360,7 +364,6 @@ class _Tableau:
         pivot = tab[row, col]
         pivot_row = tab[row]
         pivot_row /= pivot
-        self.tab_b[row] /= pivot
         # Rank-1 update restricted to the nonzeros of the pivot column and
         # row; every skipped entry would subtract an exact zero. It goes
         # through flat indices into a view of the (C-ordered) tableau, taken
@@ -372,7 +375,6 @@ class _Tableau:
         starts = rows * total
         factors = flat[starts + col]
         flat[starts[:, None] + cols] -= factors[:, None] * values
-        self.tab_b[rows] -= factors * self.tab_b[row]
         self.reduced[cols] -= self.reduced[col] * values
         self.reduced[col] = 0.0
         # Snap the entering column to a unit vector to avoid residue buildup;
@@ -408,14 +410,13 @@ def _run_simplex(state: _Tableau, objective: np.ndarray | None,
         if fresh:
             state.refresh_basic_values()
             if objective is not None:
-                state.price(objective)
+                state.price(objective, objective[state.basis])
             stale = 0
         if objective is None:
-            # The phase-1 cost is zero off the basis, so this is c - c_B tab
-            # on every nonbasic column up to the sign of a zero.
+            # The phase-1 cost is zero off the basis, so c = 0 prices every
+            # nonbasic column right; a basic one scores zero either way.
             cost = state.infeasibility_cost()
-            costed = cost.nonzero()[0]
-            state.reduced = -(cost[costed] @ state.tab[costed])
+            state.price(0.0, cost)
         reduced = state.reduced
 
         # A candidate improves the objective by more than OPT_TOL per unit in
@@ -514,11 +515,10 @@ def solve(problem: LpProblem, max_iterations: int | None = None,
     solution of an LP of the same shape and A. That basis keeps its solve's
     final tableau, and the start takes it over, without a copy, if the
     tableau has the problem's shape, the problem's A triplets equal those it
-    was built from and the basis's `columns` are those it belongs to; then
-    only B^-1 b is new, taken for the problem's right-hand side. Any other
-    start carries no tableau of the problem and is solved cold from the
-    all-slack basis, with `LpSolution.start` "shape": one whose `columns`
-    are not m integers in range or whose `at_upper` is not n + m bools, a
+    was built from and the basis's `columns` are those it belongs to. Any
+    other start carries no tableau of the problem and is solved cold from
+    the all-slack basis, with `LpSolution.start` "shape": one whose
+    `columns` are not integers or whose `at_upper` is not n + m bools, a
     bare `Basis(columns, at_upper)`, one from an LP with another A, one whose
     columns were changed in place, and one whose tableau an earlier start
     already took, so a basis serves one warm start. A warm solve that ends
@@ -535,9 +535,10 @@ def solve(problem: LpProblem, max_iterations: int | None = None,
         return _solve_from(problem, matrix, max_iterations, None)
     columns, at_upper = np.asarray(start.columns), np.asarray(start.at_upper)
     tab = None
-    if (columns.shape == (m,) and columns.dtype.kind in "iu"
-            and at_upper.shape == (total,) and at_upper.dtype == bool
-            and not np.any((columns < 0) | (columns >= total))):
+    # The kept tableau's shape and basis array settle the columns' shape and
+    # range; float columns would compare equal to its integers.
+    if (columns.dtype.kind in "iu" and at_upper.shape == (total,)
+            and at_upper.dtype == bool):
         tab = _take_kept(start, matrix, (m, total))
     if tab is None:
         reason = "shape"

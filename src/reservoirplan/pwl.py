@@ -17,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -45,13 +45,11 @@ class ShapeReport:
         return "; ".join(f"not {flag} at segment {idx}" for flag, idx in self.violations)
 
 
-def _check_slopes(slopes: Sequence[float], required: Iterable[str]) -> ShapeReport:
-    """The first segment at which `slopes` breaks each of the `required` flags."""
+def _check_slopes(slopes: Sequence[float]) -> ShapeReport:
+    """The first segment at which `slopes` breaks each of the VALID_FLAGS."""
     steps = [b - a for a, b in zip(slopes, slopes[1:])]
     violations: list[tuple[str, int]] = []
-    for flag in required:
-        if flag not in VALID_FLAGS:
-            raise ValueError(f"unknown shape flag {flag!r}")
+    for flag in VALID_FLAGS:
         if flag == CONVEX:
             bad = next((i + 1 for i, step in enumerate(steps)
                         if step < -SLOPE_TOL), None)
@@ -116,7 +114,7 @@ class PwlFunction:
             values = np.array(values)
             values.flags.writeable = False
             object.__setattr__(self, name, values)
-        object.__setattr__(self, "_shape", _check_slopes(slopes, VALID_FLAGS))
+        object.__setattr__(self, "_shape", _check_slopes(slopes))
         if self.shape:
             report = self.verify_shape(self.shape)
             if not report.ok:

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import random_lp, random_scenario
 from oracle import oracle_solve
-from reservoirplan import cli, lp
+from reservoirplan import lp
 from reservoirplan.formulation import (build_deterministic, build_proposed,
                                        extract_plan, plan_violations)
 from reservoirplan.scenarios import BUILTINS, sweep_scenario
@@ -276,7 +276,7 @@ def test_tableau_is_constraints_by_structural_plus_slack_columns():
         assert state.tab.shape == (m, n + m)
         assert np.array_equal(state.tab[:, :n], a)
         assert np.array_equal(state.tab[:, n:], np.eye(m))
-        assert np.array_equal(state.tab_b, b)
+        assert np.array_equal(state.tab[:, n:] @ state.b, b)
         assert np.array_equal(state.lower, np.concatenate([p.lower, slack_lower]))
         assert np.array_equal(state.upper, np.concatenate([p.upper, slack_upper]))
         assert state.basis.tolist() == list(range(n, n + m))
@@ -526,19 +526,16 @@ def test_objective_scaling_invariance():
             lam * s1.objective, rel=1e-6, abs=1e-9)
 
 
-def _dense_pivot(tab, tab_b, row, col):
+def _dense_pivot(tab, row, col):
     """Reference pivot: the rank-1 update applied to the whole tableau."""
-    tab, tab_b = tab.copy(), tab_b.copy()
-    pivot = tab[row, col]
-    tab[row] /= pivot
-    tab_b[row] /= pivot
+    tab = tab.copy()
+    tab[row] /= tab[row, col]
     factors = tab[:, col].copy()
     factors[row] = 0.0
     tab -= np.outer(factors, tab[row])
-    tab_b -= factors * tab_b[row]
     tab[:, col] = 0.0
     tab[row, col] = 1.0
-    return tab, tab_b
+    return tab
 
 
 def test_pivot_equals_dense_rank1_update_on_sparse_tableaux():
@@ -560,12 +557,10 @@ def test_pivot_equals_dense_rank1_update_on_sparse_tableaux():
                 np.argwhere((np.abs(state.tab) > 0.1) & ~state.is_basic))
             zero_in_row |= bool(np.any(state.tab[row] == 0.0))
             zero_in_col |= bool(np.any(state.tab[:, col] == 0.0))
-            expected_tab, expected_b = _dense_pivot(
-                state.tab, state.tab_b, row, col)
+            expected = _dense_pivot(state.tab, row, col)
             leaving = state.basis[row]
             state.pivot(row, col, state.tab[:, col].nonzero()[0])
-            assert np.array_equal(state.tab, expected_tab)
-            assert np.array_equal(state.tab_b, expected_b)
+            assert np.array_equal(state.tab, expected)
             assert state.basis[row] == col
             assert state.is_basic[col] and not state.is_basic[leaving]
     assert zero_in_row and zero_in_col
@@ -620,7 +615,9 @@ def test_maintained_reduced_costs_and_basic_values_match_recompute(monkeypatch):
     def checked_pivot(state, row, col, rows):
         pivot(state, row, col, rows)
         nonbasic = ~state.is_basic
-        basic_values = state.tab_b - state.tab[:, nonbasic] @ state.x[nonbasic]
+        n = state.n_structural
+        basic_values = (state.tab[:, n:] @ state.b
+                        - state.tab[:, nonbasic] @ state.x[nonbasic])
         assert np.allclose(state.x[state.basis], basic_values, rtol=0, atol=1e-9)
         c = phase["objective"]
         if c is not None:
@@ -726,18 +723,6 @@ def test_chained_sweep_solves_match_cold_solves_and_highs(parameter, build,
         assert plan_violations(extract_plan(warm, vm, scenario), scenario) == []
         basis = warm.basis
     assert starts == [lp.COLD] + [lp.WARM] * (len(starts) - 1)
-
-
-def test_example_sweep_takes_over_every_warm_tableau(tmp_path):
-    # The grid points change only the objective, so each of the 8 warm
-    # solves takes over the tableau the previous point's solve of its method
-    # ended with.
-    config = Path(__file__).resolve().parent.parent / "scenarios" / \
-        "example_sweep.json"
-    assert cli.main(["sweep", "--config", str(config), "--out",
-                     str(tmp_path)]) == 0
-    solves = json.loads((tmp_path / "manifest.json").read_text())["solves"]
-    assert [s["start"] for s in solves] == [lp.COLD] * 2 + [lp.WARM] * 8
 
 
 def _changed_coefficient(problem):
