@@ -535,8 +535,7 @@ def solve(problem: LpProblem, max_iterations: int | None = None,
         return _solve_from(problem, matrix, max_iterations, None)
     columns, at_upper = np.asarray(start.columns), np.asarray(start.at_upper)
     tab = None
-    # The kept tableau's shape and basis array settle the columns' shape and
-    # range; float columns would compare equal to its integers.
+    # _take_kept settles the columns' shape and range; float ones would pass it.
     if (columns.dtype.kind in "iu" and at_upper.shape == (total,)
             and at_upper.dtype == bool):
         tab = _take_kept(start, matrix, (m, total))
